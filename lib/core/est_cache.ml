@@ -36,6 +36,8 @@ type shard = {
   mu : Mutex.t;
   index : (string, int) Hashtbl.t;  (* entry key -> slot *)
   mutable slots : l2_entry option array;
+  mutable free : int list;  (* slots emptied by eviction or reclamation *)
+  mutable fresh : int;  (* slots from this index on were never used *)
   mutable hand : int;  (* clock position *)
   mutable bytes : int;  (* accounted bytes of live entries *)
   mutable live : int;
@@ -59,6 +61,8 @@ let create_l2 ?(shards = default_shards) ~budget_bytes () =
             mu = Mutex.create ();
             index = Hashtbl.create 64;
             slots = Array.make 64 None;
+            free = [];
+            fresh = 0;
             hand = 0;
             bytes = 0;
             live = 0;
@@ -84,6 +88,7 @@ let shard_of l2 key =
 let drop_slot sh i e =
   Hashtbl.remove sh.index e.e_key;
   sh.slots.(i) <- None;
+  sh.free <- i :: sh.free;
   sh.bytes <- sh.bytes - e.e_bytes;
   sh.live <- sh.live - 1
 
@@ -132,21 +137,23 @@ let make_room sh ~shard_budget ~need =
         end
   done
 
+(* Reuse an emptied slot, else take the next never-used one, doubling the
+   array only when every slot is live: no insert scans the array. *)
 let free_slot sh =
-  let n = Array.length sh.slots in
-  let found = ref (-1) in
-  let i = ref 0 in
-  while !found < 0 && !i < n do
-    (match sh.slots.(!i) with None -> found := !i | Some _ -> ());
-    incr i
-  done;
-  if !found >= 0 then !found
-  else begin
-    let slots = Array.make (2 * n) None in
-    Array.blit sh.slots 0 slots 0 n;
-    sh.slots <- slots;
-    n
-  end
+  match sh.free with
+  | i :: rest ->
+      sh.free <- rest;
+      i
+  | [] ->
+      let n = Array.length sh.slots in
+      if sh.fresh = n then begin
+        let slots = Array.make (2 * n) None in
+        Array.blit sh.slots 0 slots 0 n;
+        sh.slots <- slots
+      end;
+      let i = sh.fresh in
+      sh.fresh <- i + 1;
+      i
 
 let l2_insert l2 key ~epoch value =
   let sh = shard_of l2 key in
@@ -182,6 +189,7 @@ type l2_stats = {
   l2_entries : int;
   l2_bytes : int;
   l2_budget : int;
+  l2_slots : int;
 }
 
 let l2_stats l2 =
@@ -196,6 +204,7 @@ let l2_stats l2 =
             l2_inserts = acc.l2_inserts + sh.inserts;
             l2_entries = acc.l2_entries + sh.live;
             l2_bytes = acc.l2_bytes + sh.bytes;
+            l2_slots = acc.l2_slots + Array.length sh.slots;
           }))
     {
       l2_hits = 0;
@@ -205,6 +214,7 @@ let l2_stats l2 =
       l2_entries = 0;
       l2_bytes = 0;
       l2_budget = l2.budget;
+      l2_slots = 0;
     }
     l2.shards
 

@@ -34,6 +34,9 @@ type l2_stats = {
   l2_entries : int;
   l2_bytes : int;  (** accounted bytes currently held — never > budget *)
   l2_budget : int;
+  l2_slots : int;
+      (** entry slots allocated across shards; grows only when every slot
+          of a shard is live *)
 }
 
 val l2_stats : l2 -> l2_stats

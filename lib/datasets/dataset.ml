@@ -1,7 +1,7 @@
 open Lpp_pgraph
 open Lpp_stats
 
-type t = { name : string; graph : Graph.t; catalog : Catalog.t }
+type t = { name : string; graph : Graph.t; catalog : Catalog.t; catalog_s : float }
 
 let make ?hierarchy_pairs ~name graph =
   Lpp_obs.Trace.with_span ~cat:"dataset" "dataset.build"
@@ -26,7 +26,9 @@ let make ?hierarchy_pairs ~name graph =
         Label_hierarchy.of_pairs ~labels:(Graph.label_count graph) id_pairs)
       hierarchy_pairs
   in
+  let t0 = Lpp_util.Clock.now_ns () in
   let catalog = Catalog.build_with ?hierarchy graph in
+  let catalog_s = Lpp_util.Clock.elapsed_s ~since:t0 in
   (* Debug guard: with LPP_DEBUG_CHECKS set (anything but 0/false/empty),
      every freshly built dataset catalog runs the consistency checker; an
      inconsistent one fails loudly instead of skewing every estimate. *)
@@ -44,7 +46,7 @@ let make ?hierarchy_pairs ~name graph =
           (Printf.sprintf
              "dataset %s: catalog consistency check failed (%d errors)" name
              (Lpp_analysis.Diagnostic.count Error diags)));
-  { name; graph; catalog }
+  { name; graph; catalog; catalog_s }
 
 let summary_headers =
   [ "data set"; "nodes"; "rels"; "props"; "labels"; "rel types"; "prop keys";

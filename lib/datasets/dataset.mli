@@ -10,6 +10,7 @@ type t = {
   name : string;
   graph : Lpp_pgraph.Graph.t;
   catalog : Lpp_stats.Catalog.t;
+  catalog_s : float;  (** wall seconds {!make} spent building [catalog] *)
 }
 
 val make :

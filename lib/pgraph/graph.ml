@@ -1,4 +1,5 @@
 module Iarr = Lpp_util.Iarr
+module Ivec = Lpp_util.Ivec
 
 type node = int
 
@@ -6,14 +7,17 @@ type rel = int
 
 (* Relationship columns and adjacency are CSR over Bigarrays ({!Iarr}): the
    GC never scans them, and ids narrow to 32 bits when they fit — the
-   difference between a 10⁸-edge graph fitting in memory or not. Per-entity
-   variable-width data (label sets, property lists) stays boxed: those arrays
-   are tiny and mostly share the static empty atom. *)
+   difference between a 10⁸-edge graph fitting in memory or not. Nodes
+   carry label sets by id: real graphs have a handful of distinct sets (SNB
+   has 11 over millions of nodes), so each node costs one narrow column slot
+   and the sets themselves are shared arrays. Property lists stay boxed:
+   they are tiny and mostly share the static empty atom. *)
 type t = {
   labels : Interner.t;
   rel_types : Interner.t;
   prop_keys : Interner.t;
-  node_labels : int array array;
+  node_set : Iarr.t;  (* node -> label-set id *)
+  label_sets : int array array;  (* set id -> label ids, first-seen order *)
   node_props : (int * Value.t) array array;
   rel_src : Iarr.t;
   rel_dst : Iarr.t;
@@ -28,7 +32,7 @@ type t = {
   prop_total : int;
 }
 
-let node_count t = Array.length t.node_labels
+let node_count t = Iarr.length t.node_set
 
 let rel_count t = Iarr.length t.rel_src
 
@@ -46,11 +50,17 @@ let rel_type_count t = Interner.size t.rel_types
 
 let prop_key_count t = Interner.size t.prop_keys
 
-let node_labels t n = t.node_labels.(n)
+let label_set_count t = Array.length t.label_sets
+
+let label_set t s = t.label_sets.(s)
+
+let node_label_set t n = Iarr.get t.node_set n
+
+let node_labels t n = t.label_sets.(Iarr.get t.node_set n)
 
 let node_has_label t n l =
   (* Label arrays are tiny (rarely > 5); linear scan beats binary search. *)
-  let arr = t.node_labels.(n) in
+  let arr = node_labels t n in
   let rec go i = i < Array.length arr && (arr.(i) = l || go (i + 1)) in
   go 0
 
@@ -157,30 +167,74 @@ let build_csr ~n_nodes ~endpoints =
   done;
   (off, tgt)
 
-let unsafe_make_packed ~labels ~rel_types ~prop_keys ~node_labels ~node_props
-    ~rel_src ~rel_dst ~rel_type ~rel_props =
-  let n_nodes = Array.length node_labels in
+let rec slice_equals ids ~pos ~len set i =
+  i >= len
+  || (Ivec.get ids (pos + i) = set.(i) && slice_equals ids ~pos ~len set (i + 1))
+
+let rec find_set ids ~pos ~len = function
+  | [] -> -1
+  | (set, s) :: rest ->
+      if Array.length set = len && slice_equals ids ~pos ~len set 0 then s
+      else find_set ids ~pos ~len rest
+
+(* Hash-cons each node's label slice [label_ids[label_off[n] ..
+   label_off[n+1])] into a set id. Sets are kept exactly as given — order and
+   duplicates included — so [node_labels] returns what the caller supplied.
+   A node whose set is already known allocates no array. *)
+let intern_label_sets ~label_off ~label_ids =
+  let n_nodes = Ivec.length label_off - 1 in
+  let node_set = Iarr.create ~max_value:(max 0 (n_nodes - 1)) n_nodes in
+  let sets = ref [] and n_sets = ref 0 in
+  let by_hash = Hashtbl.create 64 in  (* content hash -> (set, id) list *)
+  for n = 0 to n_nodes - 1 do
+    let pos = Ivec.get label_off n in
+    let len = Ivec.get label_off (n + 1) - pos in
+    let h = ref len in
+    for i = pos to pos + len - 1 do
+      h := (!h * 65599) + Ivec.get label_ids i
+    done;
+    let candidates = Option.value ~default:[] (Hashtbl.find_opt by_hash !h) in
+    let s = find_set label_ids ~pos ~len candidates in
+    let s =
+      if s >= 0 then s
+      else begin
+        let set = Ivec.sub_to_array label_ids ~pos ~len and s = !n_sets in
+        sets := set :: !sets;
+        n_sets := s + 1;
+        Hashtbl.replace by_hash !h ((set, s) :: candidates);
+        s
+      end
+    in
+    Iarr.set node_set n s
+  done;
+  (node_set, Array.of_list (List.rev !sets))
+
+let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_off ~label_ids
+    ~node_props ~rel_src ~rel_dst ~rel_type ~rel_props =
+  let node_set, label_sets = intern_label_sets ~label_off ~label_ids in
+  let n_nodes = Iarr.length node_set in
   let out_off, out_tgt = build_csr ~n_nodes ~endpoints:rel_src in
   let in_off, in_tgt = build_csr ~n_nodes ~endpoints:rel_dst in
+  let set_sizes = Array.make (Array.length label_sets) 0 in
+  Iarr.iter node_set (fun s -> set_sizes.(s) <- set_sizes.(s) + 1);
   let label_counts = Array.make (Interner.size labels) 0 in
-  Array.iter
-    (fun ls -> Array.iter (fun l -> label_counts.(l) <- label_counts.(l) + 1) ls)
-    node_labels;
+  Array.iteri
+    (fun s ls ->
+      Array.iter (fun l -> label_counts.(l) <- label_counts.(l) + set_sizes.(s)) ls)
+    label_sets;
   let label_index = Array.map (fun c -> Array.make c 0) label_counts in
   let fill = Array.make (Interner.size labels) 0 in
+  for n = 0 to n_nodes - 1 do
+    Array.iter
+      (fun l ->
+        label_index.(l).(fill.(l)) <- n;
+        fill.(l) <- fill.(l) + 1)
+      label_sets.(Iarr.get node_set n)
+  done;
+  let unlabeled = ref 0 in
   Array.iteri
-    (fun n ls ->
-      Array.iter
-        (fun l ->
-          label_index.(l).(fill.(l)) <- n;
-          fill.(l) <- fill.(l) + 1)
-        ls)
-    node_labels;
-  let unlabeled =
-    Array.fold_left
-      (fun acc ls -> if Array.length ls = 0 then acc + 1 else acc)
-      0 node_labels
-  in
+    (fun s ls -> if Array.length ls = 0 then unlabeled := !unlabeled + set_sizes.(s))
+    label_sets;
   let prop_total =
     Array.fold_left (fun acc ps -> acc + Array.length ps) 0 node_props
     + Array.fold_left (fun acc ps -> acc + Array.length ps) 0 rel_props
@@ -189,7 +243,8 @@ let unsafe_make_packed ~labels ~rel_types ~prop_keys ~node_labels ~node_props
     labels;
     rel_types;
     prop_keys;
-    node_labels;
+    node_set;
+    label_sets;
     node_props;
     rel_src;
     rel_dst;
@@ -200,7 +255,7 @@ let unsafe_make_packed ~labels ~rel_types ~prop_keys ~node_labels ~node_props
     in_off;
     in_tgt;
     label_index;
-    unlabeled;
+    unlabeled = !unlabeled;
     prop_total;
   }
 
@@ -208,7 +263,15 @@ let unsafe_make ~labels ~rel_types ~prop_keys ~node_labels ~node_props ~rel_src
     ~rel_dst ~rel_type ~rel_props =
   let n_nodes = Array.length node_labels in
   let node_max = max 0 (n_nodes - 1) in
-  unsafe_make_packed ~labels ~rel_types ~prop_keys ~node_labels ~node_props
+  let label_off = Ivec.create ~capacity:(n_nodes + 1) () in
+  let label_ids = Ivec.create () in
+  Ivec.push label_off 0;
+  Array.iter
+    (fun ls ->
+      Array.iter (Ivec.push label_ids) ls;
+      Ivec.push label_off (Ivec.length label_ids))
+    node_labels;
+  unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_off ~label_ids ~node_props
     ~rel_src:(Iarr.of_array ~max_value:node_max rel_src)
     ~rel_dst:(Iarr.of_array ~max_value:node_max rel_dst)
     ~rel_type:(Iarr.of_array rel_type)

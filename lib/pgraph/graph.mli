@@ -40,7 +40,23 @@ val prop_key_count : t -> int
 (** {1 Nodes} *)
 
 val node_labels : t -> node -> int array
-(** Sorted, duplicate-free label ids of a node (possibly empty). *)
+(** Sorted, duplicate-free label ids of a node (possibly empty) when built by
+    {!Graph_builder}; {!unsafe_make} keeps whatever list it was given. The
+    array is the node's interned label set, shared with every node carrying
+    the same set: callers must not mutate it. *)
+
+val label_set_count : t -> int
+(** Number of distinct label sets carried by nodes (the empty set included
+    when some node is unlabeled). Set ids are [0 .. label_set_count-1], in
+    order of first appearance by node id. *)
+
+val label_set : t -> int -> int array
+(** The label ids of a set id, as {!node_labels} returns them; shared — do not
+    mutate. *)
+
+val node_label_set : t -> node -> int
+(** The node's label-set id: [node_labels g n == label_set g (node_label_set g
+    n)]. *)
 
 val node_has_label : t -> node -> int -> bool
 
@@ -125,21 +141,26 @@ val unsafe_make :
   rel_props:(int * Value.t) array array ->
   t
 (** Invariants (sortedness of label/prop arrays, id ranges) are the caller's
-    responsibility; {!Graph_builder.freeze} establishes them. *)
+    responsibility; {!Graph_builder.freeze} establishes them. Label lists are
+    interned as given: equal lists share one set, and {!node_labels} returns
+    each node's list unchanged. *)
 
 val unsafe_make_packed :
   labels:Interner.t ->
   rel_types:Interner.t ->
   prop_keys:Interner.t ->
-  node_labels:int array array ->
+  label_off:Lpp_util.Ivec.t ->
+  label_ids:Lpp_util.Ivec.t ->
   node_props:(int * Value.t) array array ->
   rel_src:Lpp_util.Iarr.t ->
   rel_dst:Lpp_util.Iarr.t ->
   rel_type:Lpp_util.Iarr.t ->
   rel_props:(int * Value.t) array array ->
   t
-(** Like {!unsafe_make} but taking the relationship columns already packed,
-    so a streaming builder never materialises boxed copies. *)
+(** Like {!unsafe_make} but taking every column already packed, so a
+    streaming builder never materialises boxed copies. Node [n]'s labels are
+    [label_ids] at [\[label_off.(n), label_off.(n+1))]; [label_off] has
+    node-count + 1 entries. They are interned straight from the slices. *)
 
 (** {1 Memory accounting} *)
 

@@ -179,18 +179,13 @@ let rel_count t = t.n_rels
 let freeze t =
   check_live t;
   t.frozen <- true;
-  let node_labels =
-    Array.init t.n_nodes (fun i ->
-        let lo = Ivec.get t.lab_off i in
-        Ivec.sub_to_array t.lab_ids ~pos:lo ~len:(Ivec.get t.lab_off (i + 1) - lo))
-  in
   let props_of tbl n =
     Array.init n (fun i ->
         match Hashtbl.find_opt tbl i with Some a -> a | None -> [||])
   in
   let g =
     Graph.unsafe_make_packed ~labels:t.label_names ~rel_types:t.type_names
-      ~prop_keys:t.key_names ~node_labels
+      ~prop_keys:t.key_names ~label_off:t.lab_off ~label_ids:t.lab_ids
       ~node_props:(props_of t.node_props t.n_nodes)
       ~rel_src:(Ivec.to_iarr t.src) ~rel_dst:(Ivec.to_iarr t.dst)
       ~rel_type:(Ivec.to_iarr t.typ)

@@ -130,42 +130,72 @@ let get tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
 let add tbl key count =
   Hashtbl.replace tbl key (count + get tbl key)
 
-(* Reusable scratch holding a label set with the wildcard prepended, so the
-   per-relationship [Array.append [| star |] labels] allocation disappears
-   from the build loop. [with_star] returns the live length of [s.buf]. *)
-type scratch = { mutable buf : int array }
+(* Every relationship statistic depends only on the endpoints' label sets, so
+   the build counts (src set, type, dst set) cells — one integer increment
+   per relationship — and expands each occupied cell into its label-level
+   counts once. A cell key packs the three ids as (s1·T + typ)·S + s2. Cells
+   live in a hashtable, not an S²·T array, so memory follows the occupied
+   cells: DBpedia-like vocabularies have ~10⁶ possible cells and a few
+   thousand occupied ones. *)
+module Cells = Hashtbl.Make (struct
+  type t = int
 
-let with_star s labels =
-  let n = Array.length labels + 1 in
-  if Array.length s.buf < n then
-    s.buf <- Array.make (max n (2 * Array.length s.buf)) star;
-  s.buf.(0) <- star;
-  Array.blit labels 0 s.buf 1 (Array.length labels);
-  n
+  let equal = Int.equal
 
-(* Count one shard [lo, hi) of the relationship id range into private tables.
-   Chunk boundaries depend only on (jobs, rel_count), and the merge below
-   walks shards in chunk order, so the final tables hold the same counts for
-   every [jobs] value. *)
+  (* multiplicative mix: the table indexes buckets by the low bits, which
+     the packed key alone leaves to the dst set *)
+  let hash k =
+    let k = k * 0x1E3779B97F4A7C15 in
+    k lxor (k lsr 32)
+end)
+
+let add_cell cells key n =
+  match Cells.find cells key with
+  | c -> c := !c + n
+  | exception Not_found -> Cells.add cells key (ref n)
+
+(* Count one shard [lo, hi) of the relationship id range into a private cell
+   table. *)
 let count_rels g ~lo ~hi =
-  let rel_type_totals = Array.make (Graph.rel_type_count g) 0 in
+  let n_sets = Graph.label_set_count g and n_types = Graph.rel_type_count g in
+  let cells = Cells.create 64 in
+  for r = lo to hi - 1 do
+    add_cell cells
+      ((((Graph.node_label_set g (Graph.rel_src g r) * n_types) + Graph.rel_type g r)
+       * n_sets)
+      + Graph.node_label_set g (Graph.rel_dst g r))
+      1
+  done;
+  cells
+
+(* Expand cells into the label-level tables: a cell's count goes to
+   (l1, typ, l2) and (l1, l2) for l1 ∈ {★} ∪ src set, l2 ∈ {★} ∪ dst set.
+   Cells are expanded in key order so the tables' contents — and their
+   insertion order — are the same for every [jobs] value. *)
+let expand_cells g cells =
+  let n_sets = Graph.label_set_count g and n_types = Graph.rel_type_count g in
+  let rel_type_totals = Array.make n_types 0 in
   let triples = Hashtbl.create 1024 in
   let any_type = Hashtbl.create 256 in
-  let src_scratch = { buf = [| star |] } and dst_scratch = { buf = [| star |] } in
-  for r = lo to hi - 1 do
-    let typ = Graph.rel_type g r in
-    rel_type_totals.(typ) <- rel_type_totals.(typ) + 1;
-    let n_src = with_star src_scratch (Graph.node_labels g (Graph.rel_src g r)) in
-    let n_dst = with_star dst_scratch (Graph.node_labels g (Graph.rel_dst g r)) in
-    for i = 0 to n_src - 1 do
-      let l1 = src_scratch.buf.(i) in
-      for j = 0 to n_dst - 1 do
-        let l2 = dst_scratch.buf.(j) in
-        bump triples (l1, typ, l2);
-        bump any_type (l1, l2)
-      done
-    done
-  done;
+  let by_key =
+    List.sort
+      (fun (k1, _) (k2, _) -> Int.compare k1 k2)
+      (Cells.fold (fun key c acc -> (key, !c) :: acc) cells [])
+  in
+  let with_star set f =
+    f star;
+    Array.iter f set
+  in
+  List.iter
+    (fun (key, c) ->
+      let s2 = key mod n_sets and s1_typ = key / n_sets in
+      let typ = s1_typ mod n_types and s1 = s1_typ / n_types in
+      rel_type_totals.(typ) <- rel_type_totals.(typ) + c;
+      with_star (Graph.label_set g s1) (fun l1 ->
+          with_star (Graph.label_set g s2) (fun l2 ->
+              add triples (l1, typ, l2) c;
+              add any_type (l1, l2) c)))
+    by_key;
   (rel_type_totals, triples, any_type)
 
 let build_with ?hierarchy ?partition ?jobs g =
@@ -204,21 +234,15 @@ let build_with ?hierarchy ?partition ?jobs g =
   in
   let rel_type_totals, triples, any_type =
     Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.merge" @@ fun () ->
-    match shards with
-    | [ shard ] -> shard
-    | shards ->
-        let rel_type_totals = Array.make (Graph.rel_type_count g) 0 in
-        let triples = Hashtbl.create 1024 in
-        let any_type = Hashtbl.create 256 in
-        List.iter
-          (fun (rtt, tr, at) ->
-            Array.iteri
-              (fun typ c -> rel_type_totals.(typ) <- rel_type_totals.(typ) + c)
-              rtt;
-            Hashtbl.iter (fun key c -> add triples key c) tr;
-            Hashtbl.iter (fun key c -> add any_type key c) at)
-          shards;
-        (rel_type_totals, triples, any_type)
+    (* shards merge by summation in chunk order *)
+    let cells =
+      match shards with
+      | [] -> Cells.create 1
+      | first :: rest ->
+          List.iter (Cells.iter (fun key c -> add_cell first key !c)) rest;
+          first
+    in
+    expand_cells g cells
   in
   let pair_entries =
     Hashtbl.fold

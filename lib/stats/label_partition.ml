@@ -57,7 +57,9 @@ let of_clusters ~labels groups =
 
 let unsafe_make ~cluster ~members = { cluster; members }
 
-(* Union-find over labels, merging labels that co-occur on a node. *)
+(* Union-find over labels, merging labels that co-occur on a node. Nodes
+   with equal label sets merge the same labels, so one pass over the graph's
+   distinct label sets suffices. *)
 let infer g =
   let n = Graph.label_count g in
   let parent = Array.init n Fun.id in
@@ -66,11 +68,12 @@ let infer g =
     let ra = find a and rb = find b in
     if ra <> rb then parent.(max ra rb) <- min ra rb
   in
-  Graph.iter_nodes g (fun nd ->
-      let ls = Graph.node_labels g nd in
-      for i = 1 to Array.length ls - 1 do
-        union ls.(0) ls.(i)
-      done);
+  for s = 0 to Graph.label_set_count g - 1 do
+    let ls = Graph.label_set g s in
+    for i = 1 to Array.length ls - 1 do
+      union ls.(0) ls.(i)
+    done
+  done;
   (* compress to dense cluster ids in order of first appearance *)
   let remap = Hashtbl.create 16 in
   let cluster =

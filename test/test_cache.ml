@@ -349,9 +349,11 @@ let test_l2_eviction_respects_budget () =
   let budget = 4096 in
   let l2 = Lpp_core.Est_cache.create_l2 ~shards:1 ~budget_bytes:budget () in
   let cache = Lpp_core.Est_cache.create ~l2 Lpp_core.Config.a_lhd catalog in
-  List.iter
-    (fun p -> ignore (Lpp_core.Est_cache.estimate_pattern cache p))
-    (distinct_patterns g 200);
+  let patterns = distinct_patterns g 400 in
+  let estimate_all cache ps =
+    List.iter (fun p -> ignore (Lpp_core.Est_cache.estimate_pattern cache p)) ps
+  in
+  estimate_all cache (List.filteri (fun i _ -> i < 200) patterns);
   let s = Lpp_core.Est_cache.l2_stats l2 in
   Alcotest.(check bool) "bytes within budget" true
     (s.Lpp_core.Est_cache.l2_bytes <= s.Lpp_core.Est_cache.l2_budget);
@@ -361,7 +363,31 @@ let test_l2_eviction_respects_budget () =
     (s.Lpp_core.Est_cache.l2_evictions > 0);
   (* 200 distinct small entries cannot all fit 4 KiB *)
   Alcotest.(check bool) "capacity actually bounded" true
-    (s.Lpp_core.Est_cache.l2_entries < 200)
+    (s.Lpp_core.Est_cache.l2_entries < 200);
+  (* evicted slots are reused: more inserts than slots ever existed, and
+     200 more inserts leave the slot array as it was *)
+  Alcotest.(check bool) "slots reused" true
+    (s.Lpp_core.Est_cache.l2_inserts > s.Lpp_core.Est_cache.l2_slots);
+  estimate_all cache (List.filteri (fun i _ -> i >= 200) patterns);
+  let s' = Lpp_core.Est_cache.l2_stats l2 in
+  Alcotest.(check int) "slot array does not grow" s.Lpp_core.Est_cache.l2_slots
+    s'.Lpp_core.Est_cache.l2_slots;
+  Alcotest.(check bool) "more inserts" true
+    (s'.Lpp_core.Est_cache.l2_inserts > s.Lpp_core.Est_cache.l2_inserts);
+  Alcotest.(check bool) "live entries fit the slots" true
+    (s'.Lpp_core.Est_cache.l2_entries <= s'.Lpp_core.Est_cache.l2_slots);
+  Alcotest.(check bool) "bytes still within budget" true
+    (s'.Lpp_core.Est_cache.l2_bytes <= s'.Lpp_core.Est_cache.l2_budget);
+  (* with room for everything the array grows, and every entry stays
+     reachable through a fresh front *)
+  let roomy = Lpp_core.Est_cache.create_l2 ~shards:1 ~budget_bytes:(1 lsl 20) () in
+  let front () = Lpp_core.Est_cache.create ~l2:roomy Lpp_core.Config.a_lhd catalog in
+  estimate_all (front ()) patterns;
+  estimate_all (front ()) patterns;
+  let r = Lpp_core.Est_cache.l2_stats roomy in
+  Alcotest.(check int) "all entries live" 400 r.Lpp_core.Est_cache.l2_entries;
+  Alcotest.(check int) "grown to fit" 512 r.Lpp_core.Est_cache.l2_slots;
+  Alcotest.(check int) "all reachable" 400 r.Lpp_core.Est_cache.l2_hits
 
 let test_oversized_entries_not_cached () =
   let g = small_graph () in

@@ -112,6 +112,26 @@ let test_partition_trivial () =
   Alcotest.(check int) "one cluster" 1 (Label_partition.cluster_count d);
   Alcotest.(check bool) "nothing disjoint" false (Label_partition.disjoint d 0 3)
 
+(* Several multi-label sets, a repeated set, an unlabeled node and a label
+   no node carries: the partition comes from the distinct label sets and
+   must merge exactly the labels that co-occur on some node. *)
+let test_partition_infer_multi_label () =
+  let b = Graph_builder.create () in
+  List.iter
+    (fun l -> ignore (Graph_builder.intern_label b l))
+    [ "A"; "B"; "C"; "D"; "E"; "F"; "G" ];
+  List.iter
+    (fun labels -> ignore (Graph_builder.add_node b ~labels ~props:[]))
+    [ [ "B"; "A" ]; [ "C"; "B" ]; [ "D" ]; [ "F"; "E" ]; []; [ "A"; "B" ]; [ "D" ] ];
+  let g = Graph_builder.freeze b in
+  Alcotest.(check int) "distinct label sets" 5 (Graph.label_set_count g);
+  let d = Label_partition.infer g in
+  Alcotest.(check (array int)) "cluster of each label" [| 0; 0; 0; 1; 2; 2; 3 |]
+    (Array.init 7 (Label_partition.cluster_of d));
+  Alcotest.(check (array (array int))) "members"
+    [| [| 0; 1; 2 |]; [| 3 |]; [| 4; 5 |]; [| 6 |] |]
+    (Label_partition.clusters d)
+
 let test_partition_members_complete () =
   let f = Fixtures.campus () in
   let d = Label_partition.infer f.graph in
@@ -286,6 +306,68 @@ let test_catalog_memory_ordering () =
     = Catalog.memory_bytes_advanced c + Catalog.memory_bytes_optional c
       + Catalog.memory_bytes_props c)
 
+(* Random graphs straight through [Graph.unsafe_make], so label lists may be
+   unsorted or repeat a label. Also covered: unlabeled nodes, self-loops,
+   labels interned but never used, and graphs with no nodes or no
+   relationships. *)
+let random_raw_graph rng =
+  let open Lpp_util in
+  let interner prefix n =
+    let t = Interner.create () in
+    for i = 0 to n - 1 do
+      ignore (Interner.intern t (Printf.sprintf "%s%d" prefix i))
+    done;
+    t
+  in
+  let n_labels = Rng.int rng 6 in
+  (* ids in [used, n_labels) are interned but never carried *)
+  let used = if n_labels = 0 then 0 else Rng.int_in rng 1 n_labels in
+  let n_types = Rng.int_in rng 1 3 in
+  let n = Rng.int rng 14 in
+  let node_labels =
+    Array.init n (fun _ ->
+        if used = 0 || Rng.coin rng 0.25 then [||]
+        else Array.init (Rng.int_in rng 1 4) (fun _ -> Rng.int rng used))
+  in
+  let m = if n = 0 || Rng.coin rng 0.15 then 0 else Rng.int rng (3 * n) in
+  let rel_src = Array.init m (fun _ -> Rng.int rng n) in
+  let rel_dst =
+    Array.map (fun s -> if Rng.coin rng 0.2 then s else Rng.int rng n) rel_src
+  in
+  let g =
+    Graph.unsafe_make ~labels:(interner "L" n_labels)
+      ~rel_types:(interner "t" n_types) ~prop_keys:(Interner.create ())
+      ~node_labels:(Array.map Array.copy node_labels)
+      ~node_props:(Array.make n [||]) ~rel_src ~rel_dst
+      ~rel_type:(Array.init m (fun _ -> Rng.int rng n_types))
+      ~rel_props:(Array.make m [||])
+  in
+  (node_labels, g)
+
+let prop_catalog_matches_oracle =
+  QCheck.Test.make ~name:"catalog counts == per-relationship oracle" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let node_labels, g = random_raw_graph (Lpp_util.Rng.create (seed + 1)) in
+      let interned_as_given =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun n ls ->
+               let set = Graph.label_set g (Graph.node_label_set g n) in
+               Graph.node_labels g n = ls && Graph.node_labels g n == set)
+             node_labels)
+      in
+      let sets_distinct =
+        let sets = List.init (Graph.label_set_count g) (Graph.label_set g) in
+        List.length (List.sort_uniq compare sets) = List.length sets
+      in
+      let expected = Catalog_oracle.entries g in
+      interned_as_given && sets_distinct
+      && List.for_all
+           (fun jobs ->
+             Catalog_oracle.catalog_entries (Catalog.build ~jobs g) = expected)
+           [ 1; 2; 4 ])
+
 let test_catalog_rel_type_totals () =
   let f = Fixtures.campus () in
   let c = Catalog.build f.graph in
@@ -307,6 +389,8 @@ let suite =
     Alcotest.test_case "partition: of_clusters" `Quick test_partition_of_clusters;
     Alcotest.test_case "partition: duplicates" `Quick test_partition_duplicate_rejected;
     Alcotest.test_case "partition: trivial" `Quick test_partition_trivial;
+    Alcotest.test_case "partition: infer multi-label" `Quick
+      test_partition_infer_multi_label;
     Alcotest.test_case "partition: members complete" `Quick test_partition_members_complete;
     Alcotest.test_case "props: counts" `Quick test_prop_stats_counts;
     Alcotest.test_case "props: exists selectivity" `Quick test_prop_stats_selectivity_exists;
@@ -318,4 +402,5 @@ let suite =
     Alcotest.test_case "catalog: simple rc" `Quick test_catalog_simple_rc;
     Alcotest.test_case "catalog: memory ordering" `Quick test_catalog_memory_ordering;
     Alcotest.test_case "catalog: type totals" `Quick test_catalog_rel_type_totals;
+    QCheck_alcotest.to_alcotest prop_catalog_matches_oracle;
   ]
