@@ -81,7 +81,6 @@ let run (env : Env.t) =
   let ds = Env.dataset env "SNB" in
   let queries = Env.queries env ~with_props:true "SNB" in
   let catalog = ds.catalog in
-  Lpp_stats.Catalog.freeze catalog;
   (* candidate pool: the generated workload plus variable-length path
      queries (the paper's future-work extension, supported since the varlen
      PR) — the patterns whose estimates genuinely cost something. Rank by
@@ -237,7 +236,6 @@ let smoke () =
     }
   in
   let queries = Lpp_workload.Query_gen.generate rng ds spec in
-  Lpp_stats.Catalog.freeze catalog;
   let algs =
     List.map
       (fun (q : Lpp_workload.Query_gen.query) ->

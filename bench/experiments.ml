@@ -630,7 +630,7 @@ let all : (string * string * (Env.t -> unit)) list =
     ("ext-varlen", "extension: variable-length paths", ext_varlen);
     ("parallel", "multicore scaling of ground truth / catalog / runner", parallel_bench);
     ( "throughput",
-      "estimator throughput before/after Catalog.freeze + sessions",
+      "estimator throughput: pre-rewrite one-shot vs sessions",
       Throughput.run );
     ( "obs_overhead",
       "observability overhead: session estimates with tracing off vs on",
@@ -642,6 +642,6 @@ let all : (string * string * (Env.t -> unit)) list =
       "estimate cache: hit-path ns + cold vs warm serve throughput (Zipf)",
       Cache_bench.run );
     ( "scale",
-      "scale tier: streaming build, Bigarray freeze, sampled-truth q-errors",
+      "scale tier: streaming build, Bigarray catalog, sampled-truth q-errors",
       Scale_bench.run );
   ]

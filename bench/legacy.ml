@@ -2,9 +2,9 @@
    rewrite (lib/core/{label_probs,estimator}.ml at 9a5f01f), vendored so the
    throughput experiment can measure the genuine pre-rewrite baseline in the
    same binary: hashtable-backed Label_probs, per-estimate state allocation,
-   list-based representatives with List.sort, and uncached degree lookups
-   against the mutable (hashtable) catalog read path. Only [estimate] is
-   exposed; nothing outside bench/ links this module. *)
+   list-based representatives with List.sort, and uncached per-label degree
+   lookups through the catalog's public API. Only [estimate] is exposed;
+   nothing outside bench/ links this module. *)
 
 open Lpp_pgraph
 open Lpp_pattern

@@ -5,12 +5,11 @@
    pre-planned workload as [Throughput]:
 
    - enabled/disabled ratio, measured directly: one Bechamel OLS fit of the
-     frozen-session pass with observability off, one with it on.
+     session pass with observability off, one with it on.
 
    - disabled-mode overhead, bounded analytically: with the switch off the
      instrumentation costs one [Obs.enabled] check per estimate plus one
-     no-op [Metrics.incr]-style call per hot-path site (frozen-catalog
-     lookups, rc_row reads, degree-cache probes, MCV probes).  An
+     no-op [Metrics.incr]-style call per hot-path site (catalog lookups, rc_row reads, degree-cache probes, MCV probes).  An
      uninstrumented build does not exist inside this binary, so instead the
      experiment counts those sites exactly — the metrics themselves report,
      when enabled, how many times each site fired on one workload pass, and
@@ -34,8 +33,8 @@ let median xs =
 
 (* Counter families whose call sites execute (as no-op calls) in disabled
    mode during an estimate.  estimator.op.* / estimator.estimates and the
-   histograms fire only on the traced path and are excluded; freeze/thaw and
-   pool counters do not run during a jobs = 1 estimate pass. *)
+   histograms fire only on the traced path and are excluded; catalog layout
+   and pool counters do not run during a jobs = 1 estimate pass. *)
 let hot_path_prefixes =
   [ "catalog.lookup."; "catalog.rc_row."; "estimator.degcache."; "propstats." ]
 
@@ -52,9 +51,6 @@ let hot_path_calls snapshot =
 
 let run (env : Env.t) =
   let cells = Throughput.make_cells env in
-  List.iter
-    (fun (ds : Lpp_datasets.Dataset.t) -> Lpp_stats.Catalog.freeze ds.catalog)
-    env.datasets;
   let sessions =
     List.map
       (fun (c : Throughput.cell) -> Lpp_core.Estimator.make c.config c.catalog)

@@ -1,4 +1,4 @@
-(* Runs from the [runtest] alias: one tiny throughput iteration per estimator
-   configuration, so a plain [dune runtest] exercises the frozen catalog and
-   session hot path and its bit-identity with the unfrozen path. *)
+(* Runs from the [runtest] alias: session estimates for every estimator
+   configuration, checked bit for bit against the vendored pre-rewrite
+   estimator on small generated workloads. *)
 let () = Throughput.smoke ()

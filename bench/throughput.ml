@@ -1,17 +1,17 @@
 (* Estimator throughput (estimates/sec) per configuration × dataset, before
-   and after the frozen read path — the numbers behind
+   and after the session rewrite — the numbers behind
    BENCH_estimator_throughput.json.
 
-   "Before" is the genuine pre-rewrite path, vendored verbatim in
-   [Legacy]: the hashtable-backed catalog queried through the old one-shot
-   estimator (hashtable Label_probs, per-estimate allocation, list-based
-   representatives). "After" freezes the catalog ([Catalog.freeze]) and
-   reuses one [Estimator.make] session per configuration, so the hot path is
-   flat-array reads and preallocated scratch. Both phases run the identical
-   pre-planned workload at jobs = 1; Bechamel's OLS fit over whole-workload
-   passes gives ns/pass, reported as estimates/sec. Estimates must be
-   bit-identical between the two paths — any mismatch aborts the
-   experiment. *)
+   "Before" is the pre-rewrite one-shot estimator, vendored verbatim in
+   [Legacy] (hashtable Label_probs, per-estimate allocation, list-based
+   representatives). "After" reuses one [Estimator.make] session per
+   configuration, so the hot path is preallocated scratch. Both read the
+   same compiled catalog and run the identical pre-planned workload at
+   jobs = 1; Bechamel's OLS fit over whole-workload passes gives ns/pass,
+   reported as estimates/sec. Estimates must be bit-identical between the
+   two estimators — any mismatch aborts the experiment. The committed JSON
+   predates the single catalog read path: its "before" column read the
+   catalog's former hashtable tables. *)
 
 open Bechamel
 open Toolkit
@@ -111,10 +111,7 @@ let assert_bit_identical c ~reference ~got ~path =
 
 let run (env : Env.t) =
   let cells = make_cells env in
-  List.iter
-    (fun c -> assert (not (Lpp_stats.Catalog.is_frozen c.catalog)))
-    cells;
-  (* reference estimates: unfrozen catalog, pre-rewrite one-shot estimator *)
+  (* reference estimates: pre-rewrite one-shot estimator *)
   let reference =
     List.map
       (fun c -> Array.map (Legacy.estimate c.config c.catalog) c.algs)
@@ -127,21 +124,18 @@ let run (env : Env.t) =
   in
   Printf.printf "[throughput] measuring pre-rewrite one-shot path…\n%!";
   let before_ns = measure_ns ~phase:"before" before_tests in
-  List.iter
-    (fun (ds : Lpp_datasets.Dataset.t) -> Lpp_stats.Catalog.freeze ds.catalog)
-    env.datasets;
   let sessions =
     List.map (fun c -> Lpp_core.Estimator.make c.config c.catalog) cells
   in
   List.iter2
     (fun (c, session) ref_ests ->
-      assert_bit_identical c ~reference:ref_ests ~path:"frozen session"
+      assert_bit_identical c ~reference:ref_ests ~path:"session"
         ~got:(Array.map (Lpp_core.Estimator.session_estimate session) c.algs))
     (List.combine cells sessions)
     reference;
   Printf.printf
-    "[throughput] all frozen-path estimates bit-identical; measuring frozen \
-     session path…\n\
+    "[throughput] all session estimates bit-identical; measuring session \
+     path…\n\
      %!";
   let after_tests =
     List.map2
@@ -183,7 +177,7 @@ let run (env : Env.t) =
   in
   Lpp_util.Ascii_table.print
     ~title:
-      "Estimator throughput: pre-rewrite one-shot vs frozen session (jobs = 1)"
+      "Estimator throughput: pre-rewrite one-shot vs session (jobs = 1)"
     table;
   Printf.printf "[throughput] best speedup: %.2fx\n" !best;
   let oc = open_out "BENCH_estimator_throughput.json" in
@@ -206,52 +200,54 @@ let run (env : Env.t) =
   close_out oc;
   Printf.printf "[throughput] wrote BENCH_estimator_throughput.json\n%!"
 
-(* One tiny throughput iteration per configuration, fast enough for [dune
-   runtest]: checks the freeze + session path end-to-end and that it agrees
-   bit-for-bit with the unfrozen one-shot path. *)
+(* Fast enough for [dune runtest]: session estimates for every
+   configuration must match the pre-rewrite estimator bit for bit, on small
+   workloads over all three generated vocabularies. *)
 let smoke () =
-  let ds = Lpp_datasets.Snb_gen.generate ~persons:30 ~seed:5 () in
-  let rng = Lpp_util.Rng.create 9 in
+  let configs = Lpp_core.Config.all @ [ Lpp_core.Config.a_lhdt ] in
   let spec =
     { (Lpp_workload.Query_gen.default_spec With_props) with
-      target = 5;
-      attempts = 40;
-      truth_budget = 300_000;
+      target = 20;
+      attempts = 80;
+      truth_budget = 100_000;
     }
   in
-  let algs =
-    Lpp_workload.Query_gen.generate rng ds spec
-    |> List.map (fun (q : Lpp_workload.Query_gen.query) ->
-           Lpp_pattern.Planner.plan q.pattern)
-    |> Array.of_list
-  in
-  if Array.length algs = 0 then failwith "throughput smoke: no queries";
-  let reference =
-    List.map
-      (fun config ->
-        Array.map (Lpp_core.Estimator.estimate config ds.catalog) algs)
-      Lpp_core.Config.all
-  in
-  Lpp_stats.Catalog.freeze ds.catalog;
-  List.iter2
-    (fun config ref_ests ->
-      let session = Lpp_core.Estimator.make config ds.catalog in
-      let t0 = Lpp_util.Clock.now_ns () in
-      let got = Array.map (Lpp_core.Estimator.session_estimate session) algs in
-      let ns = Lpp_util.Clock.elapsed_ns ~since:t0 in
-      Array.iteri
-        (fun i v ->
-          if Int64.bits_of_float v <> Int64.bits_of_float ref_ests.(i) then
-            failwith
-              (Printf.sprintf
-                 "throughput smoke: %s query %d: frozen %h <> unfrozen %h"
-                 (Lpp_core.Config.name config)
-                 i v ref_ests.(i)))
-        got;
-      Printf.printf
-        "[smoke] %-9s %d estimates in %7.0f ns (frozen session), \
-         bit-identical to unfrozen\n"
-        (Lpp_core.Config.name config)
-        (Array.length algs) ns)
-    Lpp_core.Config.all reference;
+  let checked = ref 0 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun seed ->
+          let ds =
+            Option.get (Lpp_datasets.Scale.build Smoke ~name ~seed)
+          in
+          let algs =
+            Lpp_workload.Query_gen.generate (Lpp_util.Rng.create seed) ds spec
+            |> List.map (fun (q : Lpp_workload.Query_gen.query) ->
+                   Lpp_pattern.Planner.plan q.pattern)
+          in
+          if algs = [] then
+            failwith (Printf.sprintf "throughput smoke: no %s queries" name);
+          List.iter
+            (fun config ->
+              let session = Lpp_core.Estimator.make config ds.catalog in
+              List.iteri
+                (fun i alg ->
+                  let got = Lpp_core.Estimator.session_estimate session alg in
+                  let want = Legacy.estimate config ds.catalog alg in
+                  if Int64.bits_of_float got <> Int64.bits_of_float want then
+                    failwith
+                      (Printf.sprintf
+                         "throughput smoke: %s seed %d %s query %d: session \
+                          %h <> pre-rewrite %h"
+                         name seed
+                         (Lpp_core.Config.name config)
+                         i got want);
+                  incr checked)
+                algs)
+            configs)
+        [ 1; 2; 3 ])
+    [ "snb"; "cineasts"; "dbpedia" ];
+  Printf.printf
+    "[smoke] %d session estimates bit-identical to the pre-rewrite estimator\n"
+    !checked;
   print_endline "[smoke] throughput smoke passed"

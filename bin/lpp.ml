@@ -92,7 +92,7 @@ let bytes_cell b =
     Printf.sprintf "%d (%.1f MiB)" b (float_of_int b /. 1048576.0)
   else string_of_int b
 
-(* Per-component resident bytes of the packed graph and the (ideally frozen)
+(* Per-component resident bytes of the packed graph and the compiled
    catalog, as measured by Mem_size / Bigarray.Array1.size_in_bytes. *)
 let print_memory_table (ds : Lpp_datasets.Dataset.t) =
   let t = Lpp_util.Ascii_table.create [ "component"; "bytes" ] in
@@ -179,7 +179,6 @@ let cmd_estimate =
     Cli_common.with_obs ?trace_out ?metrics_out @@ fun () ->
     let ds = dataset_of_name name ~seed ~scale in
     let qs = gen_workload ds ~seed ~n ~props ~scale in
-    Lpp_stats.Catalog.freeze ds.catalog;
     let techs =
       Lpp_harness.Technique.our_configurations ?cache:(make_l2 cache_mb) ds
     in
@@ -276,7 +275,6 @@ let cmd_query =
     let scale = resolve_scale scale_name in
     Cli_common.with_obs ?trace_out ?metrics_out @@ fun () ->
     let ds = dataset_of_name name ~seed ~scale in
-    Lpp_stats.Catalog.freeze ds.catalog;
     let l2 = make_l2 cache_mb in
     let sessions =
       List.map
@@ -362,7 +360,6 @@ let cmd_lint =
     let config = config_of_name config_name in
     let scale = resolve_scale ~smoke scale_name in
     let ds = dataset_of_name name ~seed ~scale in
-    Lpp_stats.Catalog.freeze ds.catalog;
     let catalog_diags = Lpp_analysis.Catalog_check.run ds.catalog in
     let texts_and_algs =
       Cli_common.load_patterns ds ~file ~patterns ~fallback:(fun () ->
@@ -534,15 +531,14 @@ let cmd_trace =
     set_jobs jobs;
     let config = config_of_name config_name in
     let scale = resolve_scale ~smoke scale_name in
-    (* Enable before the data set is built so catalog build phases, freezing
-       and the pool's per-task spans all land in the trace. *)
+    (* Enable before the data set is built so catalog build phases (compile
+       included) and the pool's per-task spans all land in the trace. *)
     Lpp_obs.Obs.enable ();
     let parse_errors = ref 0 in
     Fun.protect
       ~finally:(fun () -> Lpp_obs.Obs.disable ())
       (fun () ->
         let ds = dataset_of_name name ~seed ~scale in
-        Lpp_stats.Catalog.freeze ds.catalog;
         let loaded =
           Cli_common.load_patterns ds ~file ~patterns ~fallback:(fun () ->
               gen_workload ds ~seed ~n ~props)
@@ -598,7 +594,7 @@ let cmd_trace =
        ~doc:"Estimate patterns with tracing on and export spans and metrics"
        ~man:
          [ `S Manpage.s_description;
-           `P "Builds the data set, freezes the catalog and estimates the \
+           `P "Builds the data set and its statistics catalog and estimates the \
                given patterns (or a generated workload) with the span tracer \
                and metrics registry enabled, then writes the Chrome trace \
                ($(b,--out)) and metrics JSON ($(b,--metrics)) and prints an \
@@ -978,7 +974,7 @@ let cmd_serve =
        ~doc:"Run a long-lived estimation service speaking NDJSON over a socket"
        ~man:
          [ `S Manpage.s_description;
-           `P "Builds the data set, freezes the statistics catalog and serves \
+           `P "Builds the data set and its statistics catalog and serves \
                estimate requests over a Unix or TCP socket. One JSON request \
                per line, one JSON response per line, in order per connection \
                (see DESIGN.md \xc2\xa712 for the protocol). SIGINT/SIGTERM \
@@ -1100,9 +1096,6 @@ let cmd_stats =
     let t0 = Lpp_util.Clock.now_ns () in
     let ds = dataset_of_name name ~seed ~scale in
     let generate_s = Lpp_util.Clock.elapsed_s ~since:t0 -. ds.catalog_s in
-    let t1 = Lpp_util.Clock.now_ns () in
-    Lpp_stats.Catalog.freeze ds.catalog;
-    let freeze_s = Lpp_util.Clock.elapsed_s ~since:t1 in
     let t = Lpp_util.Ascii_table.create Lpp_datasets.Dataset.summary_headers in
     Lpp_util.Ascii_table.add_row t (Lpp_datasets.Dataset.summary_row ds);
     Lpp_util.Ascii_table.print
@@ -1110,19 +1103,19 @@ let cmd_stats =
                 (Lpp_datasets.Scale.to_string scale))
       t;
     print_memory_table ds;
-    Printf.printf "generate %.2fs (%.0f rels/s), catalog build %.2fs, freeze %.2fs\n"
+    Printf.printf "generate %.2fs (%.0f rels/s), catalog build %.2fs\n"
       generate_s
       (float_of_int (Lpp_pgraph.Graph.rel_count ds.graph)
       /. Float.max generate_s 1e-9)
-      ds.catalog_s freeze_s
+      ds.catalog_s
   in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Build one data set, freeze its catalog and report sizes and memory"
+       ~doc:"Build one data set and its catalog and report sizes and memory"
        ~man:
          [ `S Manpage.s_description;
-           `P "Builds the data set at the requested $(b,--scale) tier, freezes \
-               the statistics catalog into its packed Bigarray layout and \
+           `P "Builds the data set at the requested $(b,--scale) tier and \
+               compiles its statistics catalog into packed Bigarrays, then \
                prints the Table-1 summary plus per-component resident bytes \
                (CSR adjacency, relationship columns, NC/RC catalog arrays). \
                Use $(b,--scale large) to exercise the ≥10⁷-relationship \

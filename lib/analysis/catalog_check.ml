@@ -32,8 +32,8 @@ let run cat =
         (Printf.sprintf "NC(%d) = %d exceeds NC(*) = %d" l n nc_star)
   done;
   (* --- relationship counts: negativity and wildcard dominance --- *)
-  let rc_u ~src ~typ ~dst =
-    Catalog.rc_unfrozen cat ~dir:Lpp_pgraph.Direction.Out ~node:src
+  let rc_out ~src ~typ ~dst =
+    Catalog.rc cat ~dir:Lpp_pgraph.Direction.Out ~node:src
       ~types:(match typ with None -> [||] | Some ty -> [| ty |])
       ~other:dst
   in
@@ -43,7 +43,7 @@ let run cat =
           (Printf.sprintf "rc(%s,%s,%s) is negative: %d" (sol src) (sol typ)
              (sol dst) count);
       let dominated ~by:(s, ty, d) =
-        let sup = rc_u ~src:s ~typ:ty ~dst:d in
+        let sup = rc_out ~src:s ~typ:ty ~dst:d in
         if count > sup then
           error ~code:"LPP-C002" ~loc:(Stats "rc")
             (Printf.sprintf
@@ -64,13 +64,13 @@ let run cat =
     error ~code:"LPP-C003" ~loc:(Stats "totals")
       (Printf.sprintf "per-type totals sum to %d but the relationship total \
                        is %d" !type_sum rel_total);
-  let wild_all = rc_u ~src:None ~typ:None ~dst:None in
+  let wild_all = rc_out ~src:None ~typ:None ~dst:None in
   if wild_all <> rel_total then
     error ~code:"LPP-C003" ~loc:(Stats "totals")
       (Printf.sprintf "rc(*,*,*) = %d but the relationship total is %d"
          wild_all rel_total);
   for ty = 0 to types - 1 do
-    let w = rc_u ~src:None ~typ:(Some ty) ~dst:None in
+    let w = rc_out ~src:None ~typ:(Some ty) ~dst:None in
     let t = Catalog.rel_type_total cat ty in
     if w <> t then
       error ~code:"LPP-C003" ~loc:(Stats "totals")
@@ -141,43 +141,6 @@ let run cat =
       error ~code:"LPP-C007" ~loc:(Stats "partition")
         (Printf.sprintf "label %d belongs to no cluster" l)
   done;
-  (* --- frozen ≡ mutable --- *)
-  if Catalog.is_frozen cat then begin
-    let mismatch ~src ~typ ~dst =
-      let tys = match typ with None -> [||] | Some ty -> [| ty |] in
-      List.iter
-        (fun dir ->
-          let f = Catalog.rc cat ~dir ~node:src ~types:tys ~other:dst in
-          let m = Catalog.rc_unfrozen cat ~dir ~node:src ~types:tys ~other:dst in
-          if f <> m then
-            error ~code:"LPP-C009" ~loc:(Stats "frozen")
-              (Printf.sprintf
-                 "frozen rc(%s,%s,%s) dir %s = %d but the mutable tables say \
-                  %d"
-                 (sol src) (sol typ) (sol dst)
-                 (Format.asprintf "%a" Lpp_pgraph.Direction.pp dir)
-                 f m))
-        [ Lpp_pgraph.Direction.Out; Lpp_pgraph.Direction.In;
-          Lpp_pgraph.Direction.Both ]
-    in
-    Catalog.iter_triples cat (fun ~src ~typ ~dst ~count:_ ->
-        mismatch ~src ~typ ~dst);
-    (* deterministic strided sweep of the key space, catching frozen entries
-       with no mutable counterpart *)
-    let stride dim = max 1 ((dim + 1 + 9) / 10) in
-    let ls = stride labels and ts = stride types in
-    let rec opts dim step v acc =
-      if v >= dim then List.rev acc else opts dim step (v + step) (Some v :: acc)
-    in
-    let l_opts = None :: opts labels ls 0 [] in
-    let t_opts = None :: opts types ts 0 [] in
-    List.iter
-      (fun src ->
-        List.iter
-          (fun typ -> List.iter (fun dst -> mismatch ~src ~typ ~dst) l_opts)
-          t_opts)
-      l_opts
-  end;
   let out = Diagnostic.sort (List.rev !acc) in
   let suppressed = ref [] in
   Hashtbl.iter

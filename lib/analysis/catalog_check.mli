@@ -17,12 +17,11 @@
       two clusters or in none, [cluster_of] inconsistent with [clusters]).
     - [LPP-C008] (Warning): hierarchy/partition label dimension differs from
       the catalog's label count.
-    - [LPP-C009] (Error): a frozen catalog answers differently from its own
-      mutable tables (checked over every occupied entry plus a deterministic
-      strided sample of the key space, in all three directions).
+    - [LPP-C009]: retired, never reused. It compared a frozen catalog with
+      its own mutable tables; a catalog now has one read path.
 
-    A catalog fresh from [Catalog.build]/[build_with] (frozen or not) passes
-    with no diagnostics. Per-code output is capped; a final [Hint] reports
+    A catalog fresh from [Catalog.build]/[build_with] passes with no
+    diagnostics. Per-code output is capped; a final [Hint] reports
     how many further findings were suppressed. *)
 
 val run : Lpp_stats.Catalog.t -> Diagnostic.t list

@@ -13,11 +13,11 @@ open Lpp_stats
    Mem_size-accounted entries evicted by a clock ("second chance") sweep so
    total memory stays under a configured budget.
 
-   Correctness: a hit returns the exact float stored by the computing miss,
-   and entries are only visible while Catalog.epoch still equals the epoch
-   they were computed at — any catalog mutation, freeze, thaw or note_*
-   update bumps the epoch and orphans every entry at once. Canonically equal algebras
-   produce bit-identical estimates (see Canon), so cache hits are
+   Correctness: a hit returns the exact float stored by the computing miss.
+   A front serves one immutable catalog, so its L1 needs no catalog key;
+   the shared L2 may serve fronts over several catalogs, so its keys start
+   with the catalog's epoch, which no two snapshots share. Canonically equal
+   algebras produce bit-identical estimates (see Canon), so cache hits are
    bit-identical to recomputation. *)
 
 (* ------------------------------------------------------------------ *)
@@ -25,9 +25,8 @@ open Lpp_stats
 (* ------------------------------------------------------------------ *)
 
 type l2_entry = {
-  e_key : string;  (* config tag ^ "\x00" ^ canonical key *)
+  e_key : string;  (* epoch ^ "\x00" ^ config tag ^ "\x00" ^ canonical key *)
   e_value : float;
-  e_epoch : int;
   e_bytes : int;
   mutable e_ref : bool;  (* clock "second chance" bit *)
 }
@@ -92,26 +91,14 @@ let drop_slot sh i e =
   sh.bytes <- sh.bytes - e.e_bytes;
   sh.live <- sh.live - 1
 
-let l2_find l2 key ~epoch =
+let l2_find l2 key =
   let sh = shard_of l2 key in
   Sync.with_lock sh.mu (fun () ->
-      match Hashtbl.find_opt sh.index key with
-      | Some i -> begin
-          match sh.slots.(i) with
-          | Some e when e.e_epoch = epoch ->
-              e.e_ref <- true;
-              sh.hits <- sh.hits + 1;
-              Some e.e_value
-          | Some e ->
-              (* stale epoch: reclaim eagerly so dead entries don't occupy
-                 budget until the clock happens to pass them *)
-              drop_slot sh i e;
-              sh.misses <- sh.misses + 1;
-              None
-          | None ->
-              sh.misses <- sh.misses + 1;
-              None
-        end
+      match Option.bind (Hashtbl.find_opt sh.index key) (Array.get sh.slots) with
+      | Some e ->
+          e.e_ref <- true;
+          sh.hits <- sh.hits + 1;
+          Some e.e_value
       | None ->
           sh.misses <- sh.misses + 1;
           None)
@@ -155,7 +142,7 @@ let free_slot sh =
       sh.fresh <- i + 1;
       i
 
-let l2_insert l2 key ~epoch value =
+let l2_insert l2 key value =
   let sh = shard_of l2 key in
   let bytes = entry_bytes key in
   if bytes <= l2.shard_budget then
@@ -173,8 +160,7 @@ let l2_insert l2 key ~epoch value =
           let i = free_slot sh in
           sh.slots.(i) <-
             Some
-              { e_key = key; e_value = value; e_epoch = epoch; e_bytes = bytes;
-                e_ref = false };
+              { e_key = key; e_value = value; e_bytes = bytes; e_ref = false };
           Hashtbl.replace sh.index key i;
           sh.bytes <- sh.bytes + bytes;
           sh.live <- sh.live + 1;
@@ -247,14 +233,12 @@ type counters = {
 type t = {
   session : Estimator.session;
   config : Config.t;
-  catalog : Catalog.t;
-  ctag : string;
+  l2_prefix : string;  (* epoch ^ "\x00" ^ config tag ^ "\x00" *)
   scratch : Canon.scratch;
   l2 : l2 option;
   mask : int;
   keys : string array;  (* "" marks an empty slot *)
   hashes : int array;
-  epochs : int array;
   values : float array;
   counters : counters;
 }
@@ -284,14 +268,13 @@ let create ?(l1_slots = 1024) ?l2 ?session ?counters config catalog =
   {
     session;
     config;
-    catalog;
-    ctag = config_tag config;
+    l2_prefix =
+      Printf.sprintf "%d\x00%s\x00" (Catalog.epoch catalog) (config_tag config);
     scratch = Canon.create_scratch ();
     l2;
     mask = slots - 1;
     keys = Array.make slots "";
     hashes = Array.make slots 0;
-    epochs = Array.make slots 0;
     values = Array.make slots 0.0;
     counters;
   }
@@ -304,52 +287,46 @@ let counters t = t.counters
 
 let shared t = t.l2
 
-let l1_insert t ~slot ~hash ~epoch ~key value =
+let l1_insert t ~slot ~hash ~key value =
   let old = t.keys.(slot) in
   if String.length old > 0 then
     t.counters.c_bytes <- t.counters.c_bytes - Mem_size.string_bytes old;
   t.keys.(slot) <- key;
   t.hashes.(slot) <- hash;
-  t.epochs.(slot) <- epoch;
   t.values.(slot) <- value;
   t.counters.c_bytes <- t.counters.c_bytes + Mem_size.string_bytes key
 
 (* L1 miss continuation: consult the shared L2, else compute, and publish to
    both levels. Out of the hit path, so allocation here is fine. *)
-let miss t alg ~slot ~hash ~epoch =
+let miss t alg ~slot ~hash =
   let key = Canon.key t.scratch in
-  let shared_key = t.ctag ^ "\x00" ^ key in
+  let shared_key = t.l2_prefix ^ key in
   let from_l2 =
     match t.l2 with
-    | Some l2 -> l2_find l2 shared_key ~epoch
+    | Some l2 -> l2_find l2 shared_key
     | None -> None
   in
   match from_l2 with
   | Some v ->
       t.counters.c_shared_hits <- t.counters.c_shared_hits + 1;
       if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_l2_hit;
-      l1_insert t ~slot ~hash ~epoch ~key v;
+      l1_insert t ~slot ~hash ~key v;
       v
   | None ->
       t.counters.c_misses <- t.counters.c_misses + 1;
       if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_miss;
       let v = Estimator.session_estimate t.session alg in
-      (* the estimate itself may have moved the epoch? it cannot — estimation
-         only reads the catalog — but re-reading costs one load and keeps the
-         entry honest if that ever changes *)
-      let epoch = Catalog.epoch t.catalog in
-      l1_insert t ~slot ~hash ~epoch ~key v;
+      l1_insert t ~slot ~hash ~key v;
       (match t.l2 with
-      | Some l2 -> l2_insert l2 shared_key ~epoch v
+      | Some l2 -> l2_insert l2 shared_key v
       | None -> ());
       v
 
 let estimate t alg =
   Canon.load t.scratch alg;
   let hash = Canon.hash t.scratch in
-  let epoch = Catalog.epoch t.catalog in
-  (* linear probe: hit if hash, epoch and key all match; remember the first
-     reusable slot (empty or stale) as the insertion point on miss *)
+  (* linear probe: hit if hash and key match; an empty slot ends the probe
+     and is the insertion point on miss *)
   let result = ref Float.nan in
   let found = ref false in
   let insert_at = ref (-1) in
@@ -358,24 +335,14 @@ let estimate t alg =
     let slot = (hash + !i) land t.mask in
     let k = t.keys.(slot) in
     if String.length k = 0 then begin
-      if !insert_at < 0 then insert_at := slot;
+      insert_at := slot;
       i := probe_depth (* stop: later slots were never written past a hole *)
     end
     else if t.hashes.(slot) = hash && Canon.matches t.scratch k then begin
-      if t.epochs.(slot) = epoch then begin
-        found := true;
-        result := t.values.(slot)
-      end
-      else begin
-        (* stale entry for this very key: always reuse its slot *)
-        insert_at := slot;
-        i := probe_depth
-      end
+      found := true;
+      result := t.values.(slot)
     end
-    else begin
-      if !insert_at < 0 && t.epochs.(slot) <> epoch then insert_at := slot;
-      incr i
-    end
+    else incr i
   done;
   if !found then begin
     t.counters.c_hits <- t.counters.c_hits + 1;
@@ -384,7 +351,7 @@ let estimate t alg =
   end
   else begin
     let slot = if !insert_at >= 0 then !insert_at else hash land t.mask in
-    miss t alg ~slot ~hash ~epoch
+    miss t alg ~slot ~hash
   end
 
 let estimate_pattern t p = estimate t (Planner.plan p)

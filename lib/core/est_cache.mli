@@ -11,9 +11,10 @@
     Correctness guarantees, pinned by [test_cache]:
     - a hit returns the exact float bits a miss computed ({!estimate} is
       bit-identical to {!Lpp_core.Estimator.session_estimate});
-    - entries are visible only while {!Lpp_stats.Catalog.epoch} still equals
-      the epoch they were computed at — any catalog mutation invalidates the
-      whole cache in O(1);
+    - a front answers only for the catalog it was created on; L2 keys
+      start with that catalog's {!Lpp_stats.Catalog.epoch}, so fronts over
+      different catalogs (or over successive snapshots of one
+      {!Lpp_stats.Catalog.Builder}) never see each other's entries;
     - L2 bytes never exceed the configured budget. *)
 
 (** {1 Shared level (L2)} *)

@@ -5,7 +5,7 @@ open Lpp_stats
 (* A session bundles the resolved configuration with every piece of mutable
    state an estimate needs, so a workload amortises all allocation: the label
    probability matrix, the representative/ordering scratch arrays, and the
-   degree-vector cache (session-lifetime, invalidated by catalog epoch) are
+   degree-vector cache (session-lifetime: a catalog never changes) are
    created once in [make] and reset by [begin_estimate]. One session serves
    one domain; concurrent use from several domains needs one session each
    (see Lpp_harness.Technique). *)
@@ -50,13 +50,11 @@ type session = {
   tp_buf : float array;  (* the advanced target-probability numerators *)
   mutable deg_entries : deg_entry list;  (* per-(dir, types) cache *)
   mutable deg_count : int;  (* length of deg_entries *)
-  mutable deg_epoch : int;  (* catalog epoch the entries were filled at *)
 }
 
-(* deg_entries survives across estimates as long as the catalog's epoch is
-   unchanged (degrees are deterministic in the counters, so reuse is
-   bit-identical), bounded so adversarial type-set diversity cannot grow the
-   list without limit. *)
+(* deg_entries survives across estimates (degrees are deterministic in the
+   counters of an immutable catalog, so reuse is bit-identical), bounded so
+   adversarial type-set diversity cannot grow the list without limit. *)
 let max_deg_entries = 64
 
 let make ?(checks = false) config catalog =
@@ -91,7 +89,6 @@ let make ?(checks = false) config catalog =
     tp_buf = Array.make labels 0.0;
     deg_entries = [];
     deg_count = 0;
-    deg_epoch = Catalog.epoch catalog;
   }
 
 let begin_estimate st (alg : Algebra.t) =
@@ -102,18 +99,7 @@ let begin_estimate st (alg : Algebra.t) =
   else Array.fill st.rel_var_types 0 (Array.length st.rel_var_types) [||];
   st.card <- 0.0;
   st.last_expand_factor <- 1.0;
-  st.last_expand_dir <- Direction.Out;
-  (* the cache keys counts off the catalog, so it survives across estimates
-     until the catalog mutates — Catalog.epoch moves on every freeze, thaw
-     and note_* update, and a moved epoch drops all entries at once. Reused
-     degrees are bit-identical: they are deterministic in counters the
-     stable epoch proves unchanged. *)
-  let epoch = Catalog.epoch st.catalog in
-  if epoch <> st.deg_epoch then begin
-    st.deg_entries <- [];
-    st.deg_count <- 0;
-    st.deg_epoch <- epoch
-  end
+  st.last_expand_dir <- Direction.Out
 
 let fi = float_of_int
 

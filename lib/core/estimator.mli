@@ -27,9 +27,8 @@
 
     A session owns every piece of mutable estimator state — the label
     probability matrix, the representative/ordering scratch arrays and the
-    degree-vector cache (kept across estimates until the catalog's
-    {!Lpp_stats.Catalog.epoch} moves) — so a workload of many estimates
-    allocates (almost) nothing per query. Estimates through a session are
+    degree-vector cache (kept across estimates: a catalog never changes) —
+    so a workload of many estimates allocates (almost) nothing per query. Estimates through a session are
     bit-identical to the one-shot {!estimate}. Sessions are not thread-safe:
     use one per domain. *)
 
@@ -37,9 +36,9 @@ type session
 
 val make : ?checks:bool -> Config.t -> Lpp_stats.Catalog.t -> session
 (** Resolve the configuration against the catalog once and preallocate all
-    scratch state. The session reads the catalog lazily at estimate time, so
-    freezing ({!Lpp_stats.Catalog.freeze}) or incremental updates between
-    estimates are picked up.
+    scratch state. The session is bound to this one immutable snapshot; to
+    estimate over updated statistics, take a new snapshot
+    ({!Lpp_stats.Catalog.Builder.snapshot}) and make a session on it.
 
     [checks] (default [false]) enables the runtime assertion mode: after
     every operator the session verifies the invariants

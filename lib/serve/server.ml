@@ -1014,7 +1014,6 @@ let addr_string = function
 let start (cfg : config) ~graph ~catalog =
   if cfg.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if cfg.batch < 1 then invalid_arg "Server.start: batch must be >= 1";
-  Lpp_stats.Catalog.freeze catalog;
   let listen_fd, unlink_on_close = bind_listen cfg.addr in
   let prom =
     match cfg.prom_port with

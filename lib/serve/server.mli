@@ -1,6 +1,6 @@
 (** A long-lived estimation service over a Unix or TCP socket.
 
-    The expensive state — the graph and its frozen statistics catalog — is
+    The expensive state — the graph and its immutable statistics catalog — is
     built once by the caller and shared immutably across [workers] estimation
     domains; each worker owns a private {!Lpp_core.Estimator.make} session, so
     the hot path allocates (almost) nothing and takes no locks. One reader
@@ -51,8 +51,8 @@ type t
 
 val start :
   config -> graph:Lpp_pgraph.Graph.t -> catalog:Lpp_stats.Catalog.t -> t
-(** Freeze the catalog (idempotent), bind and listen on [config.addr], and
-    spawn the reader and worker domains. Returns once the socket accepts
+(** Bind and listen on [config.addr] and spawn the reader and worker
+    domains. Returns once the socket accepts
     connections. @raise Unix.Unix_error if the address cannot be bound. *)
 
 val stop : t -> unit

@@ -3,7 +3,7 @@
     PR 3 pointed the diagnostic machinery at query plans and catalogs; this
     subsystem points it at the project's own OCaml sources. Every guarantee
     the reproduction makes — bit-identical parallel paths, bit-identical
-    frozen/served/off-heap estimates, fair cross-technique comparison —
+    session/served/off-heap estimates, fair cross-technique comparison —
     rests on coding conventions (seeded RNG streams, [Lpp_util.Clock],
     exception-safe locking, silent libraries); the linter turns those
     conventions into machine-checked rules with stable [LPP-Dxxx] codes.

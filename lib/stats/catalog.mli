@@ -1,8 +1,9 @@
 (** The statistics catalog: everything Section 4 requires or optionally uses.
 
-    Built once per data graph; estimator configurations then decide which parts
-    to consult. Label arguments use [None] for the wildcard [*] ("any node,
-    labeled or not"); type lists use [[]] for "any type".
+    A catalog is an immutable snapshot, built once per data graph; estimator
+    configurations then decide which parts to consult. Label arguments use
+    [None] for the wildcard [*] ("any node, labeled or not"); type lists use
+    [[]] for "any type".
 
     Required statistics (Section 4.1):
     - [nc]: per-label node counts NC(ℓ) and the total NC(✱);
@@ -12,14 +13,26 @@
       projections of the same table.
 
     Optional statistics (Section 4.2): {!Label_hierarchy}, {!Label_partition},
-    {!Prop_stats}. *)
+    {!Prop_stats}.
+
+    The counters are compiled into flat Bigarrays when the snapshot is
+    taken, in a layout chosen from the key-space size: a dense
+    [(T+1)·(L+1)²] counter matrix when the key space is small; a CSR-style
+    row directory (per-(type, near-label) slices of sorted far-label
+    entries, with a dst-major mirror for [In]-direction sweeps) when it is
+    large but the directory fits; and flat sorted int-packed keys with
+    whole-table binary search as the last resort. Out-of-range ids, wildcard
+    sides and labels interned after the build all read as documented below,
+    whatever the layout. Updates go through {!Builder}, which never changes
+    a snapshot already taken. *)
 
 type t
 
 val build : ?jobs:int -> Lpp_pgraph.Graph.t -> t
-(** Collect all statistics in a single pass over the graph; hierarchy and
-    partition are inferred from the data (Section 4.2.1 notes schema inference
-    as the standard way to obtain them).
+(** Collect all statistics in a single pass over the graph and compile them;
+    hierarchy and partition are inferred from the data (Section 4.2.1 notes
+    schema inference as the standard way to obtain them). Equal to
+    [Builder.snapshot (Builder.of_graph g)].
 
     With [jobs > 1] (default {!Lpp_util.Pool.default_jobs}) the relationship
     scan is sharded across domains into private tables that are merged in
@@ -35,13 +48,18 @@ val build_with :
 (** Like {!build} but with externally supplied schema information (e.g. the
     curated hierarchies the paper constructs manually for SNB and Cineasts). *)
 
+val epoch : t -> int
+(** The snapshot's identity: a process-unique id drawn when the snapshot is
+    taken. Two catalogs never share an epoch, so a cache shared across
+    catalogs ({!Lpp_core.Est_cache}) keys entries by it. *)
+
 (** {1 Node statistics} *)
 
 val nc_star : t -> int
 (** NC(✱): all nodes. *)
 
 val nc : t -> int -> int
-(** NC(ℓ); 0 for ids unseen at build time. *)
+(** NC(ℓ); 0 for ids outside the catalog's label range. *)
 
 val label_count : t -> int
 
@@ -63,7 +81,8 @@ val rc :
     carrying [node] (or any node for [None]) in direction [dir], with type in
     [types] ([[||]] = any), whose far endpoint carries [other] (any for
     [None]). [dir = Both] counts each incident relationship once from the
-    node's perspective (out + in). *)
+    node's perspective (out + in). Unknown or negative label and type ids
+    count 0. *)
 
 val simple_rc :
   t -> dir:Lpp_pgraph.Direction.t -> node:int option -> types:int array -> int
@@ -71,42 +90,6 @@ val simple_rc :
 
 val type_count : t -> int
 (** Number of relationship type ids the catalog has counters for. *)
-
-val rc_unfrozen : t ->
-  dir:Lpp_pgraph.Direction.t ->
-  node:int option ->
-  types:int array ->
-  other:int option ->
-  int
-(** Like {!rc} but always answered from the mutable hashtables, bypassing a
-    frozen snapshot — ground truth for the frozen≡mutable consistency check
-    in [Lpp_analysis.Catalog_check]. Equal to {!rc} on an unfrozen catalog. *)
-
-val iter_triples :
-  t ->
-  (src:int option ->
-  typ:int option ->
-  dst:int option ->
-  count:int ->
-  unit) ->
-  unit
-(** Iterate every occupied RC entry, wildcard projections included:
-    [src]/[dst] are [None] for the [*] side, [typ = None] for the any-type
-    projection. Order is unspecified. *)
-
-(** {1 Test-only corruption hooks}
-
-    Raw writes into the statistics tables that bypass both the frozen-catalog
-    refusal and the incremental bookkeeping ([pair_entries], totals, frozen
-    snapshots). They exist solely so tests can manufacture inconsistent
-    catalogs for [Lpp_analysis.Catalog_check]; production code must use the
-    [note_*] API. *)
-
-val unsafe_set_rc :
-  t -> src:int option -> typ:int option -> dst:int option -> int -> unit
-
-val unsafe_set_nc : t -> int -> int -> unit
-(** [unsafe_set_nc t l count] overwrites NC(ℓ); out-of-range ids ignored. *)
 
 val rc_row :
   t ->
@@ -116,44 +99,22 @@ val rc_row :
   row:int array ->
   unit
 (** Fill [row.(l') <- rc t ~dir ~node ~types ~other:(Some l')] for every
-    [l' < Array.length row]. On a frozen dense catalog this runs as a few
-    contiguous sweeps over the counter matrix instead of per-[(node, l')]
-    packed lookups — one call covers an Expand's whole target-probability
-    row. Counts are identical to calling {!rc} per label. *)
+    [l' < Array.length row]. On the dense and row layouts this runs as a few
+    contiguous sweeps instead of per-[(node, l')] lookups — one call covers
+    an Expand's whole target-probability row; the flat sorted-key layout
+    falls back to one {!rc} per label. Counts are identical either way. *)
 
-(** {1 Frozen read path}
-
-    [freeze] compiles the mutable triple/any-type hashtables into immutable
-    flat arrays, choosing the layout adaptively: a dense [(T+1)·(L+1)²]
-    counter matrix when the key space is small; a CSR-style row directory
-    (per-(type, near-label) slices of sorted far-label entries, with a
-    dst-major mirror for [In]-direction sweeps) when it is large but the
-    directory fits; and flat sorted int-packed keys with whole-table binary
-    search as the last resort — so {!rc} and {!simple_rc} on the estimator
-    hot path become branch-light array reads instead of per-type hashtable
-    probes. Freezing changes no observable
-    count: every [nc]/[rc]/[simple_rc] result (including wildcard sides,
-    out-of-range ids, and labels interned after the freeze) is identical to
-    the unfrozen answer, and the [memory_bytes_*] accounting is precomputed at
-    freeze time with unchanged values. Incremental updates ({!note_node_added},
-    {!note_rel_added}) are refused while frozen; {!thaw} drops the snapshot
-    and re-enables them. *)
-
-val freeze : t -> unit
-(** Idempotent; O(statistics size). *)
-
-val thaw : t -> unit
-(** Drop the frozen snapshot, restoring the mutable read path. *)
-
-val is_frozen : t -> bool
-
-val epoch : t -> int
-(** Mutation counter: bumped on every state change — {!freeze} (when it
-    actually freezes), {!thaw} (when it actually thaws), every [note_*]
-    update and the test-only [unsafe_set_*] hooks. Two reads of the same
-    epoch bracket a window in which every [nc]/[rc]/[simple_rc] answer was
-    stable, so estimate caches ({!Lpp_core.Est_cache}) key entries by epoch
-    and invalidate the whole cache in O(1) when it moves. *)
+val iter_triples :
+  t ->
+  (src:int option ->
+  typ:int option ->
+  dst:int option ->
+  count:int ->
+  unit) ->
+  unit
+(** Iterate every nonzero RC entry, wildcard projections included:
+    [src]/[dst] are [None] for the [*] side, [typ = None] for the any-type
+    projection. Order is unspecified. *)
 
 (** {1 Optional statistics} *)
 
@@ -166,25 +127,6 @@ val props : t -> Prop_stats.t
 val triangles : t -> Triangle_stats.t
 (** Wedge-closure statistics for the triangle-aware extension; computed
     lazily on first use. *)
-
-(** {1 Incremental maintenance}
-
-    The required statistics (NC, RC, type totals) are cheap to keep current
-    under data updates — Section 4.1's design goal. The optional schema-level
-    statistics (H_L, D_L, property statistics, triangle census) are not
-    maintained here: the paper argues schema evolution is far rarer than data
-    churn, so they are refreshed by rebuilding the catalog. Deletions mirror
-    additions and are left to the caller as negative workloads are not used
-    in the evaluation. *)
-
-val note_node_added : t -> labels:int array -> unit
-(** O(|labels|); unseen label ids grow the counter table.
-    @raise Invalid_argument if the catalog is frozen (see {!freeze}). *)
-
-val note_rel_added :
-  t -> src_labels:int array -> typ:int -> dst_labels:int array -> unit
-(** O(|src_labels| · |dst_labels|).
-    @raise Invalid_argument if the catalog is frozen (see {!freeze}). *)
 
 (** {1 Memory accounting (Table 3)} *)
 
@@ -205,12 +147,70 @@ val memory_bytes_alhd : t -> int
 
 val memory_breakdown : t -> (string * int) list
 (** Per-component bytes, labelled ["catalog.nc"], ["catalog.rc"],
-    ["catalog.props"], ["catalog.hierarchy"], ["catalog.partition"]. On a
-    frozen catalog the NC/RC figures are the physical Bigarray payloads of
-    the compiled tables; unfrozen they fall back to the logical
-    [memory_bytes_*] accounting. *)
+    ["catalog.props"], ["catalog.hierarchy"], ["catalog.partition"]. The
+    NC/RC figures are the physical Bigarray payloads of the compiled
+    tables. *)
+
+(** {1 Compatibility}
+
+    Kept only for callers written when a catalog had to be frozen before
+    its flat read path was used; both go once those callers drop them. *)
+
+val freeze : t -> unit
+(** Does nothing: every catalog is compiled when it is built. *)
 
 val frozen_bytes : t -> int option
-(** Physical bytes of the frozen snapshot's flat arrays (NC + compiled RC
-    layout); [None] while unfrozen. Also published as the
-    [catalog.frozen_bytes] gauge at freeze time. *)
+(** [Some] physical bytes of the compiled flat arrays (NC + RC layout), also
+    published as the [catalog.frozen_bytes] gauge when the snapshot is
+    taken. Never [None]. *)
+
+(** {1 Updates}
+
+    The required statistics (NC, RC, type totals) are cheap to keep current
+    under data updates — Section 4.1's design goal. A builder holds them as
+    label-level tables that the notes update in place; {!Builder.snapshot}
+    compiles the current state into a new catalog and leaves every earlier
+    snapshot as it was. The optional schema-level statistics (H_L, D_L,
+    property statistics, triangle census) are not maintained: the paper
+    argues schema evolution is far rarer than data churn, so they are
+    refreshed by rebuilding. Deletions mirror additions and are left to the
+    caller as negative workloads are not used in the evaluation. *)
+
+module Builder : sig
+  type catalog := t
+
+  type t
+
+  val of_graph :
+    ?hierarchy:Label_hierarchy.t ->
+    ?partition:Label_partition.t ->
+    ?jobs:int ->
+    Lpp_pgraph.Graph.t ->
+    t
+  (** The label-level tables of a graph, counted as {!build_with} does. *)
+
+  val note_node_added : t -> labels:int array -> unit
+  (** O(|labels|); unseen label ids grow the counter table. *)
+
+  val note_rel_added :
+    t -> src_labels:int array -> typ:int -> dst_labels:int array -> unit
+  (** O(|src_labels| · |dst_labels|). *)
+
+  val snapshot : t -> catalog
+  (** Compile the current tables into a new immutable catalog with a fresh
+      {!epoch}. O(statistics size); the builder stays usable. *)
+
+  (** {2 Test-only corruption hooks}
+
+      Raw writes into the label-level tables that bypass the incremental
+      bookkeeping (totals, pair-entry counts). They exist solely so tests
+      can manufacture inconsistent catalogs for
+      [Lpp_analysis.Catalog_check]; production code must use the notes. *)
+
+  val unsafe_set_rc :
+    t -> src:int option -> typ:int option -> dst:int option -> int -> unit
+
+  val unsafe_set_nc : t -> int -> int -> unit
+  (** [unsafe_set_nc b l count] overwrites NC(ℓ); out-of-range ids
+      ignored. *)
+end

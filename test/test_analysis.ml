@@ -182,29 +182,29 @@ let test_validate_first_error_preserved () =
 
 (* ---------------- catalog checker: corruption classes ------------------ *)
 
-(* fresh catalog per test: corruption hooks mutate in place *)
-let campus_cat () =
-  let f = Fixtures.campus () in
-  (f, Lpp_stats.Catalog.build f.graph)
+(* a campus catalog snapshot taken after [corrupt] wrote into the builder *)
+let corrupted_campus corrupt =
+  let b = Lpp_stats.Catalog.Builder.of_graph (Fixtures.campus ()).graph in
+  corrupt b;
+  Lpp_stats.Catalog.Builder.snapshot b
 
 let test_catalog_clean () =
-  let _, cat = campus_cat () in
   Alcotest.(check int) "campus catalog consistent" 0
-    (List.length (Catalog_check.run cat));
-  Lpp_stats.Catalog.freeze cat;
-  Alcotest.(check int) "frozen campus catalog consistent" 0
-    (List.length (Catalog_check.run cat))
+    (List.length (Catalog_check.run (corrupted_campus ignore)))
 
 let test_catalog_negative_nc () =
-  let _, cat = campus_cat () in
-  Lpp_stats.Catalog.unsafe_set_nc cat 0 (-5);
+  let cat =
+    corrupted_campus (fun b -> Lpp_stats.Catalog.Builder.unsafe_set_nc b 0 (-5))
+  in
   check_code "negative NC" "LPP-C001" (Catalog_check.run cat)
 
 let test_catalog_wildcard_dominance () =
-  let _, cat = campus_cat () in
   (* rc(Person, teaches, Course) far above its wildcard projections *)
-  Lpp_stats.Catalog.unsafe_set_rc cat ~src:(Some 1) ~typ:(Some 0)
-    ~dst:(Some 0) 1000;
+  let cat =
+    corrupted_campus (fun b ->
+        Lpp_stats.Catalog.Builder.unsafe_set_rc b ~src:(Some 1) ~typ:(Some 0)
+          ~dst:(Some 0) 1000)
+  in
   check_code "dominance violation" "LPP-C002" (Catalog_check.run cat)
 
 let test_catalog_cyclic_hierarchy () =
@@ -232,14 +232,6 @@ let test_catalog_overlapping_partition () =
   let cat = Lpp_stats.Catalog.build_with ~partition g in
   check_code "overlapping partition" "LPP-C007" (Catalog_check.run cat)
 
-let test_catalog_frozen_divergence () =
-  let _, cat = campus_cat () in
-  Lpp_stats.Catalog.freeze cat;
-  (* mutate the hashtables underneath the frozen snapshot *)
-  Lpp_stats.Catalog.unsafe_set_rc cat ~src:(Some 1) ~typ:(Some 0)
-    ~dst:(Some 0) 7;
-  check_code "frozen/mutable divergence" "LPP-C009" (Catalog_check.run cat)
-
 (* ---------------- soundness verifier ---------------- *)
 
 let soundness_configs =
@@ -266,7 +258,6 @@ let check_trace_within cat a =
 
 let test_soundness_campus () =
   let f, cat = Lazy.force campus in
-  Lpp_stats.Catalog.freeze cat;
   let patterns =
     [ Pattern.of_spec f.graph [ Pattern.node_spec ~labels:[ "Student" ] () ] [];
       Pattern.of_spec f.graph
@@ -299,7 +290,6 @@ let prop_soundness_random =
       let rng = Lpp_util.Rng.create seed in
       let g = Test_properties.random_graph rng in
       let cat = Lpp_stats.Catalog.build g in
-      if Lpp_util.Rng.bool rng then Lpp_stats.Catalog.freeze cat;
       match Test_properties.random_connected_pattern rng 6 with
       | exception Invalid_argument _ -> true
       | p ->
@@ -446,8 +436,6 @@ let suite =
       test_catalog_cyclic_hierarchy;
     Alcotest.test_case "catalog: overlapping partition (C007)" `Quick
       test_catalog_overlapping_partition;
-    Alcotest.test_case "catalog: frozen divergence (C009)" `Quick
-      test_catalog_frozen_divergence;
     Alcotest.test_case "soundness: campus patterns" `Quick
       test_soundness_campus;
     Alcotest.test_case "soundness: malformed sequence (S003)" `Quick

@@ -6,8 +6,9 @@
      sharing one cache entry between them) — QCheck over random patterns;
    - cached estimates are bit-identical to computed ones, warm or cold,
      for every configuration;
-   - bumping the catalog epoch — thaw or a note_* update — orphans every
-     entry at once and the next estimate reflects the mutated catalog;
+   - each catalog snapshot has its own epoch, so fronts over different
+     catalogs — or over a Builder's successive snapshots — sharing one L2
+     never answer with each other's estimates;
    - the shared L2 never exceeds its byte budget and evicts under pressure;
    - many domains hammering one shared L2 stay correct and within budget. *)
 
@@ -226,7 +227,6 @@ let campus_patterns g =
 let test_warm_equals_cold_all_configs () =
   let f = Fixtures.campus () in
   let catalog = Lpp_stats.Catalog.build f.graph in
-  Lpp_stats.Catalog.freeze catalog;
   let patterns = campus_patterns f.graph in
   let l2 = Lpp_core.Est_cache.create_l2 ~budget_bytes:(1 lsl 20) () in
   List.iter
@@ -261,7 +261,6 @@ let test_warm_equals_cold_all_configs () =
 let test_renamed_algebra_hits_l1 () =
   let g = small_graph () in
   let catalog = Lpp_stats.Catalog.build g in
-  Lpp_stats.Catalog.freeze catalog;
   let p =
     Pattern.of_spec g
       [ Pattern.node_spec ~labels:[ "A" ] (); Pattern.node_spec ();
@@ -286,50 +285,86 @@ let test_renamed_algebra_hits_l1 () =
   Alcotest.(check int) "one computation" 1 c.Lpp_core.Est_cache.c_misses;
   Alcotest.(check int) "ten L1 hits" 10 c.Lpp_core.Est_cache.c_hits
 
-(* ---- epoch invalidation ----------------------------------------------- *)
+(* ---- epochs: one per snapshot ----------------------------------------- *)
 
 let test_epoch_invalidation () =
   let f = Fixtures.campus () in
-  let catalog = Lpp_stats.Catalog.build f.graph in
-  Lpp_stats.Catalog.freeze catalog;
+  let builder = Lpp_stats.Catalog.Builder.of_graph f.graph in
+  let first = Lpp_stats.Catalog.Builder.snapshot builder in
   let p = List.hd (campus_patterns f.graph) in
   let l2 = Lpp_core.Est_cache.create_l2 ~budget_bytes:(1 lsl 20) () in
-  let cache = Lpp_core.Est_cache.create ~l2 Lpp_core.Config.a_lhd catalog in
+  let cache = Lpp_core.Est_cache.create ~l2 Lpp_core.Config.a_lhd first in
   let c = Lpp_core.Est_cache.counters cache in
   let before = Lpp_core.Est_cache.estimate_pattern cache p in
   ignore (Lpp_core.Est_cache.estimate_pattern cache p);
   Alcotest.(check int) "warm hit" 1 c.Lpp_core.Est_cache.c_hits;
-  let epoch0 = Lpp_stats.Catalog.epoch catalog in
-  (* mutate: thaw, then add a Student-attends->Course relationship — the
-     pattern counts exactly these, so its estimate must move *)
-  Lpp_stats.Catalog.thaw catalog;
+  (* add a Student-attends->Course relationship — the pattern counts
+     exactly these, so its estimate must move — and take a second
+     snapshot over the same L2 *)
   let attends =
     Option.get
       (Lpp_pgraph.Interner.find_opt
          (Lpp_pgraph.Graph.rel_types f.graph)
          "attends")
   in
-  Lpp_stats.Catalog.note_rel_added catalog
+  Lpp_stats.Catalog.Builder.note_rel_added builder
     ~src_labels:(Lpp_pgraph.Graph.node_labels f.graph f.student_e)
     ~typ:attends
     ~dst_labels:(Lpp_pgraph.Graph.node_labels f.graph f.course_a);
-  Alcotest.(check bool) "epoch bumped" true
-    (Lpp_stats.Catalog.epoch catalog > epoch0);
-  let after = Lpp_core.Est_cache.estimate_pattern cache p in
+  let second = Lpp_stats.Catalog.Builder.snapshot builder in
+  Alcotest.(check bool) "new epoch" true
+    (Lpp_stats.Catalog.epoch second <> Lpp_stats.Catalog.epoch first);
+  let cache' =
+    Lpp_core.Est_cache.create ~l2 ~counters:c Lpp_core.Config.a_lhd second
+  in
+  let after = Lpp_core.Est_cache.estimate_pattern cache' p in
   Alcotest.(check int) "recomputed" 2 c.Lpp_core.Est_cache.c_misses;
   Alcotest.(check int) "no stale shared hit" 0
     c.Lpp_core.Est_cache.c_shared_hits;
-  check_bits "matches fresh session on mutated catalog"
+  check_bits "matches fresh session on the second snapshot"
     (Lpp_core.Estimator.session_estimate_pattern
-       (Lpp_core.Estimator.make Lpp_core.Config.a_lhd catalog)
+       (Lpp_core.Estimator.make Lpp_core.Config.a_lhd second)
        p)
     after;
   if bits before = bits after then
     Alcotest.fail "adding a matching relationship did not change the estimate";
-  (* and the new entry serves hits again at the new epoch *)
-  check_bits "warm at new epoch" after
+  (* both snapshots keep serving their own answers *)
+  check_bits "first snapshot unchanged" before
     (Lpp_core.Est_cache.estimate_pattern cache p);
-  Alcotest.(check int) "hit at new epoch" 2 c.Lpp_core.Est_cache.c_hits
+  check_bits "warm at the new epoch" after
+    (Lpp_core.Est_cache.estimate_pattern cache' p);
+  Alcotest.(check int) "both hits" 3 c.Lpp_core.Est_cache.c_hits
+
+(* Two catalogs with the same vocabulary share one L2: the same pattern
+   has the same canonical key on both, and each front must still get its
+   own catalog's estimate. *)
+let test_shared_l2_keeps_catalogs_apart () =
+  let snb seed =
+    Option.get
+      (Lpp_datasets.Scale.build Lpp_datasets.Scale.Smoke ~name:"snb" ~seed)
+  in
+  let a = snb 1 and b = snb 2 in
+  let pattern (ds : Lpp_datasets.Dataset.t) =
+    match Lpp_pattern.Parse.parse ds.graph "(a:Person)-[:KNOWS]->(b:Person)" with
+    | Ok { pattern; _ } -> pattern
+    | Error msg -> Alcotest.failf "parse: %s" msg
+  in
+  let config = Lpp_core.Config.a_lhd in
+  let l2 = Lpp_core.Est_cache.create_l2 ~budget_bytes:(1 lsl 20) () in
+  let front (ds : Lpp_datasets.Dataset.t) =
+    Lpp_core.Est_cache.create ~l2 config ds.catalog
+  in
+  let fresh (ds : Lpp_datasets.Dataset.t) =
+    Lpp_core.Estimator.session_estimate_pattern
+      (Lpp_core.Estimator.make config ds.catalog)
+      (pattern ds)
+  in
+  if bits (fresh a) = bits (fresh b) then
+    Alcotest.fail "the two catalogs should estimate the pattern differently";
+  check_bits "A through the shared L2" (fresh a)
+    (Lpp_core.Est_cache.estimate_pattern (front a) (pattern a));
+  check_bits "B through the shared L2" (fresh b)
+    (Lpp_core.Est_cache.estimate_pattern (front b) (pattern b))
 
 (* ---- L2 budget and eviction ------------------------------------------- *)
 
@@ -345,7 +380,6 @@ let distinct_patterns g n =
 let test_l2_eviction_respects_budget () =
   let g = small_graph () in
   let catalog = Lpp_stats.Catalog.build g in
-  Lpp_stats.Catalog.freeze catalog;
   let budget = 4096 in
   let l2 = Lpp_core.Est_cache.create_l2 ~shards:1 ~budget_bytes:budget () in
   let cache = Lpp_core.Est_cache.create ~l2 Lpp_core.Config.a_lhd catalog in
@@ -392,7 +426,6 @@ let test_l2_eviction_respects_budget () =
 let test_oversized_entries_not_cached () =
   let g = small_graph () in
   let catalog = Lpp_stats.Catalog.build g in
-  Lpp_stats.Catalog.freeze catalog;
   let l2 = Lpp_core.Est_cache.create_l2 ~shards:1 ~budget_bytes:32 () in
   let cache = Lpp_core.Est_cache.create ~l2 Lpp_core.Config.a_lhd catalog in
   let p = List.hd (distinct_patterns g 1) in
@@ -408,7 +441,6 @@ let test_oversized_entries_not_cached () =
 let test_concurrent_hammer () =
   let g = small_graph () in
   let catalog = Lpp_stats.Catalog.build g in
-  Lpp_stats.Catalog.freeze catalog;
   let patterns = Array.of_list (distinct_patterns g 64) in
   let algs = Array.map Planner.plan patterns in
   let reference = Lpp_core.Estimator.make Lpp_core.Config.a_lhd catalog in
@@ -439,31 +471,6 @@ let test_concurrent_hammer () =
   Alcotest.(check bool) "bytes within budget under contention" true
     (s.Lpp_core.Est_cache.l2_bytes <= s.Lpp_core.Est_cache.l2_budget)
 
-(* ---- session-lifetime degree cache ------------------------------------ *)
-
-(* The estimator's (dir, types) degree-vector cache survives across
-   estimates since the epoch promotion; a catalog mutation must still be
-   reflected immediately (the guard clears the cache). *)
-let test_deg_cache_follows_catalog () =
-  let f = Fixtures.campus () in
-  let catalog = Lpp_stats.Catalog.build f.graph in
-  let session = Lpp_core.Estimator.make Lpp_core.Config.a_lhd catalog in
-  let p = List.hd (campus_patterns f.graph) in
-  let v1 = Lpp_core.Estimator.session_estimate_pattern session p in
-  check_bits "repeat estimate stable" v1
-    (Lpp_core.Estimator.session_estimate_pattern session p);
-  let student =
-    Option.get
-      (Lpp_pgraph.Interner.find_opt (Lpp_pgraph.Graph.labels f.graph) "Student")
-  in
-  Lpp_stats.Catalog.note_node_added catalog ~labels:[| student |];
-  let v2 = Lpp_core.Estimator.session_estimate_pattern session p in
-  check_bits "session sees the mutation"
-    (Lpp_core.Estimator.session_estimate_pattern
-       (Lpp_core.Estimator.make Lpp_core.Config.a_lhd catalog)
-       p)
-    v2
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_canon_rename_sound;
@@ -476,12 +483,12 @@ let suite =
     Alcotest.test_case "renamed algebras hit L1" `Quick
       test_renamed_algebra_hits_l1;
     Alcotest.test_case "epoch bump invalidates" `Quick test_epoch_invalidation;
+    Alcotest.test_case "shared L2 keeps catalogs apart" `Quick
+      test_shared_l2_keeps_catalogs_apart;
     Alcotest.test_case "L2 eviction respects budget" `Quick
       test_l2_eviction_respects_budget;
     Alcotest.test_case "oversized entries are not cached" `Quick
       test_oversized_entries_not_cached;
     Alcotest.test_case "concurrent domains over one L2" `Quick
       test_concurrent_hammer;
-    Alcotest.test_case "degree cache follows catalog" `Quick
-      test_deg_cache_follows_catalog;
   ]

@@ -1,8 +1,9 @@
-(* The frozen catalog read path (Catalog.freeze) must be observationally
-   equivalent to the hashtable path: identical nc/rc/simple_rc answers —
-   including wildcard sides, out-of-range and post-freeze interned ids — and
-   bit-identical estimates through every configuration, one-shot or via the
-   session API. *)
+(* The compiled catalog read path must answer exactly like the independent
+   per-relationship oracle (Catalog_oracle): identical nc/rc/simple_rc/
+   rc_row answers and entries — including wildcard sides, out-of-range ids
+   and ids grown through Catalog.Builder — in every layout (dense, rows,
+   packed). A snapshot never changes once taken, and estimates are
+   bit-identical one-shot or via the session API. *)
 
 open Lpp_pgraph
 open Lpp_stats
@@ -29,43 +30,34 @@ let random_graph rng =
   done;
   Graph_builder.freeze b
 
-(* Every nc/rc/simple_rc answer over a probe battery: both wildcard sides,
-   every direction, empty / single / multi / out-of-range / negative type
-   sets, and label ids past the catalog's vocabulary. *)
-let observe catalog =
-  let labels = Catalog.label_count catalog in
-  let node_probes =
-    None
-    :: List.init (labels + 3) (fun l -> Some (l - 1)) (* includes Some (-1) *)
-  in
-  let type_probes = [ [||]; [| 0 |]; [| 1 |]; [| 0; 1; 2 |]; [| 99 |]; [| -3 |] ] in
-  let acc = ref [] in
-  for l = -1 to labels + 2 do
-    acc := Catalog.nc catalog l :: !acc
-  done;
-  List.iter
-    (fun dir ->
-      List.iter
-        (fun node ->
-          List.iter
-            (fun types ->
-              acc := Catalog.simple_rc catalog ~dir ~node ~types :: !acc;
-              (* rc_row must agree with per-label rc, including the slots
-                 past the frozen snapshot's label space *)
-              let row = Array.make (labels + 2) (-1) in
-              Catalog.rc_row catalog ~dir ~node ~types ~row;
-              Array.iter (fun c -> acc := c :: !acc) row;
-              List.iter
-                (fun other ->
-                  acc := Catalog.rc catalog ~dir ~node ~types ~other :: !acc)
-                node_probes)
-            type_probes)
-        node_probes)
-    [ Direction.Out; Direction.In; Direction.Both ];
-  acc :=
-    Catalog.memory_bytes_simple catalog :: Catalog.memory_bytes_advanced catalog
-    :: !acc;
-  !acc
+let expect_agrees ?labels ?row_len what cat oracle =
+  match Catalog_oracle.compare_catalog ?labels ?row_len cat oracle with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "%s: %s" what m
+
+let agrees cat oracle =
+  match Catalog_oracle.compare_catalog cat oracle with
+  | Ok _ -> true
+  | Error m -> QCheck.Test.fail_report m
+
+(* One note applied to both a builder and an oracle. *)
+let note_node b o ~labels =
+  Catalog.Builder.note_node_added b ~labels;
+  Catalog_oracle.note_node o ~labels
+
+let note_rel b o ~src_labels ~typ ~dst_labels =
+  Catalog.Builder.note_rel_added b ~src_labels ~typ ~dst_labels;
+  Catalog_oracle.note_rel o ~src_labels ~typ ~dst_labels
+
+(* Random notes: some grow the label and type id space past the graph's. *)
+let random_notes rng b o ~labels =
+  let open Lpp_util in
+  let pick () = Array.init (Rng.int rng 3) (fun _ -> Rng.int rng (labels + 4)) in
+  for _ = 1 to Rng.int rng 5 do
+    if Rng.bool rng then note_node b o ~labels:(pick ())
+    else
+      note_rel b o ~src_labels:(pick ()) ~typ:(Rng.int rng 6) ~dst_labels:(pick ())
+  done
 
 let prop_frozen_matches_hashtable =
   QCheck.Test.make ~name:"frozen catalog == hashtable catalog" ~count:40
@@ -73,77 +65,122 @@ let prop_frozen_matches_hashtable =
     (fun seed ->
       let rng = Lpp_util.Rng.create (seed + 1) in
       let g = random_graph rng in
-      let catalog = Catalog.build g in
-      (* grow the id space through the incremental path before freezing, so
-         the snapshot must cover ids the build never saw *)
+      let b = Catalog.Builder.of_graph g in
+      let o = Catalog_oracle.of_graph g in
+      (* grow the id space through the Builder, so the snapshot must cover
+         ids the graph never had *)
       if Lpp_util.Rng.bool rng then begin
-        let big = Catalog.label_count catalog + Lpp_util.Rng.int rng 4 in
-        Catalog.note_node_added catalog ~labels:[| big |];
-        Catalog.note_rel_added catalog ~src_labels:[| big |] ~typ:5
-          ~dst_labels:[| 0 |]
+        let big = Graph.label_count g + Lpp_util.Rng.int rng 4 in
+        note_node b o ~labels:[| big |];
+        note_rel b o ~src_labels:[| big |] ~typ:5 ~dst_labels:[| 0 |]
       end;
-      let before = observe catalog in
-      Catalog.freeze catalog;
-      let frozen = observe catalog in
-      Catalog.thaw catalog;
-      let thawed = observe catalog in
-      before = frozen && before = thawed)
+      agrees (Catalog.Builder.snapshot b) o
+      && agrees (Catalog.build g) (Catalog_oracle.of_graph g))
 
-(* The packed (sorted-key binary search) layout kicks in when the dense key
-   space would exceed the slot limit; a label id around 1500 pushes
-   (L+1)² past it. Same equivalence requirement. *)
+(* A snapshot is immutable: notes taken after it change the next snapshot,
+   never this one, and each snapshot has its own epoch. *)
+let prop_snapshot_unchanged_by_notes =
+  QCheck.Test.make ~name:"snapshot unchanged by later Builder notes" ~count:40
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Lpp_util.Rng.create (seed + 7) in
+      let g = random_graph rng in
+      let b = Catalog.Builder.of_graph g in
+      let o1 = Catalog_oracle.of_graph g and o2 = Catalog_oracle.of_graph g in
+      let first = Catalog.Builder.snapshot b in
+      let labels = Graph.label_count g in
+      (* the same notes into the builder and the second oracle *)
+      random_notes rng b o2 ~labels;
+      let second = Catalog.Builder.snapshot b in
+      Catalog.epoch first <> Catalog.epoch second
+      && agrees first o1 && agrees second o2)
+
+let two_type_graph () =
+  let b = Graph_builder.create () in
+  let a = Graph_builder.add_node b ~labels:[ "A" ] ~props:[] in
+  let c = Graph_builder.add_node b ~labels:[ "B" ] ~props:[] in
+  let d = Graph_builder.add_node b ~labels:[ "A"; "B" ] ~props:[] in
+  List.iter
+    (fun (src, dst, rel_type) ->
+      ignore (Graph_builder.add_rel b ~src ~dst ~rel_type ~props:[]))
+    [ (a, c, "u"); (c, d, "v"); (d, d, "u"); (d, a, "v") ];
+  Graph_builder.freeze b
+
+let rc_bytes cat = List.assoc "catalog.rc" (Catalog.memory_breakdown cat)
+
+(* A label id of 1,000,000 on a 2-type graph makes even the rows layout's
+   (T+1)·(L+1) directory exceed the slot limit, so the snapshot falls back
+   to the flat sorted-key layout; rc_row takes its generic per-label path. *)
 let test_packed_layout_matches () =
+  let g = two_type_graph () in
+  let big = 1_000_000 in
+  let b = Catalog.Builder.of_graph g and o = Catalog_oracle.of_graph g in
+  note_node b o ~labels:[| big |];
+  note_rel b o ~src_labels:[| big |] ~typ:1 ~dst_labels:[| 0; big |];
+  note_rel b o ~src_labels:[| 1 |] ~typ:0 ~dst_labels:[| big |];
+  let cat = Catalog.Builder.snapshot b in
+  Alcotest.(check int) "label space grown" (big + 1) (Catalog.label_count cat);
+  (* only occupied keys are stored: no dense matrix, no row directory *)
+  Alcotest.(check bool) "flat sorted-key layout" true (rc_bytes cat < 4096);
+  expect_agrees "packed probes"
+    ~labels:[ -1; 0; 1; 2; 3; big - 1; big; big + 1 ]
+    ~row_len:6 cat o;
+  (* whole rows reaching the grown id *)
+  List.iter
+    (fun (dir, node, types) ->
+      let row = Array.make (big + 2) (-1) in
+      Catalog.rc_row cat ~dir ~node ~types ~row;
+      if row <> Catalog_oracle.rc_row o ~dir ~node ~types ~len:(big + 2) then
+        Alcotest.fail "full packed rc_row differs from the oracle")
+    [ (Direction.Both, None, [||]); (Direction.Out, Some big, [| 1 |]) ];
+  Alcotest.(check int) "grown id count" 1
+    (Catalog.rc cat ~dir:Direction.Out ~node:(Some big) ~types:[| 1 |]
+       ~other:(Some big))
+
+(* A label id around 1500 pushes (L+1)²·(T+1) past the dense slot limit
+   while the row directory still fits: the CSR rows layout. *)
+let test_rows_layout_matches () =
   let { graph; _ } : Fixtures.campus = Fixtures.campus () in
-  let catalog = Catalog.build graph in
-  Catalog.note_node_added catalog ~labels:[| 1500 |];
-  Catalog.note_rel_added catalog ~src_labels:[| 1500 |] ~typ:2
-    ~dst_labels:[| 0; 1500 |];
-  let before = observe catalog in
-  let big_before =
-    Catalog.rc catalog ~dir:Direction.Out ~node:(Some 1500) ~types:[| 2 |]
-      ~other:(Some 0)
-  in
-  Catalog.freeze catalog;
-  Alcotest.(check bool) "frozen" true (Catalog.is_frozen catalog);
-  Alcotest.(check (list int)) "packed probes" before (observe catalog);
-  Alcotest.(check int) "grown id count" big_before
-    (Catalog.rc catalog ~dir:Direction.Out ~node:(Some 1500) ~types:[| 2 |]
-       ~other:(Some 0));
-  Alcotest.(check int) "post-freeze interned label counts 0" 0
-    (Catalog.rc catalog ~dir:Direction.Out ~node:(Some 2000) ~types:[||]
+  let b = Catalog.Builder.of_graph graph and o = Catalog_oracle.of_graph graph in
+  note_node b o ~labels:[| 1500 |];
+  note_rel b o ~src_labels:[| 1500 |] ~typ:2 ~dst_labels:[| 0; 1500 |];
+  let cat = Catalog.Builder.snapshot b in
+  (* a row directory, far smaller than the (T+1)·(L+1)² matrix *)
+  Alcotest.(check bool) "rows layout" true
+    (rc_bytes cat > 8 * 1501 && rc_bytes cat < 8 * 1501 * 1501);
+  expect_agrees "rows probes"
+    ~labels:(List.init 12 (fun i -> i - 1) @ [ 1499; 1500; 1501 ])
+    ~row_len:1503 cat o;
+  Alcotest.(check int) "label past the grown space counts 0" 0
+    (Catalog.rc cat ~dir:Direction.Out ~node:(Some 2000) ~types:[||]
        ~other:None)
 
+(* The generated vocabularies, which `lpp lint` checked against the old
+   hashtable tables: every smoke-tier catalog answers like the oracle. *)
+let test_generated_vocabularies () =
+  List.iter
+    (fun name ->
+      let ds =
+        Option.get (Lpp_datasets.Scale.build Lpp_datasets.Scale.Smoke ~name ~seed:1)
+      in
+      expect_agrees name ds.catalog (Catalog_oracle.of_graph ds.graph))
+    [ "snb"; "cineasts"; "dbpedia" ]
+
+(* Taking a snapshot is idempotent: two snapshots of an unchanged builder
+   answer identically, each under its own epoch. *)
 let test_freeze_idempotent () =
   let { graph; _ } : Fixtures.campus = Fixtures.campus () in
-  let catalog = Catalog.build graph in
-  let before = observe catalog in
-  Catalog.freeze catalog;
-  Catalog.freeze catalog;
-  Alcotest.(check (list int)) "double freeze" before (observe catalog)
+  let b = Catalog.Builder.of_graph graph in
+  let o = Catalog_oracle.of_graph graph in
+  let first = Catalog.Builder.snapshot b in
+  let second = Catalog.Builder.snapshot b in
+  expect_agrees "first snapshot" first o;
+  expect_agrees "second snapshot" second o;
+  Alcotest.(check bool) "distinct epochs" true
+    (Catalog.epoch first <> Catalog.epoch second)
 
-let test_frozen_refuses_updates () =
-  let { graph; _ } : Fixtures.campus = Fixtures.campus () in
-  let catalog = Catalog.build graph in
-  Catalog.freeze catalog;
-  Alcotest.check_raises "note_node_added refused"
-    (Invalid_argument
-       "Catalog.note_node_added: catalog is frozen; call Catalog.thaw before \
-        incremental updates") (fun () ->
-      Catalog.note_node_added catalog ~labels:[| 0 |]);
-  Alcotest.check_raises "note_rel_added refused"
-    (Invalid_argument
-       "Catalog.note_rel_added: catalog is frozen; call Catalog.thaw before \
-        incremental updates") (fun () ->
-      Catalog.note_rel_added catalog ~src_labels:[| 0 |] ~typ:0
-        ~dst_labels:[| 1 |]);
-  let nodes = Catalog.nc_star catalog in
-  Catalog.thaw catalog;
-  Catalog.note_node_added catalog ~labels:[| 0 |];
-  Alcotest.(check int) "thaw re-enables updates" (nodes + 1)
-    (Catalog.nc_star catalog)
-
-(* Estimates must be bit-identical across: one-shot vs session API, and
-   unfrozen vs frozen catalog — for every configuration of the ladder. *)
+(* Estimates must be bit-identical one-shot vs session API, for every
+   configuration of the ladder. *)
 let test_estimates_bit_identical () =
   let ds = Lpp_datasets.Snb_gen.generate ~persons:100 ~seed:7 () in
   let rng = Lpp_util.Rng.create 42 in
@@ -173,21 +210,9 @@ let test_estimates_bit_identical () =
         List.map (fun alg -> Lpp_core.Estimator.session_estimate session alg) algs)
       configs
   in
-  let reference = estimates_oneshot () in
-  Alcotest.(check (list int64)) "session == one-shot (unfrozen)"
-    (bits reference)
-    (bits (estimates_session ()));
-  Catalog.freeze ds.catalog;
-  Alcotest.(check (list int64)) "frozen one-shot == unfrozen"
-    (bits reference)
-    (bits (estimates_oneshot ()));
-  Alcotest.(check (list int64)) "frozen session == unfrozen"
-    (bits reference)
-    (bits (estimates_session ()));
-  Catalog.thaw ds.catalog;
-  Alcotest.(check (list int64)) "thawed == original"
-    (bits reference)
+  Alcotest.(check (list int64)) "session == one-shot"
     (bits (estimates_oneshot ()))
+    (bits (estimates_session ()))
 
 (* One session serving many differently-shaped algebras must not leak state
    across estimates: interleaved replay equals fresh one-shots. *)
@@ -223,10 +248,14 @@ let test_session_no_state_leak () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_frozen_matches_hashtable;
+    QCheck_alcotest.to_alcotest prop_snapshot_unchanged_by_notes;
     Alcotest.test_case "frozen: packed layout parity" `Quick
       test_packed_layout_matches;
+    Alcotest.test_case "frozen: rows layout parity" `Quick
+      test_rows_layout_matches;
+    Alcotest.test_case "frozen: generated vocabularies == oracle" `Quick
+      test_generated_vocabularies;
     Alcotest.test_case "frozen: freeze idempotent" `Quick test_freeze_idempotent;
-    Alcotest.test_case "frozen: updates refused" `Quick test_frozen_refuses_updates;
     Alcotest.test_case "frozen: estimates bit-identical" `Quick
       test_estimates_bit_identical;
     Alcotest.test_case "frozen: session state isolation" `Quick

@@ -1,11 +1,12 @@
-(* Tests for incremental statistics maintenance (Catalog.note_… functions) and the
-   Reference evaluator's intermediate-size profile. *)
+(* Tests for incremental statistics maintenance (Catalog.Builder notes) and
+   the Reference evaluator's intermediate-size profile. *)
 
 open Lpp_pgraph
 open Lpp_stats
 
-(* Build a graph in two stages; maintaining the stage-1 catalog incrementally
-   must reproduce the required statistics of a fresh stage-2 catalog. *)
+(* Build a graph in two stages; maintaining the stage-1 statistics
+   incrementally must reproduce the required statistics of a fresh stage-2
+   catalog. *)
 let test_incremental_matches_rebuild () =
   let rng = Lpp_util.Rng.create 515 in
   let b = Graph_builder.create () in
@@ -43,8 +44,8 @@ let test_incremental_matches_rebuild () =
     done;
     Graph_builder.freeze b1
   in
-  let incremental = Catalog.build snapshot_graph in
-  (* stage 2: more nodes and rels, mirrored into the incremental catalog *)
+  let builder = Catalog.Builder.of_graph snapshot_graph in
+  (* stage 2: more nodes and rels, mirrored into the builder *)
   let new_nodes = ref [] in
   for _ = 1 to 15 do
     let labels = Lpp_util.Rng.pick_list rng labels_pool in
@@ -55,7 +56,7 @@ let test_incremental_matches_rebuild () =
         (fun l -> Interner.find_opt (Graph.labels snapshot_graph) l)
         labels
     in
-    Catalog.note_node_added incremental ~labels:(Array.of_list ids)
+    Catalog.Builder.note_node_added builder ~labels:(Array.of_list ids)
   done;
   let all_nodes = Array.append stage1_nodes (Array.of_list !new_nodes) in
   let pending_rels = ref [] in
@@ -69,11 +70,12 @@ let test_incremental_matches_rebuild () =
   let final_graph = Graph_builder.freeze b in
   List.iter
     (fun (src, dst, typ) ->
-      Catalog.note_rel_added incremental
+      Catalog.Builder.note_rel_added builder
         ~src_labels:(Graph.node_labels final_graph src)
         ~typ:(Option.get (Interner.find_opt (Graph.rel_types final_graph) typ))
         ~dst_labels:(Graph.node_labels final_graph dst))
     !pending_rels;
+  let incremental = Catalog.Builder.snapshot builder in
   let fresh = Catalog.build final_graph in
   (* required statistics agree *)
   Alcotest.(check int) "NC(*)" (Catalog.nc_star fresh) (Catalog.nc_star incremental);
@@ -110,9 +112,10 @@ let test_incremental_matches_rebuild () =
 
 let test_note_unseen_label_grows () =
   let f = Fixtures.campus () in
-  let cat = Catalog.build f.graph in
+  let builder = Catalog.Builder.of_graph f.graph in
   let fresh_label = Interner.intern (Graph.labels f.graph) "Brand_new" in
-  Catalog.note_node_added cat ~labels:[| fresh_label |];
+  Catalog.Builder.note_node_added builder ~labels:[| fresh_label |];
+  let cat = Catalog.Builder.snapshot builder in
   Alcotest.(check int) "new label counted" 1 (Catalog.nc cat fresh_label);
   Alcotest.(check int) "total bumped" 7 (Catalog.nc_star cat)
 

@@ -1,6 +1,6 @@
 (* The observability layer (Lpp_obs): JSON emitter round-trips, span
    nesting and per-domain recording, shard-merged metrics, the Chrome trace
-   sink, hand-computed frozen-catalog lookup-path counters, and the central
+   sink, hand-computed catalog layout and lookup-path counters, and the central
    guarantee that enabling instrumentation never changes an estimate bit.
 
    Every test that enables the global switch does so under Fun.protect and
@@ -237,25 +237,31 @@ let test_gauge_max_merge () =
   Alcotest.(check int) "merged gauge is the max across shards" 64
     (Lpp_obs.Metrics.gauge_value g)
 
-(* ---- frozen-catalog lookup-path counters (hand-computed) ------------- *)
+(* ---- catalog lookup-path counters (hand-computed) -------------------- *)
 
-let tiny_catalog () =
+let tiny_graph () =
   let b = Lpp_pgraph.Graph_builder.create () in
   let a = Lpp_pgraph.Graph_builder.add_node b ~labels:[ "A" ] ~props:[] in
   let c = Lpp_pgraph.Graph_builder.add_node b ~labels:[ "B" ] ~props:[] in
   ignore (Lpp_pgraph.Graph_builder.add_rel b ~src:a ~dst:c ~rel_type:"u" ~props:[]);
-  Catalog.build (Lpp_pgraph.Graph_builder.freeze b)
+  Lpp_pgraph.Graph_builder.freeze b
+
+(* the tiny graph with one node carrying label id [big]: the layout is
+   chosen when the snapshot is taken, inside the caller's [with_obs] *)
+let grown_catalog big =
+  let b = Catalog.Builder.of_graph (tiny_graph ()) in
+  Catalog.Builder.note_node_added b ~labels:[| big |];
+  Catalog.Builder.snapshot b
 
 let counter name =
   (* reuse the instrumented modules' registrations by name *)
   Lpp_obs.Metrics.value (Lpp_obs.Metrics.counter name)
 
 let test_lookup_path_counters () =
-  let catalog = tiny_catalog () in
   with_obs @@ fun () ->
-  Catalog.freeze catalog;
-  Alcotest.(check int) "small key space freezes dense" 1
-    (counter "catalog.freeze.dense");
+  let catalog = Catalog.build (tiny_graph ()) in
+  Alcotest.(check int) "small key space is laid out dense" 1
+    (counter "catalog.layout.dense");
   let rc ~dir ~node ~types =
     ignore (Catalog.rc catalog ~dir ~node ~types ~other:None)
   in
@@ -281,29 +287,43 @@ let test_lookup_path_counters () =
   Alcotest.(check int) "rc_row dense fast path" 1 (counter "catalog.rc_row.dense");
   Alcotest.(check int) "fast path does not probe per label" 4
     (counter "catalog.lookup.dense");
-  (* thawing reroutes everything to the hashtables *)
-  Catalog.thaw catalog;
-  Alcotest.(check int) "thaw counted" 1 (counter "catalog.thaw");
-  rc ~dir:Direction.Out ~node:(Some 0) ~types:[||];
-  Alcotest.(check int) "unfrozen lookup" 1 (counter "catalog.lookup.hashtable");
-  Catalog.rc_row catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||] ~row;
-  Alcotest.(check int) "rc_row generic path" 1 (counter "catalog.rc_row.generic");
-  Alcotest.(check int) "generic sweep = one probe per label" 3
-    (counter "catalog.lookup.hashtable")
+  Alcotest.(check int) "no other layout" 0
+    (counter "catalog.layout.rows" + counter "catalog.layout.packed")
+
+let test_rows_layout_counters () =
+  with_obs @@ fun () ->
+  (* growing a label id to 1500 pushes (L+1)²·(T+1) past the dense slot
+     limit; the (T+1)·(L+1) row directory still fits *)
+  let catalog = grown_catalog 1500 in
+  Alcotest.(check int) "large key space is laid out in rows" 1
+    (counter "catalog.layout.rows");
+  ignore (Catalog.rc catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||] ~other:None);
+  Alcotest.(check int) "row probe counted as rows" 1 (counter "catalog.lookup.rows");
+  Catalog.rc_row catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||]
+    ~row:(Array.make 3 0);
+  Alcotest.(check int) "rc_row walks the row" 1 (counter "catalog.rc_row.rows");
+  Alcotest.(check int) "row walk does not probe per label" 1
+    (counter "catalog.lookup.rows");
+  Alcotest.(check int) "no dense or packed probes" 0
+    (counter "catalog.lookup.dense" + counter "catalog.lookup.packed")
 
 let test_packed_layout_counters () =
-  let catalog = tiny_catalog () in
-  (* growing a label id to 1500 pushes (L+1)² past the dense slot limit *)
-  Catalog.note_node_added catalog ~labels:[| 1500 |];
   with_obs @@ fun () ->
-  Catalog.freeze catalog;
-  Alcotest.(check int) "large key space freezes packed" 1
-    (counter "catalog.freeze.packed");
+  (* a label id of 1,000,000 makes even the (T+1)·(L+1) row directory
+     exceed the slot limit: flat sorted keys *)
+  let catalog = grown_catalog 1_000_000 in
+  Alcotest.(check int) "huge key space is laid out packed" 1
+    (counter "catalog.layout.packed");
   ignore (Catalog.rc catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||] ~other:None);
   Alcotest.(check int) "binary-search probe counted" 1
     (counter "catalog.lookup.packed");
-  Alcotest.(check int) "no dense probes" 0 (counter "catalog.lookup.dense");
-  Catalog.thaw catalog
+  Alcotest.(check int) "no dense or row probes" 0
+    (counter "catalog.lookup.dense" + counter "catalog.lookup.rows");
+  Catalog.rc_row catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||]
+    ~row:(Array.make 3 0);
+  Alcotest.(check int) "rc_row generic path" 1 (counter "catalog.rc_row.generic");
+  Alcotest.(check int) "generic sweep = one probe per label" 4
+    (counter "catalog.lookup.packed")
 
 (* ---- Chrome trace / metrics sinks ------------------------------------ *)
 
@@ -812,7 +832,6 @@ let prop_enabled_estimates_bit_identical =
       let rng = Rng.create seed in
       let g = random_graph rng in
       let catalog = Catalog.build g in
-      if Rng.bool rng then Catalog.freeze catalog;
       let algs =
         List.init 4 (fun _ ->
             match random_pattern rng 6 with
@@ -867,6 +886,8 @@ let suite =
     Alcotest.test_case "metrics: gauge max-merge" `Quick test_gauge_max_merge;
     Alcotest.test_case "catalog: lookup-path counters" `Quick
       test_lookup_path_counters;
+    Alcotest.test_case "catalog: rows-layout counters" `Quick
+      test_rows_layout_counters;
     Alcotest.test_case "catalog: packed-layout counters" `Quick
       test_packed_layout_counters;
     Alcotest.test_case "export: chrome trace round-trip" `Quick

@@ -1,5 +1,6 @@
-(* Scale-tier invariants: the Bigarray-backed graph/catalog must be
-   observationally identical to the boxed path it replaced, the streaming
+(* Scale-tier invariants: the Bigarray-backed graph must be observationally
+   identical to the boxed path it replaced and the Bigarray catalog must
+   answer like the per-relationship oracle, the streaming
    id-level builder must agree with the batch string API, the props-off
    (Large tier) generators must produce the identical relationship
    structure, and Wander-Join sampled ground truth must be calibrated
@@ -186,59 +187,34 @@ let prop_csr_accessors_agree =
       List.iter (fun (_, v) -> if v < 0 then ok := false) breakdown;
       !ok)
 
-(* Frozen (packed Bigarray) catalog must answer every estimator
-   configuration bit-identically to the unfrozen hashtable path, on random
-   graphs with a generated workload. *)
-let prop_frozen_estimates_bit_identical =
-  QCheck.Test.make ~name:"bigarray frozen estimates == unfrozen, six configs"
+(* The Bigarray catalog must answer every read like the per-relationship
+   oracle on the same random graphs (property sprinkle included), also after
+   a Builder grows the label and type id space past the graph's. *)
+let prop_catalog_reads_match_oracle =
+  QCheck.Test.make ~name:"bigarray catalog reads == oracle, grown ids"
     ~count:40
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let g = build_batch (random_graph_spec (Rng.create (seed + 23))) in
-      let ds = Lpp_datasets.Dataset.make ~name:"rand" g in
-      let qs =
-        let spec =
-          { (Lpp_workload.Query_gen.default_spec No_props) with
-            target = 4;
-            attempts = 16;
-            truth_budget = 200_000;
-          }
-        in
-        Lpp_workload.Query_gen.generate (Rng.create (seed + 1)) ds spec
-      in
-      let algs =
-        (* a rel-free two-node pattern would be disconnected; fall back to a
-           single node when the random graph has no relationships at all *)
-        (if Graph.rel_count g > 0 then
-           Lpp_pattern.Pattern.of_spec g
-             [
-               Lpp_pattern.Pattern.node_spec ();
-               Lpp_pattern.Pattern.node_spec ();
-             ]
-             [ Lpp_pattern.Pattern.rel_spec ~src:0 ~dst:1 () ]
-         else
-           Lpp_pattern.Pattern.of_spec g [ Lpp_pattern.Pattern.node_spec () ] [])
-        :: List.map
-             (fun (q : Lpp_workload.Query_gen.query) -> q.pattern)
-             qs
-        |> List.map Lpp_pattern.Planner.plan
-      in
-      let estimates () =
-        List.concat_map
-          (fun config ->
-            List.map
-              (fun alg ->
-                Int64.bits_of_float
-                  (Lpp_core.Estimator.estimate config ds.catalog alg))
-              algs)
-          Lpp_core.Config.all
-      in
-      let unfrozen = estimates () in
-      Lpp_stats.Catalog.freeze ds.catalog;
-      let frozen = estimates () in
-      Lpp_stats.Catalog.thaw ds.catalog;
-      let thawed = estimates () in
-      unfrozen = frozen && unfrozen = thawed)
+      let rng = Rng.create (seed + 23) in
+      let g = build_batch (random_graph_spec rng) in
+      let b = Lpp_stats.Catalog.Builder.of_graph g in
+      let o = Catalog_oracle.of_graph g in
+      let big = Graph.label_count g + Rng.int rng 40 in
+      let src_labels = [| big; 0 |] and dst_labels = [| big |] in
+      Lpp_stats.Catalog.Builder.note_node_added b ~labels:[| big |];
+      Catalog_oracle.note_node o ~labels:[| big |];
+      Lpp_stats.Catalog.Builder.note_rel_added b ~src_labels ~typ:7 ~dst_labels;
+      Catalog_oracle.note_rel o ~src_labels ~typ:7 ~dst_labels;
+      List.for_all
+        (fun (cat, o) ->
+          match Catalog_oracle.compare_catalog cat o with
+          | Ok _ -> true
+          | Error m -> QCheck.Test.fail_report m)
+        [
+          ((Lpp_datasets.Dataset.make ~name:"rand" g).catalog,
+            Catalog_oracle.of_graph g);
+          (Lpp_stats.Catalog.Builder.snapshot b, o);
+        ])
 
 (* Large-tier generators: props:false must leave the relationship structure
    bit-for-bit identical (same RNG stream), only dropping the properties. *)
@@ -422,7 +398,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_streaming_equals_batch;
     QCheck_alcotest.to_alcotest prop_csr_accessors_agree;
-    QCheck_alcotest.to_alcotest prop_frozen_estimates_bit_identical;
+    QCheck_alcotest.to_alcotest prop_catalog_reads_match_oracle;
     Alcotest.test_case "scale: props off, same structure" `Quick
       test_props_off_same_structure;
     Alcotest.test_case "scale: WJ CI calibration" `Quick test_wj_ci_calibration;
