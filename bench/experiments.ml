@@ -635,12 +635,6 @@ let all : (string * string * (Env.t -> unit)) list =
     ( "obs_overhead",
       "observability overhead: session estimates with tracing off vs on",
       Obs_overhead.run );
-    ( "serve",
-      "lpp serve load test: closed-loop + controlled-QPS latency/throughput",
-      Serve_bench.run );
-    ( "cache",
-      "estimate cache: hit-path ns + cold vs warm serve throughput (Zipf)",
-      Cache_bench.run );
     ( "scale",
       "scale tier: streaming build, Bigarray catalog, sampled-truth q-errors",
       Scale_bench.run );

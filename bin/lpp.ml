@@ -157,14 +157,16 @@ let cmd_workload =
 (* ---- estimate ------------------------------------------------------- *)
 
 (* Shared by estimate, query and serve: byte budget for the semantic
-   estimate cache (DESIGN.md §16). 0 disables caching entirely; cached
-   estimates are bit-identical to computed ones, so the choice never
-   changes any printed number. *)
+   estimate cache's shared level (DESIGN.md §16). Cached estimates are
+   bit-identical to computed ones, so the choice never changes any printed
+   number. *)
 let cache_mb_arg =
   Arg.(value & opt int 64
        & info [ "cache-mb" ] ~docv:"MB"
-           ~doc:"Shared estimate-cache budget in MiB (0 disables caching; \
-                 cached estimates are bit-identical to computed ones)")
+           ~doc:"Shared estimate-cache (L2) budget in MiB. For estimate and \
+                 query, 0 disables caching; serve keeps each worker's \
+                 per-configuration L1 cache and 0 only leaves the L2 empty. \
+                 Cached estimates are bit-identical to computed ones")
 
 let make_l2 cache_mb =
   if cache_mb > 0 then
@@ -631,7 +633,11 @@ let cmd_serve =
             log_level;
           exit 2
         end);
-    Cli_common.with_obs ?trace_out ?metrics_out @@ fun () ->
+    (* --metrics FILE is the server's own snapshot (the registry plus every
+       serve.* series), written once the server has drained; with_obs only
+       owns the trace sink here *)
+    if metrics_out <> None then Lpp_obs.Obs.enable ();
+    Cli_common.with_obs ?trace_out @@ fun () ->
     let ds = dataset_of_name name ~seed ~scale in
     let addr =
       match port with
@@ -662,6 +668,27 @@ let cmd_serve =
     in
     let server =
       Lpp_serve.Server.start scfg ~graph:ds.graph ~catalog:ds.catalog
+    in
+    (* metrics snapshots: write-temp-rename so scrapers reading the file
+       never observe a partial document *)
+    let write_metrics_file path =
+      let tmp = path ^ ".tmp" in
+      let oc = open_out tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          Lpp_util.Json.to_channel oc (Lpp_serve.Server.metrics_json server);
+          output_char oc '\n');
+      Sys.rename tmp path
+    in
+    let stop_server () =
+      Lpp_serve.Server.stop server;
+      Option.iter write_metrics_file metrics_out_file;
+      Option.iter
+        (fun path ->
+          write_metrics_file path;
+          Printf.eprintf "wrote metrics to %s\n%!" path)
+        metrics_out
     in
     if check then begin
       (* Self-test: every pattern must answer bit-identically to an offline
@@ -697,11 +724,11 @@ let cmd_serve =
               | Error msg -> fail "FAIL %s: %s\n" text msg
             end)
         loaded;
-      (* warm pass: the same patterns again on the same connection. With the
-         estimate cache on these answers come from L1/L2, and the contract
-         is that a hit returns the exact bits a miss computed — so warm must
+      (* warm pass: the same patterns again on the same connection. These
+         answers come from the worker's L1 (or the L2), and the contract is
+         that a hit returns the exact bits a miss computed — so warm must
          still be bit-identical to the offline session (and to the cold
-         pass). With --cache-mb 0 this degenerates to a second cold pass. *)
+         pass), whatever the --cache-mb budget. *)
       List.iter
         (fun (text, _) ->
           match Lpp_pattern.Parse.parse ds.graph text with
@@ -718,26 +745,17 @@ let cmd_serve =
               | Error msg -> fail "FAIL (warm) %s: %s\n" text msg
             end)
         loaded;
-      (if scfg.Lpp_serve.Server.cache_mb > 0 then
-         match
-           Lpp_util.Json.member "stats"
-             (Lpp_serve.Client.request client {|{"op":"stats"}|})
-         with
-         | Some stats -> begin
-             match Lpp_util.Json.member "cache" stats with
-             | Some c -> begin
-                 let i k =
-                   Option.value (Lpp_util.Json.member_int k c) ~default:0
-                 in
-                 if Lpp_util.Json.member "enabled" c
-                    <> Some (Lpp_util.Json.Bool true)
-                 then fail "FAIL: cache configured but stats say disabled\n";
-                 if i "l1_hits" + i "l2_hits" = 0 then
-                   fail "FAIL: warm pass produced no cache hits\n"
-               end
-             | None -> fail "FAIL: stats op reports no cache block\n"
-           end
-         | None -> fail "FAIL: stats op returned no stats object\n");
+      (match
+         Option.bind
+           (Lpp_util.Json.member "stats"
+              (Lpp_serve.Client.request client {|{"op":"stats"}|}))
+           (Lpp_util.Json.member "cache")
+       with
+      | Some c ->
+          let i k = Option.value (Lpp_util.Json.member_int k c) ~default:0 in
+          if i "l1_hits" + i "l2_hits" = 0 then
+            fail "FAIL: warm pass produced no cache hits\n"
+      | None -> fail "FAIL: stats op reports no cache block\n");
       let expect_ok_false what line =
         match Lpp_util.Json.member "ok" (Lpp_serve.Client.request client line) with
         | Some (Lpp_util.Json.Bool false) -> ()
@@ -834,7 +852,7 @@ let cmd_serve =
         end
       | None -> fail "FAIL: flight op returned no flight object\n");
       Lpp_serve.Client.close client;
-      Lpp_serve.Server.stop server;
+      stop_server ();
       Printf.printf
         "serve check (%s, %s): %d answer(s) bit-identical (cold+warm), %d failure(s)\n"
         ds.name
@@ -859,18 +877,6 @@ let cmd_serve =
         (match Lpp_serve.Server.prom_port server with
         | Some p -> Printf.sprintf ", prometheus on http://127.0.0.1:%d/metrics" p
         | None -> "");
-      (* periodic metrics snapshots: write-temp-rename so scrapers reading
-         the file never observe a partial document *)
-      let write_metrics_file path =
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            Lpp_util.Json.to_channel oc (Lpp_serve.Server.metrics_json server);
-            output_char oc '\n');
-        Sys.rename tmp path
-      in
       let last_metrics = ref (Lpp_util.Clock.now_ns ()) in
       while not (Atomic.get stop) do
         (try Unix.sleepf 0.2 with Unix.Unix_error (EINTR, _, _) -> ());
@@ -885,8 +891,7 @@ let cmd_serve =
         | _ -> ()
       done;
       Printf.printf "draining and shutting down…\n%!";
-      Lpp_serve.Server.stop server;
-      Option.iter write_metrics_file metrics_out_file;
+      stop_server ();
       print_endline (Lpp_util.Json.to_string (Lpp_serve.Server.stats_json server))
     end
   in

@@ -43,22 +43,26 @@ let name t =
 
 let all = [ s_l; a_l; a_lh; a_ld; a_lhd; a_lhd_10pct ]
 
+let candidates = all @ [ a_lhdt ]
+
 (* Accepts the canonical names case-insensitively, with '_' for '-' and the
    trailing "%" of "A-LHD-10%" optional — the spellings shells and JSON
-   clients actually produce. *)
+   clients actually produce. Every accepted spelling is canonicalised once,
+   here, so a lookup canonicalises only its argument. *)
+let canon s =
+  String.lowercase_ascii s |> String.map (function '_' | '%' -> '-' | c -> c)
+
+let spellings =
+  List.concat_map
+    (fun c ->
+      let n = canon (name c) in
+      if String.ends_with ~suffix:"-" n then
+        [ (n, c); (String.sub n 0 (String.length n - 1), c) ]
+      else [ (n, c) ])
+    candidates
+
 let of_name s =
-  let canon s =
-    String.lowercase_ascii s |> String.map (function '_' | '%' -> '-' | c -> c)
-  in
-  let wanted = canon s in
-  let candidates = all @ [ a_lhdt ] in
-  match
-    List.find_opt
-      (fun c ->
-        let n = canon (name c) in
-        n = wanted || n = wanted ^ "-")
-      candidates
-  with
+  match List.assoc_opt (canon s) spellings with
   | Some c -> Ok c
   | None ->
       Error

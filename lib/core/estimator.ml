@@ -103,12 +103,11 @@ let begin_estimate st (alg : Algebra.t) =
 
 let fi = float_of_int
 
-(* Observability: per-operator spans and counters (PR 4). Metrics are
-   registered once at module initialisation; each write site costs one load
-   and one branch while the global [Lpp_obs] switch is off, and
-   [session_estimate] branches once per estimate into the traced or the
-   original loop, so disabled estimates run the exact pre-instrumentation
-   float sequence. *)
+(* Observability: per-operator spans and counters. Metrics are registered
+   once at module initialisation; each write site costs one load and one
+   branch while the global [Lpp_obs] switch is off, and [session_estimate]
+   picks the spanned or an untraced step once per estimate (see [walk]), so
+   disabled estimates run the exact pre-instrumentation float sequence. *)
 let m_estimates = Lpp_obs.Metrics.counter "estimator.estimates"
 
 let m_deg_hit = Lpp_obs.Metrics.counter "estimator.degcache.hit"
@@ -670,54 +669,55 @@ let assert_sound st i op =
       done)
     (Label_probs.live_vars st.probs)
 
-(* Traced variant of the estimate loop: an enclosing "estimate" span with one
-   nested span per operator, carrying input/output cardinality and the live
-   variable count of the label probability matrix. Reached only when the
-   global switch is on; the plain loops below are byte-for-byte the
-   pre-instrumentation code, so disabled estimates are bit-identical. *)
-let apply_ops_traced st (alg : Algebra.t) =
-  Lpp_obs.Trace.begin_span ~cat:"estimator" "estimate";
+(* The one walk over an operator sequence (Algorithm 1's loop). What happens
+   at each operator — plain, checked, spanned or recording — is a [step]
+   chosen once per estimate, so the loop itself never branches on modes. *)
+let walk st (alg : Algebra.t) step =
+  for i = 0 to Array.length alg.ops - 1 do
+    step st i alg.ops.(i)
+  done
+
+let plain_step st _ op = apply_op st op
+
+let checked_step st i op =
+  apply_op st op;
+  assert_sound st i op
+
+(* Traced step, reached only when the global switch is on: one span per
+   operator, nested in the enclosing "estimate" span, carrying input/output
+   cardinality and the live variable count of the label probability matrix.
+   The other steps never touch Lpp_obs, so disabled estimates are
+   bit-identical. *)
+let spanned_step st i op =
+  let card_in = st.card in
+  Lpp_obs.Metrics.incr (op_counter op);
+  Lpp_obs.Trace.begin_span ~cat:"estimator" (op_name op);
   (try
-     Array.iteri
-       (fun i op ->
-         let card_in = st.card in
-         Lpp_obs.Metrics.incr (op_counter op);
-         Lpp_obs.Trace.begin_span ~cat:"estimator" (op_name op);
-         (try
-            apply_op st op;
-            if st.checks then assert_sound st i op
-          with e ->
-            Lpp_obs.Trace.end_span ();
-            raise e);
-         let live = fi (List.length (Label_probs.live_vars st.probs)) in
-         Lpp_obs.Metrics.observe h_live_vars live;
-         Lpp_obs.Trace.end_span
-           ~args:
-             [|
-               ("card_in", card_in);
-               ("card_out", st.card);
-               ("live_vars", live);
-             |]
-           ())
-       alg.ops;
-     Lpp_obs.Metrics.incr m_estimates;
-     Lpp_obs.Metrics.observe h_card_out st.card;
-     Lpp_obs.Trace.end_span
-       ~args:[| ("ops", fi (Array.length alg.ops)); ("card", st.card) |] ()
+     apply_op st op;
+     if st.checks then assert_sound st i op
    with e ->
      Lpp_obs.Trace.end_span ();
-     raise e)
+     raise e);
+  let live = fi (List.length (Label_probs.live_vars st.probs)) in
+  Lpp_obs.Metrics.observe h_live_vars live;
+  Lpp_obs.Trace.end_span
+    ~args:[| ("card_in", card_in); ("card_out", st.card); ("live_vars", live) |]
+    ()
 
 let session_estimate st (alg : Algebra.t) =
   begin_estimate st alg;
-  if Lpp_obs.Obs.enabled () then apply_ops_traced st alg
-  else if st.checks then
-    Array.iteri
-      (fun i op ->
-        apply_op st op;
-        assert_sound st i op)
-      alg.ops
-  else Array.iter (apply_op st) alg.ops;
+  if Lpp_obs.Obs.enabled () then begin
+    Lpp_obs.Trace.begin_span ~cat:"estimator" "estimate";
+    (try walk st alg spanned_step
+     with e ->
+       Lpp_obs.Trace.end_span ();
+       raise e);
+    Lpp_obs.Metrics.incr m_estimates;
+    Lpp_obs.Metrics.observe h_card_out st.card;
+    Lpp_obs.Trace.end_span
+      ~args:[| ("ops", fi (Array.length alg.ops)); ("card", st.card) |] ()
+  end
+  else walk st alg (if st.checks then checked_step else plain_step);
   st.card
 
 let session_estimate_pattern st pattern =
@@ -732,12 +732,11 @@ let estimate_pattern config catalog pattern =
 let trace config catalog (alg : Algebra.t) =
   let st = make config catalog in
   begin_estimate st alg;
-  Array.fold_left
-    (fun acc op ->
+  let steps = ref [] in
+  walk st alg (fun st _ op ->
       apply_op st op;
-      (op, st.card) :: acc)
-    [] alg.ops
-  |> List.rev
+      steps := (op, st.card) :: !steps);
+  List.rev !steps
 
 let memory_bytes (config : Config.t) catalog =
   let required =

@@ -4,10 +4,12 @@
      (select loop, per-connection line buffer, admission), plus the optional
      plain-HTTP Prometheus listener. Never writes to NDJSON connections and
      never touches estimator state.
-   - worker domains: own the write side of their connections, their private
-     estimator sessions, and their latency counters. A connection is owned
-     by exactly one worker (round-robin at accept), so per-connection
-     response order equals request order and writes need no lock.
+   - worker domains: own the write side of their connections, their
+     per-configuration estimate-cache fronts (each an L1 over a private
+     estimator session; every estimate goes through one), and their
+     counters. A connection is owned by exactly one worker (round-robin at
+     accept), so per-connection response order equals request order and
+     writes need no lock.
    - fd lifecycle: the reader stops reading a connection on EOF/error and
      enqueues a final [Close] job; the owning worker closes the fd after
      the jobs queued before it — no close/write race by construction.
@@ -40,7 +42,7 @@ type config = {
   flight_capacity : int;
   slow_ns : int64;
   prom_port : int option;
-  cache_mb : int;  (* shared estimate-cache budget; 0 disables the cache *)
+  cache_mb : int;  (* shared L2 budget; 0 leaves the L2 empty *)
 }
 
 let default_config addr =
@@ -56,17 +58,6 @@ let default_config addr =
     prom_port = None;
     cache_mb = 64;
   }
-
-(* Metrics-registry mirrors of the internal counters: live only when the
-   observability switch is on, so `lpp serve --metrics` exports them without
-   taxing the default path. *)
-let m_requests = Lpp_obs.Metrics.counter "serve.requests"
-
-let m_errors = Lpp_obs.Metrics.counter "serve.errors"
-
-let m_rejected = Lpp_obs.Metrics.counter "serve.rejected"
-
-let m_request_ns = Lpp_obs.Metrics.histogram "serve.request_ns"
 
 (* Hot-path log limiters: per-domain token buckets, so a reject storm or a
    flapping client costs a few lines per second, not one per event. *)
@@ -111,7 +102,7 @@ type worker = {
   mutable qerr_sum : float;
   qerr_buckets : int array;
   (* Estimate-cache counters, shared by this worker's per-config cache
-     fronts — single-writer like the rest, zeros when the cache is off. *)
+     fronts — single-writer like the rest. *)
   cache_counters : Lpp_core.Est_cache.counters;
 }
 
@@ -120,7 +111,7 @@ type t = {
   graph : Lpp_pgraph.Graph.t;
   catalog : Lpp_stats.Catalog.t;
   intern : Intern.shared;  (* read-mostly name resolution (DESIGN.md §16) *)
-  cache : Lpp_core.Est_cache.l2 option;  (* shared across worker domains *)
+  l2 : Lpp_core.Est_cache.l2;  (* shared across worker domains *)
   stopping : bool Atomic.t;
   reader_done : bool Atomic.t;
   start_ns : int64;
@@ -225,23 +216,21 @@ let cache_totals st =
     (0, 0, 0, 0) st.workers
 
 let cache_json st =
-  match st.cache with
-  | None -> Json.Obj [ ("enabled", Json.Bool false) ]
-  | Some l2 ->
-      let l1_hits, l2_hits, misses, l1_bytes = cache_totals st in
-      let s = Lpp_core.Est_cache.l2_stats l2 in
-      Json.Obj
-        [
-          ("enabled", Json.Bool true);
-          ("l1_hits", Json.Int l1_hits);
-          ("l2_hits", Json.Int l2_hits);
-          ("misses", Json.Int misses);
-          ("l1_bytes", Json.Int l1_bytes);
-          ("l2_entries", Json.Int s.Lpp_core.Est_cache.l2_entries);
-          ("l2_bytes", Json.Int s.Lpp_core.Est_cache.l2_bytes);
-          ("l2_budget", Json.Int s.Lpp_core.Est_cache.l2_budget);
-          ("l2_evictions", Json.Int s.Lpp_core.Est_cache.l2_evictions);
-        ]
+  let l1_hits, l2_hits, misses, l1_bytes = cache_totals st in
+  let s = Lpp_core.Est_cache.l2_stats st.l2 in
+  Json.Obj
+    [
+      (* always on; the key stays for clients such as [lpp top] *)
+      ("enabled", Json.Bool true);
+      ("l1_hits", Json.Int l1_hits);
+      ("l2_hits", Json.Int l2_hits);
+      ("misses", Json.Int misses);
+      ("l1_bytes", Json.Int l1_bytes);
+      ("l2_entries", Json.Int s.Lpp_core.Est_cache.l2_entries);
+      ("l2_bytes", Json.Int s.Lpp_core.Est_cache.l2_bytes);
+      ("l2_budget", Json.Int s.Lpp_core.Est_cache.l2_budget);
+      ("l2_evictions", Json.Int s.Lpp_core.Est_cache.l2_evictions);
+    ]
 
 (* Aggregated live statistics. Reads every worker's single-writer counters
    without locks: word-sized loads cannot tear, so concurrent readers get a
@@ -313,66 +302,47 @@ let stats_json st =
     ]
 
 (* The metrics snapshot the [metrics] op and the Prometheus listener serve:
-   the registry snapshot with the serve.* mirrors overridden by the
-   always-on single-writer worker counters (authoritative whether or not the
-   obs switch is live), plus serving-only series the registry doesn't
-   carry. *)
+   the registry snapshot plus every serve.* series, read straight from the
+   always-on single-writer worker counters, so they are there whether or not
+   the obs switch is live. *)
 let metrics_snapshot st : Lpp_obs.Metrics.snapshot =
   let reg = Lpp_obs.Metrics.snapshot () in
   let total f = Array.fold_left (fun acc w -> acc + f w) 0 st.workers in
   let lat = lat_hist st in
-  let override name v l =
-    List.map (fun (n, x) -> if n = name then (n, v) else (n, x)) l
-  in
   let l1_hits, l2_hits, misses, l1_bytes = cache_totals st in
-  let cache_counters =
-    match st.cache with
-    | None -> []
-    | Some _ ->
-        [
-          ("serve.cache.l1_hits", l1_hits);
-          ("serve.cache.l2_hits", l2_hits);
-          ("serve.cache.misses", misses);
-        ]
-  in
-  let cache_gauges =
-    match st.cache with
-    | None -> []
-    | Some l2 ->
-        let s = Lpp_core.Est_cache.l2_stats l2 in
-        [
-          ("serve.cache.evictions", s.Lpp_core.Est_cache.l2_evictions);
-          ("serve.cache.entries", s.Lpp_core.Est_cache.l2_entries);
-          ("serve.cache.bytes", s.Lpp_core.Est_cache.l2_bytes + l1_bytes);
-          ("serve.cache.budget_bytes", s.Lpp_core.Est_cache.l2_budget);
-        ]
-  in
-  let counters =
-    reg.counters
-    |> override "serve.requests" lat.Lpp_obs.Metrics.count
-    |> override "serve.errors" (total (fun w -> w.errors))
-    |> override "serve.rejected" (total (fun w -> w.rejected))
-    |> List.cons ("serve.served", total (fun w -> w.served))
-    |> List.append cache_counters
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let gauges =
-    reg.gauges
-    @ [
-        ("serve.queue_depth", total (fun w -> w.queued_lines));
-        ("serve.uptime_s", int_of_float (Clock.elapsed_s ~since:st.start_ns));
-        ("serve.workers", Array.length st.workers);
-      ]
-    @ cache_gauges
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let histograms =
-    reg.histograms
-    |> override "serve.request_ns" lat
-    |> List.cons ("serve.qerror", qerr_hist st)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  { counters; gauges; histograms }
+  let s = Lpp_core.Est_cache.l2_stats st.l2 in
+  let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  {
+    counters =
+      by_name
+        (reg.counters
+        @ [
+            ("serve.requests", lat.Lpp_obs.Metrics.count);
+            ("serve.served", total (fun w -> w.served));
+            ("serve.errors", total (fun w -> w.errors));
+            ("serve.rejected", total (fun w -> w.rejected));
+            ("serve.cache.l1_hits", l1_hits);
+            ("serve.cache.l2_hits", l2_hits);
+            ("serve.cache.misses", misses);
+          ]);
+    gauges =
+      by_name
+        (reg.gauges
+        @ [
+            ("serve.queue_depth", total (fun w -> w.queued_lines));
+            ( "serve.uptime_s",
+              int_of_float (Clock.elapsed_s ~since:st.start_ns) );
+            ("serve.workers", Array.length st.workers);
+            ("serve.cache.evictions", s.Lpp_core.Est_cache.l2_evictions);
+            ("serve.cache.entries", s.Lpp_core.Est_cache.l2_entries);
+            ("serve.cache.bytes", s.Lpp_core.Est_cache.l2_bytes + l1_bytes);
+            ("serve.cache.budget_bytes", s.Lpp_core.Est_cache.l2_budget);
+          ]);
+    histograms =
+      by_name
+        (reg.histograms
+        @ [ ("serve.request_ns", lat); ("serve.qerror", qerr_hist st) ]);
+  }
 
 let metrics_json st = Lpp_obs.Export.metrics_json_of (metrics_snapshot st)
 
@@ -426,49 +396,45 @@ let info_default =
     qerror = None;
   }
 
-(* Per-worker estimator state: with the cache enabled each configuration
-   gets an Est_cache front (all sharing the worker's counter record and the
-   server's L2); with it disabled, a bare session — the exact pre-cache
-   path, so `--cache-mb 0` is byte-identical on the wire. *)
-type slot =
-  | Cached of Lpp_core.Est_cache.t
-  | Plain of Lpp_core.Estimator.session
-
-(* Worker-local request-path state: intern overlays, estimator slots, the
-   config-name memo (Config.of_name is a list scan; requests repeat the same
-   few names, so resolve each spelling once per worker), and — with the
-   cache on — a parse memo from raw pattern text to its planned operator
-   sequence. Parsing and planning are deterministic (interned ids are
-   append-only, the planner is a pure function of the pattern), so a
-   repeated request line skips straight to the cache probe. Bounded: the
-   memo is reset when it reaches [pmemo_cap] entries. *)
+(* Worker-local request-path state: intern overlays, one Est_cache front per
+   configuration (created on first use; all share the worker's counter
+   record and the server's L2), and a parse memo from raw pattern text to
+   its planned operator sequence. Parsing and planning are deterministic
+   (interned ids are append-only, the planner is a pure function of the
+   pattern), so a repeated request line skips straight to the cache probe.
+   Bounded: the memo is reset when it reaches [pmemo_cap] entries. *)
 type wstate = {
   wintern : Intern.worker;
-  mutable slots : (Lpp_core.Config.t * slot) list;
-  cfg_memo : (string, (Lpp_core.Config.t, string) result) Hashtbl.t;
+  mutable fronts : (Lpp_core.Config.t * Lpp_core.Est_cache.t) list;
   pmemo : (string, (Lpp_pattern.Algebra.t, string) result) Hashtbl.t;
 }
 
 let pmemo_cap = 8192
 
-let make_slot st w est_cfg =
-  match st.cache with
-  | Some l2 ->
-      Cached
-        (Lpp_core.Est_cache.create ~l2 ~counters:w.cache_counters est_cfg
-           st.catalog)
-  | None -> Plain (Lpp_core.Estimator.make est_cfg st.catalog)
+let make_front st w est_cfg =
+  Lpp_core.Est_cache.create ~l2:st.l2 ~counters:w.cache_counters est_cfg
+    st.catalog
 
-let resolve_config st ws name =
-  match name with
-  | None -> Ok st.cfg.estimator
-  | Some name -> (
-      match Hashtbl.find_opt ws.cfg_memo name with
-      | Some r -> r
-      | None ->
-          let r = Lpp_core.Config.of_name name in
-          Hashtbl.replace ws.cfg_memo name r;
-          r)
+let front st w ws est_cfg =
+  match List.assoc_opt est_cfg ws.fronts with
+  | Some c -> c
+  | None ->
+      let c = make_front st w est_cfg in
+      ws.fronts <- (est_cfg, c) :: ws.fronts;
+      c
+
+let plan_text ws pattern =
+  match Hashtbl.find_opt ws.pmemo pattern with
+  | Some r -> r
+  | None ->
+      let r =
+        match Intern.parse ws.wintern pattern with
+        | Error msg -> Error msg
+        | Ok { pattern = p; _ } -> Ok (Lpp_pattern.Planner.plan p)
+      in
+      if Hashtbl.length ws.pmemo >= pmemo_cap then Hashtbl.reset ws.pmemo;
+      Hashtbl.add ws.pmemo pattern r;
+      r
 
 (* One request line, start to finish. Returns the response plus the request
    info; classification happens via the counters. Any escape — including
@@ -493,7 +459,12 @@ let answer st w ws ~t0 ~seq line =
       (Protocol.ok_flight ~id (flight_json st), info_default)
   | Ok (Protocol.Estimate { id; pattern; config; trace; truth }) -> begin
       let info = { info_default with trace; pattern } in
-      match resolve_config st ws config with
+      let resolved =
+        match config with
+        | None -> Ok st.cfg.estimator
+        | Some name -> Lpp_core.Config.of_name name
+      in
+      match resolved with
       | Error msg ->
           w.errors <- w.errors + 1;
           ( Protocol.error ~id ~kind:"unknown_config" msg,
@@ -506,56 +477,15 @@ let answer st w ws ~t0 ~seq line =
       | Ok est_cfg -> begin
           let cfg_name = Lpp_core.Config.name est_cfg in
           let info = { info with config = cfg_name } in
-          let slot =
-            match List.assoc_opt est_cfg ws.slots with
-            | Some s -> s
-            | None ->
-                let s = make_slot st w est_cfg in
-                ws.slots <- (est_cfg, s) :: ws.slots;
-                s
-          in
-          (* Resolve the request text to an estimate thunk. The plain path
-             is the exact pre-cache sequence (parse, then plan inside the
-             estimate phase). The cached path parses and plans at most once
-             per distinct request text (the memo), so repeats go straight
-             to the canonical-key probe. *)
-          let resolve () =
-            match slot with
-            | Plain s -> (
-                match Intern.parse ws.wintern pattern with
-                | Error _ as e -> e
-                | Ok { pattern = p; _ } ->
-                    Ok
-                      (fun () ->
-                        Lpp_core.Estimator.session_estimate_pattern s p))
-            | Cached c -> (
-                let planned =
-                  match Hashtbl.find_opt ws.pmemo pattern with
-                  | Some r -> r
-                  | None ->
-                      let r =
-                        match Intern.parse ws.wintern pattern with
-                        | Error msg -> Error msg
-                        | Ok { pattern = p; _ } ->
-                            Ok (Lpp_pattern.Planner.plan p)
-                      in
-                      if Hashtbl.length ws.pmemo >= pmemo_cap then
-                        Hashtbl.reset ws.pmemo;
-                      Hashtbl.add ws.pmemo pattern r;
-                      r
-                in
-                match planned with
-                | Error _ as e -> e
-                | Ok alg -> Ok (fun () -> Lpp_core.Est_cache.estimate c alg))
-          in
-          let parsed =
+          let cache = front st w ws est_cfg in
+          let planned =
             if !live then
               Lpp_obs.Trace.with_span ~cat:"serve" "serve.parse"
                 ~args:(fun () -> [| ("rid", float_of_int seq) |])
-                resolve
-            else resolve ()
+                (fun () -> plan_text ws pattern)
+            else plan_text ws pattern
           in
-          match parsed with
+          match planned with
           | Error msg ->
               w.errors <- w.errors + 1;
               ( Protocol.error ~id ~kind:"parse_error" msg,
@@ -564,7 +494,7 @@ let answer st w ws ~t0 ~seq line =
                   outcome = Some (Failed "parse_error");
                   parse_ns = parse_elapsed ();
                 } )
-          | Ok estimate -> begin
+          | Ok alg -> begin
               let t_parsed = Clock.now_ns () in
               let parse_ns = Clock.diff_ns ~since:t0 t_parsed in
               let info = { info with parse_ns } in
@@ -572,8 +502,8 @@ let answer st w ws ~t0 ~seq line =
                 if !live then
                   Lpp_obs.Trace.with_span ~cat:"serve" "serve.estimate"
                     ~args:(fun () -> [| ("rid", float_of_int seq) |])
-                    estimate
-                else estimate ()
+                    (fun () -> Lpp_core.Est_cache.estimate cache alg)
+                else Lpp_core.Est_cache.estimate cache alg
               in
               match run () with
               | estimate ->
@@ -617,13 +547,12 @@ let answer st w ws ~t0 ~seq line =
 
 let worker_loop st idx =
   let w = st.workers.(idx) in
-  (* the default-config slot is shared by most requests; others are created
-     on first use and kept for the worker's lifetime *)
+  (* the default-config front is shared by most requests; others are
+     created on first use and kept for the worker's lifetime *)
   let ws =
     {
       wintern = Intern.worker st.intern;
-      slots = [ (st.cfg.estimator, make_slot st w st.cfg.estimator) ];
-      cfg_memo = Hashtbl.create 8;
+      fronts = [ (st.cfg.estimator, make_front st w st.cfg.estimator) ];
       pmemo = Hashtbl.create 256;
     }
   in
@@ -653,7 +582,6 @@ let worker_loop st idx =
     | Close conn -> (try Unix.close conn.fd with Unix.Unix_error _ -> ())
     | Reject { conn; resp; reason; admit_ns; seq } ->
         w.rejected <- w.rejected + 1;
-        if !live then Lpp_obs.Metrics.incr m_rejected;
         Lpp_obs.Log.warnf ~limit:l_reject "request %d rejected: %s" seq reason;
         let t0 = Clock.now_ns () in
         respond conn resp;
@@ -667,7 +595,6 @@ let worker_loop st idx =
     | Line { conn; line; admit_ns; seq } ->
         let t0 = Clock.now_ns () in
         let queue_ns = Clock.diff_ns ~since:admit_ns t0 in
-        let errors_before = w.errors in
         let handle () = answer st w ws ~t0 ~seq line in
         let resp, info =
           if !live then
@@ -718,17 +645,12 @@ let worker_loop st idx =
             let b = Lpp_obs.Metrics.bucket_of q in
             w.qerr_buckets.(b) <- w.qerr_buckets.(b) + 1
         | _ -> ());
-        if !live && w.errors > errors_before then Lpp_obs.Metrics.incr m_errors;
         let ns = Clock.elapsed_ns ~since:t0 in
         w.busy_ns <- w.busy_ns +. ns;
         w.lat_count <- w.lat_count + 1;
         w.lat_sum <- w.lat_sum +. ns;
         let b = Lpp_obs.Metrics.bucket_of ns in
-        w.lat_buckets.(b) <- w.lat_buckets.(b) + 1;
-        if !live then begin
-          Lpp_obs.Metrics.incr m_requests;
-          Lpp_obs.Metrics.observe m_request_ns ns
-        end
+        w.lat_buckets.(b) <- w.lat_buckets.(b) + 1
   in
   let rec loop () =
     match drain st w ~batch:st.cfg.batch with
@@ -1052,13 +974,10 @@ let start (cfg : config) ~graph ~catalog =
       graph;
       catalog;
       intern = Intern.create graph;
-      cache =
-        (if cfg.cache_mb > 0 then
-           Some
-             (Lpp_core.Est_cache.create_l2
-                ~budget_bytes:(cfg.cache_mb * 1024 * 1024)
-                ())
-         else None);
+      l2 =
+        Lpp_core.Est_cache.create_l2
+          ~budget_bytes:(cfg.cache_mb * 1024 * 1024)
+          ();
       stopping = Atomic.make false;
       reader_done = Atomic.make false;
       start_ns = Clock.now_ns ();

@@ -2,8 +2,10 @@
 
     The expensive state — the graph and its immutable statistics catalog — is
     built once by the caller and shared immutably across [workers] estimation
-    domains; each worker owns a private {!Lpp_core.Estimator.make} session, so
-    the hot path allocates (almost) nothing and takes no locks. One reader
+    domains; each worker answers every estimate through its own
+    {!Lpp_core.Est_cache} front per configuration (an L1 over a private
+    estimator session), so the hot path allocates (almost) nothing and takes
+    no locks. Behind the fronts, one L2 is shared by all workers. One reader
     domain owns all socket I/O: it accepts connections, performs admission
     (line-length and queue-depth limits) and enqueues complete request lines
     onto the owning worker's queue; workers drain up to [batch] requests per
@@ -36,9 +38,9 @@ type config = {
       (** serve Prometheus text + JSON stats over plain HTTP on
           127.0.0.1:port (0 = ephemeral, see {!prom_port}) *)
   cache_mb : int;
-      (** shared estimate-cache (L2) byte budget in MiB; 0 disables caching
-          entirely (workers estimate directly, byte-identical to the
-          pre-cache behaviour) *)
+      (** byte budget in MiB of the estimate cache's shared level (L2); 0
+          stores nothing there, while each worker's L1 fronts still answer
+          repeats. Cached answers are bit-identical to computed ones. *)
 }
 
 val default_config : addr -> config
@@ -70,10 +72,11 @@ val stats_json : t -> Lpp_util.Json.t
 
 val metrics_json : t -> Lpp_util.Json.t
 (** What the ["metrics"] op answers: the {!Lpp_obs.Metrics} registry
-    snapshot with the serve.* series overridden by the always-on worker
-    counters (authoritative whether or not the obs switch is live), plus
-    serving-only series (serve.served, serve.queue_depth, serve.qerror…),
-    rendered by {!Lpp_obs.Export.metrics_json_of}. *)
+    snapshot plus every serve.* series (serve.requests, serve.served,
+    serve.errors, serve.rejected, serve.request_ns, serve.queue_depth,
+    serve.qerror, serve.cache.*…), read straight from the always-on worker
+    counters whether or not the obs switch is live, rendered by
+    {!Lpp_obs.Export.metrics_json_of}. *)
 
 val prometheus : t -> string
 (** The same snapshot in Prometheus text exposition format

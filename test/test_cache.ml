@@ -224,10 +224,32 @@ let campus_patterns g =
       [ Pattern.rel_spec ~hops:(1, 2) ~src:0 ~dst:1 () ];
   ]
 
-let test_warm_equals_cold_all_configs () =
-  let f = Fixtures.campus () in
-  let catalog = Lpp_stats.Catalog.build f.graph in
-  let patterns = campus_patterns f.graph in
+(* Eight generated SNB queries with property predicates (30 persons,
+   seed 11), so property values in canonical keys are covered too. *)
+let snb_prop_patterns () =
+  let ds = Lpp_datasets.Snb_gen.generate ~persons:30 ~seed:11 () in
+  let spec =
+    { (Lpp_workload.Query_gen.default_spec With_props) with
+      target = 8;
+      attempts = 50;
+      truth_budget = 300_000;
+    }
+  in
+  let queries =
+    Lpp_workload.Query_gen.generate (Lpp_util.Rng.create 11) ds spec
+  in
+  let patterns =
+    List.map (fun (q : Lpp_workload.Query_gen.query) -> q.pattern) queries
+  in
+  Alcotest.(check bool) "some SNB query has a property predicate" true
+    (List.exists
+       (fun (p : Pattern.t) ->
+         Array.exists (fun n -> n.Pattern.n_props <> [||]) p.nodes
+         || Array.exists (fun r -> r.Pattern.r_props <> [||]) p.rels)
+       patterns);
+  (ds.catalog, patterns)
+
+let check_warm_equals_cold catalog patterns =
   let l2 = Lpp_core.Est_cache.create_l2 ~budget_bytes:(1 lsl 20) () in
   List.iter
     (fun config ->
@@ -257,6 +279,13 @@ let test_warm_equals_cold_all_configs () =
         (name ^ ": second front computed nothing")
         0 c.Lpp_core.Est_cache.c_misses)
     configs
+
+let test_warm_equals_cold_all_configs () =
+  let f = Fixtures.campus () in
+  check_warm_equals_cold (Lpp_stats.Catalog.build f.graph)
+    (campus_patterns f.graph);
+  let catalog, patterns = snb_prop_patterns () in
+  check_warm_equals_cold catalog patterns
 
 let test_renamed_algebra_hits_l1 () =
   let g = small_graph () in

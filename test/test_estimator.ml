@@ -299,6 +299,40 @@ let test_config_names () =
   Alcotest.(check string) "A-LHD-10%" "A-LHD-10%" (Config.name Config.a_lhd_10pct);
   Alcotest.(check int) "six configs" 6 (List.length Config.all)
 
+(* Every configuration resolves under the spellings shells and JSON clients
+   produce: either case, '_' for '-', with or without the trailing '%'. *)
+let test_config_of_name () =
+  let resolves spelling c =
+    match Config.of_name spelling with
+    | Ok got ->
+        Alcotest.(check string) spelling (Config.name c) (Config.name got)
+    | Error msg -> Alcotest.failf "%S rejected: %s" spelling msg
+  in
+  List.iter
+    (fun c ->
+      let n = Config.name c in
+      let under = String.map (function '-' -> '_' | ch -> ch) n in
+      let bare =
+        if String.ends_with ~suffix:"%" n then
+          String.sub n 0 (String.length n - 1)
+        else n
+      in
+      List.iter
+        (fun sp -> resolves sp c)
+        [ n; String.lowercase_ascii n; under; String.lowercase_ascii under;
+          bare; String.lowercase_ascii bare;
+          String.map (function '-' -> '_' | ch -> ch) bare ])
+    (Config.all @ [ Config.a_lhdt ]);
+  List.iter
+    (fun bad ->
+      match Config.of_name bad with
+      | Ok c -> Alcotest.failf "%S resolved to %s" bad (Config.name c)
+      | Error msg ->
+          Alcotest.(check bool) (bad ^ ": message lists A-LHD") true
+            (Str_contains.contains msg "A-LHD"))
+    [ ""; "A"; "A-LHD-"; "A-LHDX"; "A-LHD-20%"; "A-LHD-10%%"; "a lhd";
+      "Z-9"; String.make 2048 'x' ]
+
 let test_memory_bytes_monotone () =
   let ds = Lazy.force Fixtures.small_snb in
   let m c = Estimator.memory_bytes c ds.catalog in
@@ -360,6 +394,7 @@ let suite =
     Alcotest.test_case "estimates: finite on random" `Quick
       test_estimates_finite_on_random_queries;
     Alcotest.test_case "config: names" `Quick test_config_names;
+    Alcotest.test_case "config: of_name spellings" `Quick test_config_of_name;
     Alcotest.test_case "config: memory monotone" `Quick test_memory_bytes_monotone;
     Alcotest.test_case "label_probs: module" `Quick test_label_probs_module;
   ]

@@ -282,6 +282,44 @@ let test_clean_shutdown () =
   (* stop is idempotent *)
   Serve.stop server
 
+(* Unknown configuration names are answered, not remembered: 5,000 requests
+   each naming a distinct 2 KB configuration leave the live heap about where
+   it was. The flight recorder's bounded ring is all that holds their text. *)
+let test_unknown_configs_bounded () =
+  with_server ~workers:1 @@ fun ~graph:_ ~catalog:_ ~addr ~server:_ ->
+  let client = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let unknown i =
+    let line =
+      Json.to_string
+        (Json.Obj
+           [
+             ("op", Json.String "estimate");
+             ("pattern", Json.String "(a:Person)-[]->(b)");
+             ( "config",
+               Json.String (Printf.sprintf "%05d%s" i (String.make 2043 'x')) );
+           ])
+    in
+    match
+      Option.bind
+        (Json.member "error" (Client.request client line))
+        (Json.member "kind")
+    with
+    | Some (Json.String "unknown_config") -> ()
+    | _ -> Alcotest.failf "request %d was not refused as unknown_config" i
+  in
+  unknown 0;
+  Gc.full_major ();
+  let before = (Gc.stat ()).live_words in
+  for i = 1 to 5000 do
+    unknown i
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).live_words - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d (< 500,000)" grown)
+    true (grown < 500_000)
+
 (* ---- observability surface (PR 9) ------------------------------------ *)
 
 let contains = Str_contains.contains
@@ -508,6 +546,50 @@ let test_metrics_and_flight_ops () =
     end
   | None -> Alcotest.fail "flight member missing"
 
+(* Every serve.* series is read from the worker counters, so the metrics
+   snapshot carries them, with exact values, while the obs switch is off. *)
+let test_metrics_series_from_workers () =
+  with_server ~workers:1 ~max_line:128
+  @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
+  let client = Client.connect addr in
+  List.iter
+    (fun line -> ignore (Client.request client line : Json.t))
+    [
+      {|{"op":"estimate","pattern":"(a:Person)-[]->(b)"}|};
+      {|{"op":"estimate","pattern":"(a:Person)-[]->(b)"}|};
+      {|{"op":"estimate","pattern":"(a:"}|};
+      Printf.sprintf {|{"op":"estimate","pattern":"(a:%s)"}|}
+        (String.make 200 'x');
+      {|{"op":"ping"}|};
+    ];
+  Client.close client;
+  (* stopped, the counters are quiescent and exact *)
+  Serve.stop server;
+  let metrics = Serve.metrics_json server in
+  let series kind name =
+    Option.bind (Json.member kind metrics) (Json.member name)
+  in
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check (option int)) name (Some want)
+        (Option.bind (series "counters" name) (function
+          | Json.Int n -> Some n
+          | _ -> None)))
+    [
+      ("serve.requests", 4); ("serve.served", 2); ("serve.errors", 1);
+      ("serve.rejected", 1); ("serve.cache.l1_hits", 1);
+      ("serve.cache.misses", 1);
+    ];
+  Alcotest.(check (option int)) "serve.request_ns count" (Some 4)
+    (Option.bind (series "histograms" "serve.request_ns")
+       (Json.member_int "count"));
+  let text = Serve.prometheus server in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) line true (contains text (line ^ "\n")))
+    [ "lpp_serve_requests_total 4"; "lpp_serve_errors_total 1";
+      "lpp_serve_rejected_total 1"; "lpp_serve_request_ns_count 4" ]
+
 let test_prom_http_listener () =
   with_server ~prom_port:0 @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
   let port =
@@ -606,12 +688,16 @@ let suite =
     Alcotest.test_case "wire: garbage lines all answered" `Quick
       test_garbage_lines_answered;
     Alcotest.test_case "lifecycle: clean shutdown" `Quick test_clean_shutdown;
+    Alcotest.test_case "wire: unknown config names not retained" `Quick
+      test_unknown_configs_bounded;
     Alcotest.test_case "wire: untraced responses byte-identical" `Quick
       test_untraced_wire_byte_identical;
     Alcotest.test_case "wire: traced requests" `Quick test_traced_requests;
     Alcotest.test_case "wire: truth and q-error" `Quick test_truth_qerror;
     Alcotest.test_case "wire: metrics and flight ops" `Quick
       test_metrics_and_flight_ops;
+    Alcotest.test_case "wire: serve series from worker counters" `Quick
+      test_metrics_series_from_workers;
     Alcotest.test_case "http: prometheus listener" `Quick
       test_prom_http_listener;
     Alcotest.test_case "top: frame renders" `Quick test_top_render;
