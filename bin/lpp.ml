@@ -36,15 +36,14 @@ let scale_arg =
            ~doc:"Data set size tier: smoke (sub-second), default, or large \
                  (≥10⁷ relationships, no properties, sampled ground truth)")
 
-(* [--scale] wins; the legacy [--smoke] flag maps to the smoke tier. *)
-let resolve_scale ?(smoke = false) scale_name =
+let resolve_scale scale_name =
   match scale_name with
   | Some s -> begin
       match Lpp_datasets.Scale.of_name s with
       | Ok t -> t
       | Error msg -> failwith msg
     end
-  | None -> if smoke then Lpp_datasets.Scale.Smoke else Lpp_datasets.Scale.Default
+  | None -> Lpp_datasets.Scale.Default
 
 let queries_arg =
   Arg.(value & opt int 20 & info [ "queries"; "n" ] ~docv:"N" ~doc:"Queries to generate")
@@ -156,34 +155,14 @@ let cmd_workload =
 
 (* ---- estimate ------------------------------------------------------- *)
 
-(* Shared by estimate, query and serve: byte budget for the semantic
-   estimate cache's shared level (DESIGN.md §16). Cached estimates are
-   bit-identical to computed ones, so the choice never changes any printed
-   number. *)
-let cache_mb_arg =
-  Arg.(value & opt int 64
-       & info [ "cache-mb" ] ~docv:"MB"
-           ~doc:"Shared estimate-cache (L2) budget in MiB. For estimate and \
-                 query, 0 disables caching; serve keeps each worker's \
-                 per-configuration L1 cache and 0 only leaves the L2 empty. \
-                 Cached estimates are bit-identical to computed ones")
-
-let make_l2 cache_mb =
-  if cache_mb > 0 then
-    Some
-      (Lpp_core.Est_cache.create_l2 ~budget_bytes:(cache_mb * 1024 * 1024) ())
-  else None
-
 let cmd_estimate =
-  let run jobs name seed n props scale_name trace_out metrics_out cache_mb =
+  let run jobs name seed n props scale_name trace_out metrics_out =
     set_jobs jobs;
     let scale = resolve_scale scale_name in
     Cli_common.with_obs ?trace_out ?metrics_out @@ fun () ->
     let ds = dataset_of_name name ~seed ~scale in
     let qs = gen_workload ds ~seed ~n ~props ~scale in
-    let techs =
-      Lpp_harness.Technique.our_configurations ?cache:(make_l2 cache_mb) ds
-    in
+    let techs = Lpp_harness.Technique.our_configurations ds in
     let t =
       Lpp_util.Ascii_table.create
         ([ "id"; "truth" ]
@@ -216,8 +195,7 @@ let cmd_estimate =
     (Cmd.info "estimate"
        ~doc:"Estimate a generated workload with every configuration of our technique")
     Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ queries_arg
-          $ props_arg $ scale_arg $ trace_out_arg $ metrics_out_arg
-          $ cache_mb_arg)
+          $ props_arg $ scale_arg $ trace_out_arg $ metrics_out_arg)
 
 (* ---- plan ----------------------------------------------------------- *)
 
@@ -272,25 +250,14 @@ let cmd_export =
 (* ---- query ---------------------------------------------------------- *)
 
 let cmd_query =
-  let run jobs name seed scale_name trace_out metrics_out cache_mb queries =
+  let run jobs name seed scale_name trace_out metrics_out queries =
     set_jobs jobs;
     let scale = resolve_scale scale_name in
     Cli_common.with_obs ?trace_out ?metrics_out @@ fun () ->
     let ds = dataset_of_name name ~seed ~scale in
-    let l2 = make_l2 cache_mb in
     let sessions =
       List.map
-        (fun config ->
-          let session = Lpp_core.Estimator.make config ds.catalog in
-          let estimate =
-            match l2 with
-            | Some _ ->
-                let c = Lpp_core.Est_cache.create ?l2 ~session config ds.catalog in
-                fun alg -> Lpp_core.Est_cache.estimate c alg
-            | None ->
-                fun alg -> Lpp_core.Estimator.session_estimate session alg
-          in
-          (config, estimate))
+        (fun config -> (config, Lpp_core.Estimator.make config ds.catalog))
         (Lpp_core.Config.all @ [ Lpp_core.Config.a_lhdt ])
     in
     List.iter
@@ -311,10 +278,10 @@ let cmd_query =
             Printf.printf "  operator sequence: %s\n"
               (Format.asprintf "%a" Lpp_pattern.Algebra.pp alg);
             List.iter
-              (fun (config, estimate) ->
+              (fun (config, session) ->
                 Printf.printf "  %-10s %.2f\n"
                   (Lpp_core.Config.name config)
-                  (estimate alg))
+                  (Lpp_core.Estimator.session_estimate session alg))
               sessions)
       queries
   in
@@ -326,7 +293,7 @@ let cmd_query =
     (Cmd.info "query"
        ~doc:"Parse openCypher-style patterns, estimate and count them")
     Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ scale_arg
-          $ trace_out_arg $ metrics_out_arg $ cache_mb_arg $ queries)
+          $ trace_out_arg $ metrics_out_arg $ queries)
 
 (* ---- lint ----------------------------------------------------------- *)
 
@@ -337,10 +304,6 @@ let config_of_name name =
 
 (* Arguments shared by the pattern-driven subcommands (lint, trace); both
    load patterns through Cli_common.load_patterns and exit 1 on errors. *)
-let smoke_arg =
-  Arg.(value & flag
-       & info [ "smoke" ] ~doc:"Use reduced data set sizes (sub-second; for CI)")
-
 let config_arg =
   Arg.(value & opt string "A-LHD"
        & info [ "config"; "c" ] ~docv:"CFG"
@@ -357,10 +320,10 @@ let patterns_arg =
        ~doc:"openCypher-style patterns; none = use a generated workload")
 
 let cmd_lint =
-  let run jobs name seed n props smoke scale_name json config_name file patterns =
+  let run jobs name seed n props scale_name json config_name file patterns =
     set_jobs jobs;
     let config = config_of_name config_name in
-    let scale = resolve_scale ~smoke scale_name in
+    let scale = resolve_scale scale_name in
     let ds = dataset_of_name name ~seed ~scale in
     let catalog_diags = Lpp_analysis.Catalog_check.run ds.catalog in
     let texts_and_algs =
@@ -459,7 +422,7 @@ let cmd_lint =
                patterns — or over a generated workload — and exits non-zero \
                if any error-severity diagnostic is found." ])
     Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ queries_arg
-          $ props_arg $ smoke_arg $ scale_arg $ json $ config_arg $ file_arg
+          $ props_arg $ scale_arg $ json $ config_arg $ file_arg
           $ patterns_arg)
 
 (* ---- srclint -------------------------------------------------------- *)
@@ -528,11 +491,11 @@ let cmd_srclint =
 (* ---- trace ---------------------------------------------------------- *)
 
 let cmd_trace =
-  let run jobs name seed n props smoke scale_name config_name file out metrics
+  let run jobs name seed n props scale_name config_name file out metrics
       count patterns =
     set_jobs jobs;
     let config = config_of_name config_name in
-    let scale = resolve_scale ~smoke scale_name in
+    let scale = resolve_scale scale_name in
     (* Enable before the data set is built so catalog build phases (compile
        included) and the pool's per-task spans all land in the trace. *)
     Lpp_obs.Obs.enable ();
@@ -603,7 +566,7 @@ let cmd_trace =
                aggregate text report. Exits non-zero if any pattern fails to \
                parse, mirroring $(b,lpp lint)." ])
     Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ queries_arg
-          $ props_arg $ smoke_arg $ scale_arg $ config_arg $ file_arg $ out
+          $ props_arg $ scale_arg $ config_arg $ file_arg $ out
           $ metrics_out_arg $ count $ patterns_arg)
 
 (* ---- serve ---------------------------------------------------------- *)
@@ -614,12 +577,12 @@ let contains hay needle =
   nn = 0 || go 0
 
 let cmd_serve =
-  let run name seed smoke scale_name config_name socket port host workers batch
+  let run name seed scale_name config_name socket port host workers batch
       max_line max_pending check file n props trace_out metrics_out patterns
       prom flight slow_ms log_level log_json metrics_out_file metrics_every
       cache_mb =
     let config = config_of_name config_name in
-    let scale = resolve_scale ~smoke scale_name in
+    let scale = resolve_scale scale_name in
     (match Lpp_obs.Log.level_of_string log_level with
     | Some level ->
         Lpp_obs.Log.configure ~level
@@ -974,6 +937,16 @@ let cmd_serve =
          & info [ "metrics-every" ] ~docv:"SEC"
              ~doc:"Seconds between $(b,--metrics-out) snapshots")
   in
+  (* Sizes a long-lived server's memory (DESIGN.md §16). Cached estimates
+     are bit-identical to computed ones, so it never changes an answer. *)
+  let cache_mb =
+    Arg.(value & opt int 64
+         & info [ "cache-mb" ] ~docv:"MB"
+             ~doc:"Shared estimate-cache (L2) budget in MiB. Each worker \
+                   keeps its per-configuration L1 cache; 0 only leaves the \
+                   L2 empty. Cached estimates are bit-identical to computed \
+                   ones")
+  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run a long-lived estimation service speaking NDJSON over a socket"
@@ -986,12 +959,12 @@ let cmd_serve =
                drain queued requests before exiting.";
            `P "Try: echo '{\"op\": \"estimate\", \"pattern\": \
                \"(a:Person)-[:KNOWS]->(b)\"}' | nc -U /tmp/lpp-serve.sock" ])
-    Term.(const run $ dataset_arg $ seed_arg $ smoke_arg $ scale_arg
+    Term.(const run $ dataset_arg $ seed_arg $ scale_arg
           $ config_arg $ socket $ port $ host $ workers $ batch $ max_line
           $ max_pending $ check $ file_arg $ queries_arg $ props_arg
           $ trace_out_arg $ metrics_out_arg $ patterns_arg $ prom $ flight
           $ slow_ms $ log_level $ log_json $ metrics_out_file $ metrics_every
-          $ cache_mb_arg)
+          $ cache_mb)
 
 (* ---- top ------------------------------------------------------------- *)
 
@@ -1096,8 +1069,8 @@ let cmd_top =
 (* ---- stats ---------------------------------------------------------- *)
 
 let cmd_stats =
-  let run name seed smoke scale_name =
-    let scale = resolve_scale ~smoke scale_name in
+  let run name seed scale_name =
+    let scale = resolve_scale scale_name in
     let t0 = Lpp_util.Clock.now_ns () in
     let ds = dataset_of_name name ~seed ~scale in
     let generate_s = Lpp_util.Clock.elapsed_s ~since:t0 -. ds.catalog_s in
@@ -1125,7 +1098,7 @@ let cmd_stats =
                (CSR adjacency, relationship columns, NC/RC catalog arrays). \
                Use $(b,--scale large) to exercise the ≥10⁷-relationship \
                tier." ])
-    Term.(const run $ dataset_arg $ seed_arg $ smoke_arg $ scale_arg)
+    Term.(const run $ dataset_arg $ seed_arg $ scale_arg)
 
 let () =
   let info =

@@ -232,7 +232,6 @@ type counters = {
 
 type t = {
   session : Estimator.session;
-  config : Config.t;
   l2_prefix : string;  (* epoch ^ "\x00" ^ config tag ^ "\x00" *)
   scratch : Canon.scratch;
   l2 : l2 option;
@@ -253,21 +252,15 @@ let m_miss = Lpp_obs.Metrics.counter "estcache.miss"
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
-let create ?(l1_slots = 1024) ?l2 ?session ?counters config catalog =
+let create ?(l1_slots = 1024) ?l2 ?counters config catalog =
   let slots = pow2_at_least (max 2 (min l1_slots (1 lsl 20))) 2 in
-  let session =
-    match session with
-    | Some s -> s
-    | None -> Estimator.make config catalog
-  in
   let counters =
     match counters with
     | Some c -> c
     | None -> { c_hits = 0; c_shared_hits = 0; c_misses = 0; c_bytes = 0 }
   in
   {
-    session;
-    config;
+    session = Estimator.make config catalog;
     l2_prefix =
       Printf.sprintf "%d\x00%s\x00" (Catalog.epoch catalog) (config_tag config);
     scratch = Canon.create_scratch ();
@@ -278,10 +271,6 @@ let create ?(l1_slots = 1024) ?l2 ?session ?counters config catalog =
     values = Array.make slots 0.0;
     counters;
   }
-
-let config t = t.config
-
-let session t = t.session
 
 let counters t = t.counters
 

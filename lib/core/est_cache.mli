@@ -66,18 +66,16 @@ type t
 val create :
   ?l1_slots:int ->
   ?l2:l2 ->
-  ?session:Estimator.session ->
   ?counters:counters ->
   Config.t ->
   Lpp_stats.Catalog.t ->
   t
 (** [l1_slots] (default 1024, rounded up to a power of two) bounds the
-    per-session table; L1 entries are overwritten, never evicted. [session]
-    supplies an existing estimator session to compute misses on (a fresh one
-    is created otherwise). When [l2] is given, misses consult it before
-    computing and publish what they compute. [counters] shares one counter
-    record across several caches (e.g. a worker's per-config fronts) so the
-    owner reads one aggregate. *)
+    per-session table; L1 entries are overwritten, never evicted. Misses are
+    computed on a private estimator session. When [l2] is given, misses
+    consult it before computing and publish what they compute. [counters]
+    shares one counter record across several caches (e.g. a worker's
+    per-config fronts) so the owner reads one aggregate. *)
 
 val estimate : t -> Lpp_pattern.Algebra.t -> float
 (** Cached {!Lpp_core.Estimator.session_estimate} — bit-identical to it,
@@ -85,11 +83,6 @@ val estimate : t -> Lpp_pattern.Algebra.t -> float
 
 val estimate_pattern : t -> Lpp_pattern.Pattern.t -> float
 (** [Lpp_pattern.Planner.plan] followed by {!estimate}. *)
-
-val config : t -> Config.t
-
-val session : t -> Estimator.session
-(** The wrapped session (for uncached paths that must share its state). *)
 
 val shared : t -> l2 option
 

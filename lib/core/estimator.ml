@@ -164,8 +164,10 @@ let apply_get_nodes st ~var =
 (* ------------------------------------------------------------------ *)
 
 let apply_label_selection st ~var ~label =
-  (* Labels interned after the catalog was built (e.g. a query naming a label
-     the data never uses) have no statistics: the selection is empty. *)
+  (* A label id with no catalog counter has no statistics: the selection is
+     empty. An unknown query label is one: names are resolved against the
+     vocabulary, never written into it, and a missing one maps to the
+     vocabulary's size. *)
   if label < 0 || label >= Label_probs.label_count st.probs then begin
     st.card <- 0.0;
     Label_probs.update_all st.probs ~var ~f:(fun _ _ -> 0.0)

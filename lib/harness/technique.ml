@@ -8,28 +8,16 @@ type t = {
   memory_bytes : int;
 }
 
-let ours ?(lint_zero = false) ?cache config catalog =
+let ours ?(lint_zero = false) config catalog =
   (* One estimator session per domain: Runner.run fans queries out across a
      domain pool, and sessions hold scratch state that must not be shared.
      Estimates are pure in (config, catalog, pattern), so which domain's
-     session serves a query cannot change the result. With [cache] the
-     per-domain session gets an Est_cache front sharing that L2 — cached
-     estimates are bit-identical to computed ones, so results are unchanged
-     (only repeated work is skipped). *)
+     session serves a query cannot change the result. *)
   let session_key =
     Domain.DLS.new_key (fun () -> Lpp_core.Estimator.make config catalog)
   in
-  let cache_key =
-    Domain.DLS.new_key (fun () ->
-        Lpp_core.Est_cache.create ?l2:cache
-          ~session:(Domain.DLS.get session_key)
-          config catalog)
-  in
   let session_estimate alg =
-    match cache with
-    | Some _ -> Lpp_core.Est_cache.estimate (Domain.DLS.get cache_key) alg
-    | None ->
-        Lpp_core.Estimator.session_estimate (Domain.DLS.get session_key) alg
+    Lpp_core.Estimator.session_estimate (Domain.DLS.get session_key) alg
   in
   let estimate =
     if lint_zero then fun p ->
@@ -98,8 +86,8 @@ let sumrdf ?target_buckets ?budget (ds : Lpp_datasets.Dataset.t) =
     memory_bytes = Sumrdf.memory_bytes est;
   }
 
-let our_configurations ?lint_zero ?cache (ds : Lpp_datasets.Dataset.t) =
-  List.map (fun c -> ours ?lint_zero ?cache c ds.catalog) Lpp_core.Config.all
+let our_configurations ?lint_zero (ds : Lpp_datasets.Dataset.t) =
+  List.map (fun c -> ours ?lint_zero c ds.catalog) Lpp_core.Config.all
   @ [ neo4j ds.catalog ]
 
 let state_of_the_art ~seed (ds : Lpp_datasets.Dataset.t) =

@@ -15,18 +15,8 @@ type t = {
   memory_bytes : int;
 }
 
-val ours :
-  ?lint_zero:bool ->
-  ?cache:Lpp_core.Est_cache.l2 ->
-  Lpp_core.Config.t ->
-  Lpp_stats.Catalog.t ->
-  t
+val ours : ?lint_zero:bool -> Lpp_core.Config.t -> Lpp_stats.Catalog.t -> t
 (** One of our configurations (S-L … A-LHD-10%).
-
-    [cache] routes estimates through a per-domain {!Lpp_core.Est_cache}
-    front backed by the given shared L2. Cached estimates are bit-identical
-    to computed ones, so the technique's output is unchanged — repeated or
-    variable-renamed patterns just stop paying for Algorithm 1.
 
     [lint_zero] (default [false]) short-circuits sequences that
     [Lpp_analysis.Lint.provably_zero] marks empty to an exact [0.0] instead
@@ -45,12 +35,9 @@ val wander_join :
 
 val sumrdf : ?target_buckets:int -> ?budget:int -> Lpp_datasets.Dataset.t -> t
 
-val our_configurations :
-  ?lint_zero:bool -> ?cache:Lpp_core.Est_cache.l2 -> Lpp_datasets.Dataset.t ->
-  t list
+val our_configurations : ?lint_zero:bool -> Lpp_datasets.Dataset.t -> t list
 (** The six configurations of Figure 5, plus Neo4j as the reference point.
-    [lint_zero] and [cache] are passed through to {!ours} (all six
-    configurations share the one L2 — entries are config-keyed). *)
+    [lint_zero] is passed through to {!ours}. *)
 
 val state_of_the_art : seed:int -> Lpp_datasets.Dataset.t -> t list
 (** Figure 6/7/8 lineup: CSets, Neo4j, A-LHD, WJ-1, WJ-100, WJ-R, SumRDF. *)

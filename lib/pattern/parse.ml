@@ -254,7 +254,7 @@ let parse_rel st =
 let looks_like_rel st =
   match peek st with Some (Dash | Arrow_in) -> true | _ -> false
 
-let parse_with ~label_id ~type_id ~key_id input =
+let parse graph input =
   try
     let st = { toks = tokenize input } in
     (* accept and skip a leading MATCH keyword *)
@@ -303,22 +303,11 @@ let parse_with ~label_id ~type_id ~key_id input =
     | _ -> fail "trailing input after pattern");
     let node_specs = List.rev_map snd !nodes in
     let var_names = Array.of_list (List.rev_map fst !nodes) in
-    let pattern =
-      Pattern.of_spec_with ~label_id ~type_id ~key_id node_specs
-        (List.rev !rels)
-    in
+    let pattern = Pattern.of_spec graph node_specs (List.rev !rels) in
     Ok { pattern; var_names }
   with
   | Parse_error msg -> Error msg
   | Invalid_argument msg -> Error msg
-
-let parse graph input =
-  let open Lpp_pgraph in
-  parse_with
-    ~label_id:(Interner.intern (Graph.labels graph))
-    ~type_id:(Interner.intern (Graph.rel_types graph))
-    ~key_id:(Interner.intern (Graph.prop_keys graph))
-    input
 
 let parse_exn graph input =
   match parse graph input with

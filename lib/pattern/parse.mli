@@ -21,7 +21,9 @@
     naturally: ["(a)-[:KNOWS]->(b)-[:KNOWS]->(a)"]. Bare [*] means hops 1..∞,
     capped at {!max_unbounded_hops}; [*n] means exactly n; [*n..m] a range.
 
-    Names are resolved against (and interned into) the graph's vocabulary. *)
+    Names are resolved against, never written into, the graph's vocabulary
+    (see {!Pattern.of_spec}): a name the data never uses resolves to the
+    vocabulary's size and matches nothing. *)
 
 val max_unbounded_hops : int
 (** Upper bound substituted for an open range (3). *)
@@ -31,17 +33,6 @@ type parsed = { pattern : Pattern.t; var_names : string option array }
     if any. *)
 
 val parse : Lpp_pgraph.Graph.t -> string -> (parsed, string) result
-
-val parse_with :
-  label_id:(string -> int) ->
-  type_id:(string -> int) ->
-  key_id:(string -> int) ->
-  string ->
-  (parsed, string) result
-(** Like {!parse} with caller-supplied name resolution (see
-    {!Pattern.of_spec_with}) — the serving layer parses against per-worker
-    read-mostly intern tables so concurrent workers don't serialize on the
-    graph's interners. *)
 
 val parse_exn : Lpp_pgraph.Graph.t -> string -> Pattern.t
 (** @raise Invalid_argument with the parse error message. *)

@@ -87,17 +87,28 @@ let node_spec ?(labels = []) ?(props = []) () = { labels; props }
 let rel_spec ?(types = []) ?(directed = true) ?(rprops = []) ?hops ~src ~dst () =
   { src; dst; types; directed; rprops; hops }
 
-let sorted_ids intern names =
-  let arr = Array.of_list (List.map intern names) in
+let sorted_ids id names =
+  let arr = Array.of_list (List.map id names) in
   Array.sort Int.compare arr;
   arr
 
-let sorted_props intern props =
-  let arr = Array.of_list (List.map (fun (k, p) -> (intern k, p)) props) in
+let sorted_props id props =
+  let arr = Array.of_list (List.map (fun (k, p) -> (id k, p)) props) in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
   arr
 
-let of_spec_with ~label_id ~type_id ~key_id node_specs rel_specs =
+(* Read-only: a name the vocabulary lacks resolves to the vocabulary's size,
+   an id no statistic, extent or property carries. *)
+let resolve interner name =
+  match Lpp_pgraph.Interner.find_opt interner name with
+  | Some id -> id
+  | None -> Lpp_pgraph.Interner.size interner
+
+let of_spec graph node_specs rel_specs =
+  let open Lpp_pgraph in
+  let label_id = resolve (Graph.labels graph)
+  and type_id = resolve (Graph.rel_types graph)
+  and key_id = resolve (Graph.prop_keys graph) in
   let nodes =
     node_specs
     |> List.map (fun (s : node_spec) ->
@@ -120,14 +131,6 @@ let of_spec_with ~label_id ~type_id ~key_id node_specs rel_specs =
   in
   make ~nodes ~rels
 
-let of_spec graph node_specs rel_specs =
-  let open Lpp_pgraph in
-  of_spec_with
-    ~label_id:(Interner.intern (Graph.labels graph))
-    ~type_id:(Interner.intern (Graph.rel_types graph))
-    ~key_id:(Interner.intern (Graph.prop_keys graph))
-    node_specs rel_specs
-
 let label_total t =
   Array.fold_left (fun acc n -> acc + Array.length n.n_labels) 0 t.nodes
 
@@ -146,15 +149,15 @@ let has_var_length t =
 
 let pp_with ~redeclare ?(names = None) ppf t =
   let open Lpp_pgraph in
-  let label_name id =
-    match names with Some g -> Interner.name (Graph.labels g) id | None -> "L" ^ string_of_int id
+  (* an unknown name resolved to the vocabulary's size has no name *)
+  let name vocab prefix id =
+    match names with
+    | Some g when id < Interner.size (vocab g) -> Interner.name (vocab g) id
+    | Some _ | None -> prefix ^ string_of_int id
   in
-  let type_name id =
-    match names with Some g -> Interner.name (Graph.rel_types g) id | None -> "T" ^ string_of_int id
-  in
-  let key_name id =
-    match names with Some g -> Interner.name (Graph.prop_keys g) id | None -> "k" ^ string_of_int id
-  in
+  let label_name = name Graph.labels "L"
+  and type_name = name Graph.rel_types "T"
+  and key_name = name Graph.prop_keys "k" in
   let pp_props ppf props =
     if Array.length props > 0 then begin
       Format.fprintf ppf " {";

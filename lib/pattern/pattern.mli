@@ -67,25 +67,12 @@ val rel_spec :
     [1 <= lo <= hi]. *)
 
 val of_spec : Lpp_pgraph.Graph.t -> node_spec list -> rel_spec list -> t
-(** Resolve names against the graph's interners. Unknown labels / types / keys
-    are interned (the pattern simply matches nothing for them).
-
-    Resolution mutates the graph's interners, so statistics catalogs built
-    before or after are unaffected (they index by id and treat absent ids as
-    count zero). *)
-
-val of_spec_with :
-  label_id:(string -> int) ->
-  type_id:(string -> int) ->
-  key_id:(string -> int) ->
-  node_spec list ->
-  rel_spec list ->
-  t
-(** Like {!of_spec} with caller-supplied name resolution, for contexts where
-    interning directly into a shared graph would contend or race — the
-    serving layer resolves against per-worker read-mostly tables
-    ({!Lpp_serve.Intern}). The resolvers must be consistent with the graph's
-    interners (same name ⇒ same id) for estimates to match {!of_spec}. *)
+(** Resolve names against the graph's vocabulary, read-only: the graph is
+    never written, so any number of domains may resolve against it at once.
+    A label, type or key the vocabulary lacks resolves to that vocabulary's
+    size, an id that no node, relationship or statistic carries, so the
+    pattern matches nothing and every estimator formula reads it as empty.
+    Distinct unknown names of one kind therefore share that id. *)
 
 (** {1 Accessors} *)
 
@@ -118,7 +105,8 @@ val has_var_length : t -> bool
 
 val pp : ?names:(Lpp_pgraph.Graph.t option) -> Format.formatter -> t -> unit
 (** Render as an openCypher-like string; with [names] the ids are resolved to
-    strings. *)
+    strings, except an id past the vocabulary (an unknown name, see
+    {!of_spec}), which prints as it does without [names]. *)
 
 val pp_parseable : ?names:(Lpp_pgraph.Graph.t option) -> Format.formatter -> t -> unit
 (** Like {!pp}, but a shared variable's labels and properties are declared only

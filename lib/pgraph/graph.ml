@@ -79,8 +79,9 @@ let assoc_prop props key =
 let node_prop t n key = assoc_prop t.node_props.(n) key
 
 let nodes_with_label t l =
-  (* labels interned into the vocabulary after freezing (e.g. by a query)
-     have an empty extent *)
+  (* an id at or past the label count has an empty extent; an unknown query
+     label is one, as names are resolved against the vocabulary, never
+     written into it, and a missing one maps to the label count *)
   if l < 0 || l >= Array.length t.label_index then [||] else t.label_index.(l)
 
 let unlabeled_node_count t = t.unlabeled

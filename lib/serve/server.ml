@@ -108,9 +108,8 @@ type worker = {
 
 type t = {
   cfg : config;
-  graph : Lpp_pgraph.Graph.t;
+  graph : Lpp_pgraph.Graph.t;  (* read-only: parsing never interns *)
   catalog : Lpp_stats.Catalog.t;
-  intern : Intern.shared;  (* read-mostly name resolution (DESIGN.md §16) *)
   l2 : Lpp_core.Est_cache.l2;  (* shared across worker domains *)
   stopping : bool Atomic.t;
   reader_done : bool Atomic.t;
@@ -396,20 +395,24 @@ let info_default =
     qerror = None;
   }
 
-(* Worker-local request-path state: intern overlays, one Est_cache front per
-   configuration (created on first use; all share the worker's counter
-   record and the server's L2), and a parse memo from raw pattern text to
-   its planned operator sequence. Parsing and planning are deterministic
-   (interned ids are append-only, the planner is a pure function of the
-   pattern), so a repeated request line skips straight to the cache probe.
-   Bounded: the memo is reset when it reaches [pmemo_cap] entries. *)
+(* Worker-local request-path state: one Est_cache front per configuration
+   (created on first use; all share the worker's counter record and the
+   server's L2), and a parse memo from raw pattern text to its planned
+   operator sequence. Parsing and planning are deterministic (the graph's
+   vocabulary is fixed and parsing only reads it; the planner is a pure
+   function of the pattern), so a repeated request line skips straight to
+   the cache probe. Bounded in bytes: the memo is reset when the next entry
+   would take it past [pmemo_budget]. *)
 type wstate = {
-  wintern : Intern.worker;
   mutable fronts : (Lpp_core.Config.t * Lpp_core.Est_cache.t) list;
   pmemo : (string, (Lpp_pattern.Algebra.t, string) result) Hashtbl.t;
+  mutable pmemo_bytes : int;  (* Mem_size-accounted: text + planned result *)
 }
 
-let pmemo_cap = 8192
+(* 1 MiB per worker: an example SNB pattern costs 290-580 B, so the memo
+   holds over 1,800 of them, several times the repository benchmark's
+   256-pattern hot pool. *)
+let pmemo_budget = 1 lsl 20
 
 let make_front st w est_cfg =
   Lpp_core.Est_cache.create ~l2:st.l2 ~counters:w.cache_counters est_cfg
@@ -423,17 +426,28 @@ let front st w ws est_cfg =
       ws.fronts <- (est_cfg, c) :: ws.fronts;
       c
 
-let plan_text ws pattern =
+let plan_text st ws pattern =
   match Hashtbl.find_opt ws.pmemo pattern with
   | Some r -> r
   | None ->
       let r =
-        match Intern.parse ws.wintern pattern with
+        match Lpp_pattern.Parse.parse st.graph pattern with
         | Error msg -> Error msg
         | Ok { pattern = p; _ } -> Ok (Lpp_pattern.Planner.plan p)
       in
-      if Hashtbl.length ws.pmemo >= pmemo_cap then Hashtbl.reset ws.pmemo;
-      Hashtbl.add ws.pmemo pattern r;
+      let bytes =
+        Mem_size.table_entry
+          ~key_bytes:(Mem_size.string_bytes pattern)
+          ~value_bytes:(Mem_size.reachable r)
+      in
+      if ws.pmemo_bytes + bytes > pmemo_budget then begin
+        Hashtbl.reset ws.pmemo;
+        ws.pmemo_bytes <- 0
+      end;
+      if bytes <= pmemo_budget then begin
+        Hashtbl.add ws.pmemo pattern r;
+        ws.pmemo_bytes <- ws.pmemo_bytes + bytes
+      end;
       r
 
 (* One request line, start to finish. Returns the response plus the request
@@ -482,8 +496,8 @@ let answer st w ws ~t0 ~seq line =
             if !live then
               Lpp_obs.Trace.with_span ~cat:"serve" "serve.parse"
                 ~args:(fun () -> [| ("rid", float_of_int seq) |])
-                (fun () -> plan_text ws pattern)
-            else plan_text ws pattern
+                (fun () -> plan_text st ws pattern)
+            else plan_text st ws pattern
           in
           match planned with
           | Error msg ->
@@ -551,9 +565,9 @@ let worker_loop st idx =
      created on first use and kept for the worker's lifetime *)
   let ws =
     {
-      wintern = Intern.worker st.intern;
       fronts = [ (st.cfg.estimator, make_front st w st.cfg.estimator) ];
       pmemo = Hashtbl.create 256;
+      pmemo_bytes = 0;
     }
   in
   let live = Lpp_obs.Obs.live in
@@ -973,7 +987,6 @@ let start (cfg : config) ~graph ~catalog =
       cfg;
       graph;
       catalog;
-      intern = Intern.create graph;
       l2 =
         Lpp_core.Est_cache.create_l2
           ~budget_bytes:(cfg.cache_mb * 1024 * 1024)

@@ -16,10 +16,10 @@
     request order — pipelining is safe without request ids.
 
     The only cross-domain mutability is the per-worker job queue (mutex +
-    condition), the sharded estimate-cache L2 ({!Lpp_core.Est_cache}), the
-    interning slow path ({!Intern} — taken only for names the graph did not
-    know at server start) and the shutdown flags; see DESIGN.md §12 and §16
-    for the invariants. *)
+    condition), the sharded estimate-cache L2 ({!Lpp_core.Est_cache}) and
+    the shutdown flags. Workers parse against the graph's vocabulary
+    read-only ({!Lpp_pattern.Parse.parse}), so the graph needs no lock; see
+    DESIGN.md §12 and §16 for the invariants. *)
 
 type addr =
   | Unix_socket of string  (** filesystem path; unlinked on shutdown *)

@@ -10,6 +10,8 @@ let table_entry ~key_bytes ~value_bytes =
   (* key + value + bucket pointer + header overhead *)
   key_bytes + value_bytes + (2 * word)
 
+let reachable v = Obj.reachable_words (Obj.repr v) * word
+
 let bigarray1 a = Bigarray.Array1.size_in_bytes a + (2 * word)
 
 let to_string bytes =

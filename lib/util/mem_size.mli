@@ -20,6 +20,11 @@ val string_bytes : string -> int
 val table_entry : key_bytes:int -> value_bytes:int -> int
 (** One hash-table binding including bucket overhead. *)
 
+val reachable : 'a -> int
+(** Bytes of every heap block reachable from an immutable value, headers
+    included ([Obj.reachable_words] × {!word}); a block shared within the
+    value counts once. *)
+
 val bigarray1 : ('a, 'b, 'c) Bigarray.Array1.t -> int
 (** Payload of a Bigarray ([Array1.size_in_bytes] — element count × element
     width, not the 1-word custom block the GC sees) plus the proxy header. *)

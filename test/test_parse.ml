@@ -120,6 +120,158 @@ let test_roundtrip_with_estimator () =
         true
         (Lpp_harness.Qerror.q_error ~truth ~estimate:est < 3.0)
 
+(* ---- read-only name resolution -------------------------------------- *)
+
+type slot = { kind : [ `Label | `Type | `Key ]; mutable name : string }
+
+(* Fresh names are distinct across every generated case: graph B below
+   keeps all of them. *)
+let fresh = ref 0
+
+(* A random connected pattern over the campus vocabulary, as parseable text,
+   in which 0-3 label, type or key occurrences name a fresh word the graph
+   never saw. Returns the text and the fresh names by kind. *)
+let unknown_name_pattern rng =
+  let open Lpp_util in
+  let slots = ref [] in
+  let slot kind pool =
+    let s = { kind; name = Rng.pick rng pool } in
+    slots := s :: !slots;
+    s
+  in
+  let labels = [| "Person"; "Student"; "Tutor"; "Teacher"; "Course"; "Seminar" |]
+  and types = [| "attends"; "teaches"; "assistantOf"; "likes" |]
+  and keys = [| "name"; "title"; "semester" |] in
+  let props p =
+    if Rng.coin rng p then
+      [ (slot `Key keys, Rng.pick rng [| None; Some "3"; Some "\"Carol\"" |]) ]
+    else []
+  in
+  let n = Rng.int_in rng 1 4 in
+  let node_labels =
+    Array.init n (fun _ -> List.init (Rng.int rng 3) (fun _ -> slot `Label labels))
+  in
+  let node_props = Array.init n (fun _ -> props 0.3) in
+  let rel src dst =
+    let rtypes = List.init (Rng.int rng 3) (fun _ -> slot `Type types) in
+    let hops = if Rng.coin rng 0.15 then "*1..2" else "" in
+    (src, dst, Rng.int rng 3, rtypes, hops, props 0.15)
+  in
+  let rels = List.init (n - 1) (fun i -> rel (Rng.int rng (i + 1)) (i + 1)) in
+  let rels =
+    if n >= 2 && Rng.coin rng 0.3 then
+      rels @ [ rel (Rng.int rng n) (Rng.int rng n) ]
+    else rels
+  in
+  let chosen = Array.of_list !slots in
+  Rng.shuffle rng chosen;
+  let fresh_names =
+    List.init
+      (min (Rng.int rng 4) (Array.length chosen))
+      (fun i ->
+        incr fresh;
+        chosen.(i).name <- Printf.sprintf "Fresh%d" !fresh;
+        (chosen.(i).kind, chosen.(i).name))
+  in
+  let props_text = function
+    | [] -> ""
+    | ps ->
+        " {"
+        ^ String.concat ", "
+            (List.map
+               (fun (k, v) ->
+                 match v with None -> k.name | Some v -> k.name ^ ": " ^ v)
+               ps)
+        ^ "}"
+  in
+  (* labels and properties go on a variable's first occurrence only *)
+  let declared = Array.make n false in
+  let node i =
+    if declared.(i) then Printf.sprintf "(v%d)" i
+    else begin
+      declared.(i) <- true;
+      Printf.sprintf "(v%d%s%s)" i
+        (String.concat "" (List.map (fun s -> ":" ^ s.name) node_labels.(i)))
+        (props_text node_props.(i))
+    end
+  in
+  let path (src, dst, dir, types, hops, rprops) =
+    let body =
+      Printf.sprintf "[%s%s%s]"
+        (match types with
+        | [] -> ""
+        | ts -> ":" ^ String.concat "|" (List.map (fun s -> s.name) ts))
+        hops (props_text rprops)
+    in
+    let left = node src in
+    let right = node dst in
+    match dir with
+    | 0 -> left ^ "-" ^ body ^ "->" ^ right
+    | 1 -> left ^ "<-" ^ body ^ "-" ^ right
+    | _ -> left ^ "-" ^ body ^ "-" ^ right
+  in
+  let text =
+    match rels with [] -> node 0 | _ -> String.concat ", " (List.map path rels)
+  in
+  (text, fresh_names)
+
+(* Parsing resolves names read-only: on graph A the fresh names all map to
+   their vocabulary's size, on an identically built graph B that interned
+   them first they get distinct ids, and still every configuration
+   estimates the same bits on one catalog and the matcher counts the same.
+   A's vocabulary never grows. *)
+let prop_read_only_resolution =
+  let open Lpp_pgraph in
+  let world =
+    lazy
+      (let a = (Fixtures.campus ()).graph and b = (Fixtures.campus ()).graph in
+       let catalog = Lpp_stats.Catalog.build a in
+       let sessions =
+         List.map
+           (fun c -> Lpp_core.Estimator.make c catalog)
+           (Lpp_core.Config.all @ [ Lpp_core.Config.a_lhdt ])
+       in
+       (a, b, sessions))
+  in
+  let vocab g = Graph.(label_count g, rel_type_count g, prop_key_count g) in
+  QCheck.Test.make ~count:300
+    ~name:"parse: unknown names resolve read-only, same bits as interned"
+    QCheck.int
+    (fun seed ->
+      let a, b, sessions = Lazy.force world in
+      let sizes = vocab a in
+      let text, fresh_names = unknown_name_pattern (Lpp_util.Rng.create seed) in
+      List.iter
+        (fun (kind, name) ->
+          let vocabulary =
+            match kind with
+            | `Label -> Graph.labels b
+            | `Type -> Graph.rel_types b
+            | `Key -> Graph.prop_keys b
+          in
+          ignore (Interner.intern vocabulary name : int))
+        fresh_names;
+      match (Parse.parse a text, Parse.parse b text) with
+      | Ok pa, Ok pb ->
+          let bits s p =
+            Int64.bits_of_float
+              (Lpp_core.Estimator.session_estimate_pattern s p)
+          in
+          List.iter
+            (fun s ->
+              if bits s pa.pattern <> bits s pb.pattern then
+                QCheck.Test.fail_reportf "%s: estimates differ" text)
+            sessions;
+          if
+            Lpp_exec.Matcher.count a pa.pattern
+            <> Lpp_exec.Matcher.count b pb.pattern
+          then QCheck.Test.fail_reportf "%s: exact counts differ" text;
+          if vocab a <> sizes then
+            QCheck.Test.fail_reportf "%s: parsing grew the vocabulary" text;
+          true
+      | Error msg, _ | _, Error msg ->
+          QCheck.Test.fail_reportf "%s does not parse: %s" text msg)
+
 let suite =
   [
     Alcotest.test_case "parse: single node" `Quick test_single_node;
@@ -136,4 +288,5 @@ let suite =
     Alcotest.test_case "parse: rel identifier" `Quick test_rel_identifier_ignored;
     Alcotest.test_case "parse: errors" `Quick test_errors;
     Alcotest.test_case "parse: estimator roundtrip" `Quick test_roundtrip_with_estimator;
+    QCheck_alcotest.to_alcotest prop_read_only_resolution;
   ]

@@ -86,7 +86,12 @@ let test_pp_smoke () =
   let s = Format.asprintf "%a" (Pattern.pp ~names:(Some f.graph)) p in
   Alcotest.(check bool) "mentions label" true
     (String.length s > 0
-    && Str_contains.contains s "Person" && Str_contains.contains s "likes")
+    && Str_contains.contains s "Person" && Str_contains.contains s "likes");
+  (* an unknown label resolves to the vocabulary's size, which has no name *)
+  let unknown = Pattern.of_spec f.graph [ node ~labels:[ "Alumnus" ] () ] [] in
+  Alcotest.(check string) "unknown label printed by id"
+    (Printf.sprintf "(n0:L%d)" (Lpp_pgraph.Graph.label_count f.graph))
+    (Format.asprintf "%a" (Pattern.pp ~names:(Some f.graph)) unknown)
 
 (* ---------------- Shape ---------------- *)
 

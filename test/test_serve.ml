@@ -176,32 +176,34 @@ let test_roundtrip_bit_identical () =
 
 let test_concurrent_clients () =
   with_server @@ fun ~graph ~catalog ~addr ~server:_ ->
-  (* all parsing of the expectation happens before the client domains run,
-     so the only concurrent parsers are the server's own workers *)
-  let expected =
-    Array.of_list (direct_estimates Lpp_core.Config.a_lhd graph catalog patterns)
+  (* one pattern names a label and a type the graph does not know *)
+  let texts =
+    Array.of_list (patterns @ [ "(a:Alumnus)-[:mentors]->(b:Person)" ])
   in
-  let texts = Array.of_list patterns in
   let rounds = 25 in
+  (* each client parses its own expectations while the workers serve *)
   let client_run () =
+    let expected =
+      Array.of_list
+        (direct_estimates Lpp_core.Config.a_lhd graph catalog
+           (Array.to_list texts))
+    in
     let client = Client.connect addr in
     Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
     Array.init (rounds * Array.length texts) (fun i ->
-        match Client.estimate client texts.(i mod Array.length texts) with
-        | Ok est -> est
+        let k = i mod Array.length texts in
+        match Client.estimate client texts.(k) with
+        | Ok est -> (expected.(k), est)
         | Error msg -> Alcotest.failf "concurrent estimate failed: %s" msg)
   in
   let domains = List.init 3 (fun _ -> Domain.spawn client_run) in
   let results = List.map Domain.join domains in
   List.iter
-    (fun ests ->
+    (fun answers ->
       Array.iteri
-        (fun i est ->
-          check_bits
-            (Printf.sprintf "request %d" i)
-            expected.(i mod Array.length texts)
-            est)
-        ests)
+        (fun i (expect, est) ->
+          check_bits (Printf.sprintf "request %d" i) expect est)
+        answers)
     results
 
 let test_malformed_and_oversized () =
@@ -319,6 +321,91 @@ let test_unknown_configs_bounded () =
   Alcotest.(check bool)
     (Printf.sprintf "live words grew by %d (< 500,000)" grown)
     true (grown < 500_000)
+
+(* Estimate requests [pattern first .. pattern last], pipelined 100 at a
+   time; [check i est] sees every answer. Returns how many live words (after
+   a full major collection) the whole run added. *)
+let pipelined_growth client ~first ~last ~pattern ~check =
+  Gc.full_major ();
+  let before = (Gc.stat ()).live_words in
+  let rec window lo =
+    if lo <= last then begin
+      let hi = min last (lo + 99) in
+      for i = lo to hi do
+        Client.send_line client
+          (Json.to_string
+             (Json.Obj
+                [
+                  ("op", Json.String "estimate");
+                  ("pattern", Json.String (pattern i));
+                ]))
+      done;
+      for i = lo to hi do
+        let resp = Option.map Json.of_string (Client.recv_line client) in
+        match
+          Option.bind resp (function
+            | Ok r -> Option.bind (Json.member "estimate" r) Json.number
+            | Error _ -> None)
+        with
+        | Some est -> check i est
+        | None -> Alcotest.failf "request %d was not answered" i
+      done;
+      window (hi + 1)
+    end
+  in
+  window first;
+  Gc.full_major ();
+  (Gc.stat ()).live_words - before
+
+(* Unknown names are resolved, not remembered: 20,000 requests each naming a
+   distinct 1 KB label, type or key leave the graph's vocabulary as it was
+   and the live heap about where it was. What still holds their text is
+   bounded: the flight recorder's ring and the parse memo's byte budget. *)
+let test_unknown_names_bounded () =
+  with_server ~workers:1 @@ fun ~graph ~catalog:_ ~addr ~server:_ ->
+  let vocab () =
+    Lpp_pgraph.Graph.
+      (label_count graph, rel_type_count graph, prop_key_count graph)
+  in
+  let sizes = vocab () in
+  let client = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let pattern i =
+    let name = Printf.sprintf "u%05d%s" i (String.make 1018 'x') in
+    match i mod 3 with
+    | 0 -> Printf.sprintf "(a:%s)-[]->(b)" name
+    | 1 -> Printf.sprintf "(a:Person)-[:%s]->(b)" name
+    | _ -> Printf.sprintf "(a:Person {%s})-[]->(b)" name
+  in
+  let check i est =
+    if est <> 0.0 then Alcotest.failf "request %d estimated %h, not 0" i est
+  in
+  ignore (pipelined_growth client ~first:0 ~last:2 ~pattern ~check : int);
+  let grown =
+    pipelined_growth client ~first:3 ~last:20_002 ~pattern ~check
+  in
+  Alcotest.(check bool) "label, type and key counts unchanged" true
+    (vocab () = sizes);
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d (< 500,000)" grown)
+    true (grown < 500_000)
+
+(* The parse memo is bounded in bytes, not entries: 8,000 distinct valid 8 KB
+   patterns (one long variable name each) leave the live heap within its
+   1 MiB budget plus the flight recorder's 256 most recent texts. *)
+let test_parse_memo_bounded () =
+  with_server ~workers:1 @@ fun ~graph:_ ~catalog:_ ~addr ~server:_ ->
+  let client = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let pattern i =
+    Printf.sprintf "(v%05d%s:Person)-[:likes]->(b)" i (String.make 8186 'x')
+  in
+  let check _ _ = () in
+  ignore (pipelined_growth client ~first:0 ~last:0 ~pattern ~check : int);
+  let grown = pipelined_growth client ~first:1 ~last:8_000 ~pattern ~check in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d (< 1,000,000)" grown)
+    true (grown < 1_000_000)
 
 (* ---- observability surface (PR 9) ------------------------------------ *)
 
@@ -690,6 +777,10 @@ let suite =
     Alcotest.test_case "lifecycle: clean shutdown" `Quick test_clean_shutdown;
     Alcotest.test_case "wire: unknown config names not retained" `Quick
       test_unknown_configs_bounded;
+    Alcotest.test_case "wire: unknown names not retained" `Quick
+      test_unknown_names_bounded;
+    Alcotest.test_case "wire: parse memo bounded in bytes" `Quick
+      test_parse_memo_bounded;
     Alcotest.test_case "wire: untraced responses byte-identical" `Quick
       test_untraced_wire_byte_identical;
     Alcotest.test_case "wire: traced requests" `Quick test_traced_requests;
