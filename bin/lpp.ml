@@ -726,6 +726,13 @@ let cmd_serve =
       in
       expect_ok_false "malformed JSON" "{not json";
       expect_ok_false "unknown op" {|{"op":"shrug"}|};
+      (* a client that hangs up with answers pending costs only its own
+         connection: the ping below must still pong *)
+      let quitter = Lpp_serve.Client.connect addr in
+      for _ = 1 to 100 do
+        Lpp_serve.Client.send_line quitter {|{"op":"ping"}|}
+      done;
+      Lpp_serve.Client.close quitter;
       (match
          Lpp_util.Json.member "ok" (Lpp_serve.Client.request client {|{"op":"ping"}|})
        with
@@ -1068,6 +1075,16 @@ let cmd_top =
 
 (* ---- stats ---------------------------------------------------------- *)
 
+(* This process's resident-set high-water mark (VmHWM) in MiB, or [None]
+   where /proc/self/status is missing. *)
+let peak_rss_mib () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun line -> Scanf.sscanf_opt line "VmHWM: %d kB" (fun kb -> kb / 1024))
+        (String.split_on_char '\n' status)
+
 let cmd_stats =
   let run name seed scale_name =
     let scale = resolve_scale scale_name in
@@ -1081,11 +1098,14 @@ let cmd_stats =
                 (Lpp_datasets.Scale.to_string scale))
       t;
     print_memory_table ds;
-    Printf.printf "generate %.2fs (%.0f rels/s), catalog build %.2fs\n"
+    Printf.printf "generate %.2fs (%.0f rels/s), catalog build %.2fs%s\n"
       generate_s
       (float_of_int (Lpp_pgraph.Graph.rel_count ds.graph)
       /. Float.max generate_s 1e-9)
       ds.catalog_s
+      (match peak_rss_mib () with
+      | Some mib -> Printf.sprintf ", peak RSS %d MiB" mib
+      | None -> "")
   in
   Cmd.v
     (Cmd.info "stats"

@@ -10,19 +10,20 @@ type rel = int
    difference between a 10⁸-edge graph fitting in memory or not. Nodes
    carry label sets by id: real graphs have a handful of distinct sets (SNB
    has 11 over millions of nodes), so each node costs one narrow column slot
-   and the sets themselves are shared arrays. Property lists stay boxed:
-   they are tiny and mostly share the static empty atom. *)
+   and the sets themselves are shared arrays. Property lists stay boxed and
+   the per-entity arrays end at the last id that carries one: a graph
+   without properties holds two empty arrays, not a slot per entity. *)
 type t = {
   labels : Interner.t;
   rel_types : Interner.t;
   prop_keys : Interner.t;
   node_set : Iarr.t;  (* node -> label-set id *)
   label_sets : int array array;  (* set id -> label ids, first-seen order *)
-  node_props : (int * Value.t) array array;
+  node_props : (int * Value.t) array array;  (* up to the last carrier *)
   rel_src : Iarr.t;
   rel_dst : Iarr.t;
   rel_type : Iarr.t;
-  rel_props : (int * Value.t) array array;
+  rel_props : (int * Value.t) array array;  (* up to the last carrier *)
   out_off : Iarr.t;  (* node_count + 1 slots *)
   out_tgt : Iarr.t;  (* rel ids, ascending within each node's slice *)
   in_off : Iarr.t;
@@ -64,7 +65,9 @@ let node_has_label t n l =
   let rec go i = i < Array.length arr && (arr.(i) = l || go (i + 1)) in
   go 0
 
-let node_props t n = t.node_props.(n)
+let props_at arr i = if i < Array.length arr then arr.(i) else [||]
+
+let node_props t n = props_at t.node_props n
 
 let assoc_prop props key =
   let rec go i =
@@ -76,7 +79,7 @@ let assoc_prop props key =
   in
   go 0
 
-let node_prop t n key = assoc_prop t.node_props.(n) key
+let node_prop t n key = assoc_prop (node_props t n) key
 
 let nodes_with_label t l =
   (* an id at or past the label count has an empty extent; an unknown query
@@ -92,9 +95,9 @@ let rel_dst t r = Iarr.get t.rel_dst r
 
 let rel_type t r = Iarr.get t.rel_type r
 
-let rel_props t r = t.rel_props.(r)
+let rel_props t r = props_at t.rel_props r
 
-let rel_prop t r key = assoc_prop t.rel_props.(r) key
+let rel_prop t r key = assoc_prop (rel_props t r) key
 
 let out_rels t n =
   let lo = Iarr.get t.out_off n in

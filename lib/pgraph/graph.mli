@@ -61,7 +61,8 @@ val node_label_set : t -> node -> int
 val node_has_label : t -> node -> int -> bool
 
 val node_props : t -> node -> (int * Value.t) array
-(** Sorted by key id. *)
+(** Sorted by key id. The graph stores these arrays only up to the last
+    node that carries a property; every node past it answers [[||]]. *)
 
 val assoc_prop : (int * Value.t) array -> int -> Value.t option
 (** Sorted-early-exit lookup over a property array in the representation
@@ -87,6 +88,8 @@ val rel_dst : t -> rel -> node
 val rel_type : t -> rel -> int
 
 val rel_props : t -> rel -> (int * Value.t) array
+(** As {!node_props}: relationships past the last one that carries a
+    property answer [[||]]. *)
 
 val rel_prop : t -> rel -> int -> Value.t option
 
@@ -143,7 +146,9 @@ val unsafe_make :
 (** Invariants (sortedness of label/prop arrays, id ranges) are the caller's
     responsibility; {!Graph_builder.freeze} establishes them. Label lists are
     interned as given: equal lists share one set, and {!node_labels} returns
-    each node's list unchanged. *)
+    each node's list unchanged. [node_props] and [rel_props] may be shorter
+    than the node and relationship counts: ids past their end have no
+    properties. *)
 
 val unsafe_make_packed :
   labels:Interner.t ->

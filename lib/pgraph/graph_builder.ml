@@ -1,10 +1,12 @@
 module Ivec = Lpp_util.Ivec
 
 (* Streaming construction: relationship columns and per-node label slices go
-   straight into growable Bigarray vectors, and properties live in sparse
-   per-entity tables (most entities have none). Peak RSS while building is
-   the final flat layout plus doubling slack — no per-node records, no
-   reversed lists, no second boxed copy at freeze time. *)
+   straight into growable Bigarray vectors, 32 bits wide while ids fit, and
+   properties live in sparse per-entity tables (most entities have none).
+   At freeze the relationship vectors become the graph's columns as they
+   are, and the property arrays end at the last entity that carries one.
+   Peak RSS while building is the final flat layout plus doubling slack —
+   no per-node records, no reversed lists, no second copy at freeze time. *)
 type t = {
   label_names : Interner.t;
   type_names : Interner.t;
@@ -61,12 +63,18 @@ let dedup_sorted_ints arr =
     Array.of_list (List.rev !out)
   end
 
-let intern_props keys props =
-  let tbl = Hashtbl.create (List.length props) in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl (Interner.intern keys k) v) props;
-  let arr = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> Array.of_list in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-  arr
+let intern_props keys = function
+  | [] -> [||]
+  | props ->
+      let tbl = Hashtbl.create (List.length props) in
+      List.iter
+        (fun (k, v) -> Hashtbl.replace tbl (Interner.intern keys k) v)
+        props;
+      let arr =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> Array.of_list
+      in
+      Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
+      arr
 
 let intern_label t name =
   check_live t;
@@ -179,17 +187,19 @@ let rel_count t = t.n_rels
 let freeze t =
   check_live t;
   t.frozen <- true;
-  let props_of tbl n =
-    Array.init n (fun i ->
-        match Hashtbl.find_opt tbl i with Some a -> a | None -> [||])
+  let props_of tbl =
+    let len = Hashtbl.fold (fun i _ n -> max n (i + 1)) tbl 0 in
+    let arr = Array.make len [||] in
+    Hashtbl.iter (fun i a -> arr.(i) <- a) tbl;
+    arr
   in
   let g =
     Graph.unsafe_make_packed ~labels:t.label_names ~rel_types:t.type_names
       ~prop_keys:t.key_names ~label_off:t.lab_off ~label_ids:t.lab_ids
-      ~node_props:(props_of t.node_props t.n_nodes)
+      ~node_props:(props_of t.node_props)
       ~rel_src:(Ivec.to_iarr t.src) ~rel_dst:(Ivec.to_iarr t.dst)
       ~rel_type:(Ivec.to_iarr t.typ)
-      ~rel_props:(props_of t.rel_props t.n_rels)
+      ~rel_props:(props_of t.rel_props)
   in
   if !Lpp_obs.Obs.live then begin
     let secs = Lpp_util.Clock.elapsed_s ~since:t.created_ns in

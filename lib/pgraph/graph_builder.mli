@@ -1,9 +1,11 @@
 (** Mutable construction of a property graph, frozen into a {!Graph.t}.
 
     Construction is streaming: labels and relationship endpoints accumulate
-    in flat growable Bigarray vectors and properties in sparse per-entity
-    tables, so peak memory while loading a 10⁷–10⁸-edge graph is the final
-    packed layout plus doubling slack — never a second boxed copy.
+    in flat growable Bigarray vectors (32 bits wide while ids fit) and
+    properties in sparse per-entity tables. {!freeze} hands the relationship
+    vectors to the graph as its columns, so peak memory while loading a
+    10⁷–10⁸-edge graph is the final packed layout plus doubling slack —
+    never a second copy.
 
     {[
       let b = Graph_builder.create () in

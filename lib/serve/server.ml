@@ -950,6 +950,10 @@ let addr_string = function
 let start (cfg : config) ~graph ~catalog =
   if cfg.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if cfg.batch < 1 then invalid_arg "Server.start: batch must be >= 1";
+  (* A write to a client that has hung up must fail with EPIPE, which
+     [respond] and the HTTP path catch, rather than raise SIGPIPE, whose
+     default action kills the whole process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd, unlink_on_close = bind_listen cfg.addr in
   let prom =
     match cfg.prom_port with

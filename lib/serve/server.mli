@@ -54,8 +54,10 @@ type t
 val start :
   config -> graph:Lpp_pgraph.Graph.t -> catalog:Lpp_stats.Catalog.t -> t
 (** Bind and listen on [config.addr] and spawn the reader and worker
-    domains. Returns once the socket accepts
-    connections. @raise Unix.Unix_error if the address cannot be bound. *)
+    domains. Returns once the socket accepts connections. Sets SIGPIPE to
+    ignored for the process, so a client that hangs up with answers pending
+    loses only its own connection.
+    @raise Unix.Unix_error if the address cannot be bound. *)
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, let the workers drain every request

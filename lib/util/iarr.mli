@@ -15,6 +15,9 @@ type t =
   | I32 of (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
   | I64 of (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+val fits_int32 : int -> bool
+(** Whether a value takes the 32-bit representation: [0 <= v <= Int32.max_int]. *)
+
 val create : max_value:int -> int -> t
 (** [create ~max_value len] is a zero-filled array of [len] slots able to
     hold values in [\[0, max_value\]]. *)

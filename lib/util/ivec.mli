@@ -2,8 +2,11 @@
 
     The streaming {!Graph_builder} path appends tens of millions of
     relationship endpoints before the final width is known; this vector keeps
-    them off the OCaml heap while growing (amortised doubling), then packs
-    into the narrowest {!Iarr} representation at freeze time. *)
+    them off the OCaml heap while growing (amortised doubling). Elements are
+    stored in 32 bits while every pushed value fits an [int32] (the test
+    {!Iarr.create} applies); the first value that does not fit widens the
+    vector once to native ints, copying the live prefix. {!to_iarr} then
+    hands the buffer over as the final column without a copy. *)
 
 type t
 
@@ -17,8 +20,10 @@ val get : t -> int -> int
 val push : t -> int -> unit
 
 val to_iarr : t -> Iarr.t
-(** Pack the live prefix into an {!Iarr}, choosing 32-bit storage when the
-    maximum element fits. *)
+(** The live prefix as an {!Iarr} view of the vector's own buffer: 32 bits
+    exactly when every pushed value fits an [int32], and no copy. Call it
+    after the last push: a later push that grows or widens the vector moves
+    it to a fresh buffer while the view keeps the old one alive. *)
 
 val to_array : t -> int array
 

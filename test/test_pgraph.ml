@@ -172,6 +172,39 @@ let test_builder_frozen () =
     (Invalid_argument "Graph_builder: already frozen") (fun () ->
       ignore (Graph_builder.add_node b ~labels:[] ~props:[]))
 
+(* Property arrays end at the last entity that carries a property: every
+   later id answers none, and a save/load round trip is equal. *)
+let test_props_past_last_carrier () =
+  let b = Graph_builder.create () in
+  let nodes =
+    Array.init 4 (fun i ->
+        Graph_builder.add_node b ~labels:[ "N" ]
+          ~props:(if i = 0 then [ ("k", Value.Int 1) ] else []))
+  in
+  for i = 0 to 2 do
+    ignore
+      (Graph_builder.add_rel b ~src:nodes.(i) ~dst:nodes.(i + 1) ~rel_type:"e"
+         ~props:(if i = 0 then [ ("w", Value.Float 0.5) ] else []))
+  done;
+  let g = Graph_builder.freeze b in
+  let k = Option.get (Interner.find_opt (Graph.prop_keys g) "k") in
+  let w = Option.get (Interner.find_opt (Graph.prop_keys g) "w") in
+  Alcotest.(check int) "two properties" 2 (Graph.property_count g);
+  Alcotest.(check bool) "node 0 carries k" true
+    (Graph.node_props g 0 = [| (k, Value.Int 1) |]);
+  Alcotest.(check bool) "rel 0 carries w" true
+    (Graph.rel_props g 0 = [| (w, Value.Float 0.5) |]);
+  for n = 1 to Graph.node_count g - 1 do
+    Alcotest.(check bool) "later node has no properties" true
+      (Graph.node_props g n = [||] && Graph.node_prop g n k = None)
+  done;
+  for r = 1 to Graph.rel_count g - 1 do
+    Alcotest.(check bool) "later rel has no properties" true
+      (Graph.rel_props g r = [||] && Graph.rel_prop g r w = None)
+  done;
+  Alcotest.(check bool) "save/load round trip equal" true
+    (Test_graph_io.graphs_equal g (Test_graph_io.roundtrip g))
+
 let test_graph_fold () =
   let f = Fixtures.campus () in
   let g = f.graph in
@@ -235,5 +268,7 @@ let suite =
     Alcotest.test_case "builder: bad endpoint" `Quick test_builder_bad_endpoint;
     Alcotest.test_case "builder: frozen" `Quick test_builder_frozen;
     Alcotest.test_case "graph: folds" `Quick test_graph_fold;
+    Alcotest.test_case "graph: props past the last carrier" `Quick
+      test_props_past_last_carrier;
     QCheck_alcotest.to_alcotest prop_adjacency_consistent;
   ]

@@ -245,6 +245,11 @@ let test_props_off_same_structure () =
       let gp = (with_p : Lpp_datasets.Dataset.t).graph in
       let gn = (without_p : Lpp_datasets.Dataset.t).graph in
       Alcotest.(check int) (name ^ ": no props") 0 (Graph.property_count gn);
+      Alcotest.(check bool) (name ^ ": every entity answers no props") true
+        (Graph.fold_nodes gn ~init:true ~f:(fun acc nd ->
+             acc && Graph.node_props gn nd = [||])
+        && Graph.fold_rels gn ~init:true ~f:(fun acc r ->
+               acc && Graph.rel_props gn r = [||]));
       Alcotest.(check bool) (name ^ ": props present") true
         (Graph.property_count gp > 0);
       Alcotest.(check string)

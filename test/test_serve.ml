@@ -284,6 +284,28 @@ let test_clean_shutdown () =
   (* stop is idempotent *)
   Serve.stop server
 
+(* Clients that pipeline pings and hang up before reading cost only their
+   own connections: the answers the server still writes to them fail with
+   EPIPE rather than raise SIGPIPE, whose default would kill this process.
+   A second client is answered and the server stops cleanly. *)
+let test_client_hangs_up () =
+  with_server @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
+  for _ = 1 to 3 do
+    let quitter = Client.connect addr in
+    for _ = 1 to 100 do
+      Client.send_line quitter {|{"op":"ping"}|}
+    done;
+    Client.close quitter
+  done;
+  let client = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  Alcotest.(check bool) "second client answered" true
+    (Json.member "pong" (Client.request client {|{"op":"ping"}|})
+    = Some (Json.Bool true));
+  Serve.stop server;
+  Alcotest.(check bool) "second client sees EOF at stop" true
+    (Client.recv_line client = None)
+
 (* Unknown configuration names are answered, not remembered: 5,000 requests
    each naming a distinct 2 KB configuration leave the live heap about where
    it was. The flight recorder's bounded ring is all that holds their text. *)
@@ -775,6 +797,8 @@ let suite =
     Alcotest.test_case "wire: garbage lines all answered" `Quick
       test_garbage_lines_answered;
     Alcotest.test_case "lifecycle: clean shutdown" `Quick test_clean_shutdown;
+    Alcotest.test_case "wire: client hangs up before reading" `Quick
+      test_client_hangs_up;
     Alcotest.test_case "wire: unknown config names not retained" `Quick
       test_unknown_configs_bounded;
     Alcotest.test_case "wire: unknown names not retained" `Quick

@@ -1,4 +1,4 @@
-(* Tests for Lpp_util: Rng, Quantiles, Ascii_table, Mem_size. *)
+(* Tests for Lpp_util: Rng, Quantiles, Ascii_table, Mem_size, Ivec. *)
 
 open Lpp_util
 
@@ -219,6 +219,58 @@ let test_mem_size_render () =
   Alcotest.(check string) "kilobytes" "3.1 kB" (Mem_size.to_string 3174);
   Alcotest.(check string) "megabytes" "1.4 MB" (Mem_size.to_string 1_468_006)
 
+(* ---------------- Ivec ---------------- *)
+
+let int32_max = Int32.to_int Int32.max_int
+
+(* qcheck: an Ivec reads back as the list of values pushed into it, and
+   hands over a 32-bit Iarr exactly when every value fits an int32 — also
+   when the first wide value comes after many narrow pushes *)
+let prop_ivec_model =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, int_bound 1000);
+          (1, oneofl [ 0; int32_max; int32_max + 1; max_int ]);
+          (1, int_range (int32_max + 1) max_int);
+        ])
+  in
+  let case =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return (0, 0, []));
+          (9, triple (int_bound 4) (int_bound 300) (list_size (int_bound 40) value));
+        ])
+  in
+  let print (capacity, narrow, tail) =
+    Printf.sprintf "capacity %d, %d narrow pushes, then [%s]" capacity narrow
+      (String.concat "; " (List.map string_of_int tail))
+  in
+  QCheck.Test.make ~name:"Ivec matches a list model" ~count:300
+    (QCheck.make ~print case)
+    (fun (capacity, narrow, tail) ->
+      let model = Array.of_list (List.init narrow (fun i -> 7 * i) @ tail) in
+      let n = Array.length model in
+      let v = Ivec.create ~capacity () in
+      Array.iter (Ivec.push v) model;
+      let out_of_bounds i =
+        match Ivec.get v i with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let iarr = Ivec.to_iarr v in
+      let narrow_only = Array.for_all (fun x -> x <= int32_max) model in
+      Ivec.length v = n
+      && Array.for_all Fun.id (Array.init n (fun i -> Ivec.get v i = model.(i)))
+      && Ivec.to_array v = model
+      && Ivec.sub_to_array v ~pos:(n / 3) ~len:(n / 2)
+         = Array.sub model (n / 3) (n / 2)
+      && Iarr.to_array iarr = model
+      && Iarr.bits iarr = (if narrow_only then 32 else 64)
+      && out_of_bounds n && out_of_bounds (-1))
+
 let suite =
   [
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
@@ -250,4 +302,5 @@ let suite =
     Alcotest.test_case "table: separator" `Quick test_table_separator;
     Alcotest.test_case "mem: strings" `Quick test_mem_size_strings;
     Alcotest.test_case "mem: render" `Quick test_mem_size_render;
+    QCheck_alcotest.to_alcotest prop_ivec_model;
   ]
