@@ -738,6 +738,34 @@ let cmd_serve =
        with
       | Some (Lpp_util.Json.Bool true) -> ()
       | _ -> fail "FAIL: ping did not pong\n");
+      (* a scraper that never reads its answer costs only its own
+         connection: 256 traced requests with 8 KB ids make a flight dump
+         of about 2 MB, more than the socket buffers hold, and a ping must
+         still pong within a second of the scrape *)
+      Option.iter
+        (fun port ->
+          let id = String.make 8192 'x' in
+          for i = 1 to 256 do
+            ignore
+              (Lpp_serve.Client.request client
+                 (Lpp_util.Json.to_string
+                    (Lpp_util.Json.Obj
+                       [
+                         ("op", Lpp_util.Json.String "estimate");
+                         ("pattern", Lpp_util.Json.String "(a)");
+                         ("trace", Lpp_util.Json.String (id ^ string_of_int i));
+                       ]))
+                : Lpp_util.Json.t)
+          done;
+          let scraper = Lpp_serve.Client.scrape_unread ~port "/flight" in
+          (* let the reader take the request before the ping is sent *)
+          Unix.sleepf 0.2;
+          Lpp_serve.Client.send_line client {|{"op":"ping"}|};
+          (match Lpp_serve.Client.try_recv_line ~wait_s:1.0 client with
+          | Some line when contains line {|"ok":true|} -> ()
+          | _ -> fail "FAIL: ping did not pong within 1 s of a stalled scrape\n");
+          Unix.close scraper)
+        (Lpp_serve.Server.prom_port server);
       (match
          Lpp_util.Json.member "stats"
            (Lpp_serve.Client.request client {|{"op":"stats"}|})
@@ -902,7 +930,8 @@ let cmd_serve =
              ~doc:"Self-test mode: serve on a temporary socket, verify the \
                    given patterns (or a generated workload) answer \
                    bit-identically to an offline session, exercise the \
-                   tracing/metrics/flight surface, then exit")
+                   tracing/metrics/flight surface (with --prom, also a \
+                   scraper that never reads), then exit")
   in
   let prom =
     Arg.(value & opt (some int) None

@@ -122,7 +122,12 @@ let of_spec graph node_specs rel_specs =
            {
              r_src = s.src;
              r_dst = s.dst;
-             r_types = sorted_ids type_id s.types;
+             (* a type alternation is a set: a repeated type is one
+                alternative, not two *)
+             r_types =
+               List.map type_id s.types
+               |> List.sort_uniq Int.compare
+               |> Array.of_list;
              r_directed = s.directed;
              r_props = sorted_props key_id s.rprops;
              r_hops = s.hops;

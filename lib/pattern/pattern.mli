@@ -18,7 +18,8 @@ type node_pat = {
 type rel_pat = {
   r_src : int;  (** index into [nodes] *)
   r_dst : int;
-  r_types : int array;  (** allowed types, sorted; empty means "any type" *)
+  r_types : int array;
+      (** allowed types, sorted and distinct; empty means "any type" *)
   r_directed : bool;
       (** if [false] the relationship matches in either orientation *)
   r_props : (int * prop_pred) array;
@@ -72,7 +73,9 @@ val of_spec : Lpp_pgraph.Graph.t -> node_spec list -> rel_spec list -> t
     A label, type or key the vocabulary lacks resolves to that vocabulary's
     size, an id that no node, relationship or statistic carries, so the
     pattern matches nothing and every estimator formula reads it as empty.
-    Distinct unknown names of one kind therefore share that id. *)
+    Distinct unknown names of one kind therefore share that id. A
+    relationship's types resolve to distinct ids, since an alternation is a
+    set; a node's labels keep a repeat, which selects the same label again. *)
 
 (** {1 Accessors} *)
 

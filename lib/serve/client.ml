@@ -59,19 +59,38 @@ let rec recv_line t =
         recv_line t
       end
 
-let rec try_recv_line t =
-  match take_line t with
-  | Some line -> Some line
-  | None ->
-      if t.eof then None
-      else begin
-        match Unix.select [ t.fd ] [] [] 0.0 with
-        | [], _, _ -> None
-        | _ ->
-            fill t;
-            try_recv_line t
-        | exception Unix.Unix_error (EINTR, _, _) -> None
-      end
+let try_recv_line ?(wait_s = 0.0) t =
+  let since = Clock.now_ns () in
+  let rec go () =
+    match take_line t with
+    | Some line -> Some line
+    | None ->
+        if t.eof then None
+        else begin
+          let left = Float.max 0.0 (wait_s -. Clock.elapsed_s ~since) in
+          match Unix.select [ t.fd ] [] [] left with
+          | [], _, _ -> None
+          | _ ->
+              fill t;
+              go ()
+          | exception Unix.Unix_error (EINTR, _, _) -> go ()
+        end
+  in
+  go ()
+
+let scrape_unread ~port target =
+  let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
+  match
+    (* set before the handshake, so the advertised window stays small *)
+    Unix.setsockopt_int fd SO_RCVBUF 1;
+    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+    let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" target in
+    ignore (Unix.write_substring fd req 0 (String.length req) : int)
+  with
+  | () -> fd
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
 
 let request t line =
   send_line t line;

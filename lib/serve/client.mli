@@ -16,9 +16,9 @@ val send_line : t -> string -> unit
 val recv_line : t -> string option
 (** Next response line, blocking; [None] on EOF. *)
 
-val try_recv_line : t -> string option
-(** Next response line if one is already available without blocking;
-    [None] otherwise (or on EOF). *)
+val try_recv_line : ?wait_s:float -> t -> string option
+(** Next response line if one arrives within [wait_s] seconds (default 0:
+    only one already available); [None] otherwise (or on EOF). *)
 
 val request : t -> string -> Lpp_util.Json.t
 (** [send_line] then [recv_line], parsed.
@@ -27,3 +27,10 @@ val request : t -> string -> Lpp_util.Json.t
 val estimate : t -> ?config:string -> string -> (float, string) result
 (** Convenience wrapper: one ["estimate"] round-trip for [pattern],
     returning the estimate or the server's error/rejection reason. *)
+
+val scrape_unread : port:int -> string -> Unix.file_descr
+(** A scraper that stops reading: connect to the HTTP listener on loopback
+    [port] with the smallest receive buffer the kernel grants, send
+    [GET target] and return the socket unread, for the caller to close.
+    With an answer larger than the socket buffers, the server is left
+    holding the rest. *)

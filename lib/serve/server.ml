@@ -748,9 +748,19 @@ let feed st conn bytes n =
 (* ---- Prometheus HTTP (reader-owned) ---------------------------------- *)
 
 (* Deliberately minimal: HTTP/1.0, Connection: close, GET only. One scrape
-   is one short-lived connection; responses are small enough that a blocked
-   write only stalls the reader for the socket buffer, and scrapers that
-   misbehave get cut off like any hung client. *)
+   is one short-lived connection: its request is read until the headers
+   end, then its one answer is written as fast as the scraper reads it. The
+   reader never blocks on either step, and a connection still open
+   [http_deadline_ns] after its accept is closed, so a scraper that stops
+   reading costs one fd and one answer for that long, never a stall. *)
+type http_state =
+  | Reading of Buffer.t  (* the request so far *)
+  | Writing of { text : string; mutable off : int }  (* sent up to [off] *)
+
+type http_conn = { mutable state : http_state; deadline_ns : int64 }
+
+let http_deadline_ns = 5_000_000_000L
+
 let http_response ~status ~content_type body =
   Printf.sprintf
     "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
@@ -778,7 +788,7 @@ let http_answer st request_line =
 
 let reader_loop st =
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-  let prom_conns : (Unix.file_descr, Buffer.t) Hashtbl.t = Hashtbl.create 4 in
+  let prom_conns : (Unix.file_descr, http_conn) Hashtbl.t = Hashtbl.create 4 in
   let next = ref 0 in
   let bytes = Bytes.create 65536 in
   let hangup conn =
@@ -821,13 +831,31 @@ let reader_loop st =
       match Unix.accept ~cloexec:true lfd with
       | fd, _ ->
           Unix.set_nonblock fd;
-          Hashtbl.replace prom_conns fd (Buffer.create 256)
+          Hashtbl.replace prom_conns fd
+            {
+              state = Reading (Buffer.create 256);
+              deadline_ns = Int64.add (Clock.now_ns ()) http_deadline_ns;
+            }
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
           continue := false
       | exception Unix.Unix_error (EINTR, _, _) -> ()
     done
   in
-  let prom_read fd buf =
+  (* Send what the socket takes now; close once the answer is out. *)
+  let prom_write fd hc =
+    match hc.state with
+    | Reading _ -> ()
+    | Writing w -> (
+        match
+          Unix.write_substring fd w.text w.off (String.length w.text - w.off)
+        with
+        | n ->
+            w.off <- w.off + n;
+            if w.off = String.length w.text then prom_close fd
+        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+        | exception Unix.Unix_error (_, _, _) -> prom_close fd)
+  in
+  let prom_read fd hc buf =
     match Unix.read fd bytes 0 (Bytes.length bytes) with
     | 0 -> prom_close fd
     | n ->
@@ -851,10 +879,8 @@ let reader_loop st =
             | Some i -> String.sub data 0 i
             | None -> data
           in
-          (match write_all fd (http_answer st request_line) with
-          | () -> ()
-          | exception Unix.Unix_error _ -> ());
-          prom_close fd
+          hc.state <- Writing { text = http_answer st request_line; off = 0 };
+          prom_write fd hc
         end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> prom_close fd
@@ -864,13 +890,19 @@ let reader_loop st =
     let fds =
       st.listen_fd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []
     in
-    let fds =
+    let fds, wfds =
       match prom_fd with
-      | Some lfd -> lfd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) prom_conns fds
-      | None -> fds
+      | Some lfd ->
+          Hashtbl.fold
+            (fun fd hc (r, w) ->
+              match hc.state with
+              | Reading _ -> (fd :: r, w)
+              | Writing _ -> (r, fd :: w))
+            prom_conns (lfd :: fds, [])
+      | None -> (fds, [])
     in
-    (match Unix.select fds [] [] 0.05 with
-    | readable, _, _ ->
+    (match Unix.select fds wfds [] 0.05 with
+    | readable, writable, _ ->
         List.iter
           (fun fd ->
             if fd = st.listen_fd then accept_all ()
@@ -880,10 +912,22 @@ let reader_loop st =
               | Some conn -> read_conn conn
               | None -> (
                   match Hashtbl.find_opt prom_conns fd with
-                  | Some buf -> prom_read fd buf
-                  | None -> ()))
-          readable
+                  | Some ({ state = Reading buf; _ } as hc) ->
+                      prom_read fd hc buf
+                  | Some { state = Writing _; _ } | None -> ()))
+          readable;
+        List.iter
+          (fun fd ->
+            Option.iter (prom_write fd) (Hashtbl.find_opt prom_conns fd))
+          writable
     | exception Unix.Unix_error (EINTR, _, _) -> ());
+    if Hashtbl.length prom_conns > 0 then begin
+      let now = Clock.now_ns () in
+      Hashtbl.fold
+        (fun fd hc acc -> if hc.deadline_ns <= now then fd :: acc else acc)
+        prom_conns []
+      |> List.iter prom_close
+    end;
     (* push buffered log records out on every tick; cheap when idle *)
     Lpp_obs.Log.flush ()
   done;

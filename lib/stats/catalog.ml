@@ -5,25 +5,16 @@ open Lpp_pgraph
    Queries in direction [In] swap the roles; [Both] sums both. *)
 
 (* A catalog is an immutable snapshot: the label-level counters compiled
-   into flat arrays, so [rc]/[simple_rc] are branch-light array reads. Both
-   wildcard sides and the "any type" projection share one key space: label
-   ids shift by one (star → 0) and type ids shift by one (any → 0), giving
-   the packed key ((typ+1)·(L+1) + l1+1)·(L+1) + l2+1. The layout is chosen
-   from the key-space size when the snapshot is taken:
-
-   - [Dense]: small key spaces get the counter matrix directly — O(1) reads
-     and contiguous [rc_row] sweeps.
-   - [Rows]: large sparse key spaces (hundreds of labels × types, as in the
-     DBpedia-like generator) get a CSR-style two-level layout: a dense row
-     directory indexed by (type, near label) whose slots delimit the sorted
-     far-label entries of that row. A lookup binary-searches only the
-     handful of occupied far labels of its row instead of the whole table,
-     and [rc_row] walks the row's entries directly. A transposed (dst-major)
-     mirror serves the [In] direction sweeps.
-   - [Packed]: if even the row directory would be outlandish (label ids so
-     sparse that (T+1)·(L+1) exceeds the slot limit), fall back to the flat
-     sorted key/count pair with whole-table binary search, which costs
-     O(log entries) but only bytes per *occupied* key.
+   into flat arrays. Both wildcard sides and the "any type" projection share
+   one key space: label ids shift by one (star → 0) and type ids shift by
+   one (any → 0). A row is one (type, near label) pair, numbered
+   (typ+1)·(L+1) + l1+1, and its entries are the far labels (+1) whose count
+   is nonzero. The counters are stored CSR-style over the occupied rows
+   only — their sorted ids, their entry offsets, and each entry's far label
+   and count — so the bytes follow the nonzero counters whatever the
+   vocabulary's size. A lookup binary-searches the row id, then the far
+   label within the row; [rc_row] walks a row's entries. A transposed
+   (dst-major) copy serves the [In] direction sweeps.
 
    The mutable label-level tables live in [Builder]; [build] is
    [Builder.snapshot ∘ Builder.of_graph]. *)
@@ -33,29 +24,17 @@ open Lpp_pgraph
    edges the wildcard projections overflow an int32. *)
 type ia = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let ia_make n : ia =
-  let a = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout n in
-  Bigarray.Array1.fill a 0;
-  a
+let ia_make n : ia = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout n
 
 let ia_of_array arr : ia =
-  let a =
-    Bigarray.Array1.create Bigarray.Int Bigarray.C_layout (Array.length arr)
-  in
+  let a = ia_make (Array.length arr) in
   Array.iteri (fun i v -> a.{i} <- v) arr;
   a
 
-type layout =
-  | Dense of ia  (* (T+1)·(L+1)² counters, index = packed key *)
-  | Rows of {
-      row_start : ia;  (* (T+1)·(L+1) + 1 slots; row = tyo·(L+1) + l1o *)
-      cols : ia;  (* far label (+1), ascending within each row *)
-      cnts : ia;
-      tr_row_start : ia;  (* dst-major mirror for In-direction sweeps *)
-      tr_cols : ia;  (* near label (+1) *)
-      tr_cnts : ia;
-    }
-  | Packed of { keys : ia; counts : ia }  (* sorted by key *)
+(* One orientation's counters: row [ids.{i}] (ascending) owns the entries
+   [start.{i}, start.{i+1}), whose [cols] hold the far label (+1),
+   ascending within the row, and [cnts] the counts. *)
+type rows = { ids : ia; start : ia; cols : ia; cnts : ia }
 
 type t = {
   total_nodes : int;
@@ -64,8 +43,9 @@ type t = {
   rel_type_totals : int array;  (* a private copy, never written *)
   labels : int;  (* key-space label dimension: ids ≥ this count 0 *)
   types : int;
-  layout : layout;
-  bytes : int;  (* physical bytes of [nc] and [layout] *)
+  out_rows : rows;  (* src-major: the near label is the source *)
+  in_rows : rows;  (* dst-major mirror for In-direction sweeps *)
+  bytes : int;  (* physical bytes of [nc] and both orientations *)
   mem_simple : int;  (* Table-3 accounting, fixed at snapshot *)
   mem_advanced : int;
   epoch : int;  (* process-unique snapshot id *)
@@ -89,25 +69,11 @@ let unwild l = if l = star then None else Some l
 (* Observability: lookup-path counters and build-phase spans. Registered once
    at module initialisation; every write is gated on the global [Lpp_obs]
    switch, so the disabled read path costs one load and one branch. *)
-let m_lookup_dense = Lpp_obs.Metrics.counter "catalog.lookup.dense"
-
 let m_lookup_rows = Lpp_obs.Metrics.counter "catalog.lookup.rows"
-
-let m_lookup_packed = Lpp_obs.Metrics.counter "catalog.lookup.packed"
 
 let m_lookup_miss = Lpp_obs.Metrics.counter "catalog.lookup.miss"
 
-let m_rc_row_dense = Lpp_obs.Metrics.counter "catalog.rc_row.dense"
-
 let m_rc_row_rows = Lpp_obs.Metrics.counter "catalog.rc_row.rows"
-
-let m_rc_row_generic = Lpp_obs.Metrics.counter "catalog.rc_row.generic"
-
-let m_layout_dense = Lpp_obs.Metrics.counter "catalog.layout.dense"
-
-let m_layout_rows = Lpp_obs.Metrics.counter "catalog.layout.rows"
-
-let m_layout_packed = Lpp_obs.Metrics.counter "catalog.layout.packed"
 
 let g_frozen_bytes = Lpp_obs.Metrics.gauge "catalog.frozen_bytes"
 
@@ -129,6 +95,17 @@ let type_count t = Array.length t.rel_type_totals
 
 let epoch t = t.epoch
 
+(* The index of [v] in the ascending slice [lo, hi) of [a], or -1. *)
+let search (a : ia) ~lo ~hi v =
+  let lo = ref lo and hi' = ref hi in
+  while !hi' > !lo do
+    let mid = (!lo + !hi') lsr 1 in
+    if a.{mid} < v then lo := mid + 1 else hi' := mid
+  done;
+  if !lo < hi && a.{!lo} = v then !lo else -1
+
+let find_row rows r = search rows.ids ~lo:0 ~hi:(Bigarray.Array1.dim rows.ids) r
+
 let lookup t ~l1 ~typ ~l2 =
   let l1o = l1 + 1 and l2o = l2 + 1 and tyo = typ + 1 in
   if
@@ -139,30 +116,13 @@ let lookup t ~l1 ~typ ~l2 =
     0
   end
   else begin
-    let labels1 = t.labels + 1 in
-    let key = (((tyo * labels1) + l1o) * labels1) + l2o in
-    match t.layout with
-    | Dense dense ->
-        if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_lookup_dense;
-        dense.{key}
-    | Rows { row_start; cols; cnts; _ } ->
-        if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_lookup_rows;
-        let row = (tyo * labels1) + l1o in
-        let lo = ref row_start.{row} and hi = ref row_start.{row + 1} in
-        while !hi - !lo > 0 do
-          let mid = (!lo + !hi) / 2 in
-          if cols.{mid} < l2o then lo := mid + 1 else hi := mid
-        done;
-        if !lo < row_start.{row + 1} && cols.{!lo} = l2o then cnts.{!lo} else 0
-    | Packed { keys; counts } ->
-        if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_lookup_packed;
-        let lo = ref 0 and hi = ref (Bigarray.Array1.dim keys) in
-        while !hi - !lo > 0 do
-          let mid = (!lo + !hi) / 2 in
-          if keys.{mid} < key then lo := mid + 1 else hi := mid
-        done;
-        if !lo < Bigarray.Array1.dim keys && keys.{!lo} = key then counts.{!lo}
-        else 0
+    if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_lookup_rows;
+    let rows = t.out_rows in
+    let i = find_row rows ((tyo * (t.labels + 1)) + l1o) in
+    if i < 0 then 0
+    else
+      let j = search rows.cols ~lo:rows.start.{i} ~hi:rows.start.{i + 1} l2o in
+      if j < 0 then 0 else rows.cnts.{j}
   end
 
 let rc_directed t ~src ~types ~dst =
@@ -186,91 +146,49 @@ let rc t ~dir ~node ~types ~other =
 
 let simple_rc t ~dir ~node ~types = rc t ~dir ~node ~types ~other:None
 
-(* Zero [row], then call [add_ty tyo] for each requested type slice of the
-   key space; a node or type outside it keeps the 0 [lookup]'s bounds check
-   gives. *)
-let sweep_types t ~row ~no ~types add_ty =
+(* Add row [r]'s entries into [row]: cols hold the far label (+1), so col 0
+   (the wildcard far side) and cols past the end of [row] are not asked
+   for. *)
+let add_row rows r row =
+  let i = find_row rows r in
+  if i >= 0 then
+    for j = rows.start.{i} to rows.start.{i + 1} - 1 do
+      let l' = rows.cols.{j} - 1 in
+      if l' >= 0 && l' < Array.length row then
+        row.(l') <- row.(l') + rows.cnts.{j}
+    done
+
+let rc_row t ~dir ~node ~types ~row =
+  if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_rc_row_rows;
   Array.fill row 0 (Array.length row) 0;
-  if no >= 0 && no <= t.labels then
-    if Array.length types = 0 then add_ty (star + 1)
+  let no = wild node + 1 in
+  (* a node outside the key space keeps the 0 [lookup]'s bounds check gives *)
+  if no >= 0 && no <= t.labels then begin
+    let add_type tyo =
+      let r = (tyo * (t.labels + 1)) + no in
+      if (dir : Direction.t) <> In then add_row t.out_rows r row;
+      if (dir : Direction.t) <> Out then add_row t.in_rows r row
+    in
+    if Array.length types = 0 then add_type (star + 1)
     else
       Array.iter
         (fun ty ->
           (* same negative-type guard as rc_directed *)
-          if ty >= 0 && ty < t.types then add_ty (ty + 1))
+          if ty >= 0 && ty < t.types then add_type (ty + 1))
         types
+  end
 
-let rc_row t ~dir ~node ~types ~row =
-  let len = Array.length row in
-  let labels1 = t.labels + 1 in
-  let no = wild node + 1 in
-  let out = (dir : Direction.t) <> In and in_ = (dir : Direction.t) <> Out in
-  match t.layout with
-  | Dense dense ->
-      if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_rc_row_dense;
-      (* slots exist only for l' + 1 <= labels *)
-      let last = min (len - 1) (t.labels - 1) in
-      sweep_types t ~row ~no ~types (fun tyo ->
-          if out then begin
-            let base = ((tyo * labels1) + no) * labels1 in
-            for l' = 0 to last do
-              row.(l') <- row.(l') + dense.{base + l' + 1}
-            done
-          end;
-          if in_ then begin
-            let base = (tyo * labels1 * labels1) + no in
-            for l' = 0 to last do
-              row.(l') <- row.(l') + dense.{base + ((l' + 1) * labels1)}
-            done
-          end)
-  | Rows rows ->
-      if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_rc_row_rows;
-      (* walk the occupied entries of row (tyo, no): cols hold the far label
-         (+1), so col 0 is the wildcard far side, which no row slot asks
-         for; entries beyond [len] are not asked for either *)
-      let sweep (row_start : ia) (cols : ia) (cnts : ia) tyo =
-        let r = (tyo * labels1) + no in
-        for j = row_start.{r} to row_start.{r + 1} - 1 do
-          let l' = cols.{j} - 1 in
-          if l' >= 0 && l' < len then row.(l') <- row.(l') + cnts.{j}
-        done
-      in
-      sweep_types t ~row ~no ~types (fun tyo ->
-          if out then sweep rows.row_start rows.cols rows.cnts tyo;
-          if in_ then sweep rows.tr_row_start rows.tr_cols rows.tr_cnts tyo)
-  | Packed _ ->
-      if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_rc_row_generic;
-      for l' = 0 to len - 1 do
-        row.(l') <- rc t ~dir ~node ~types ~other:(Some l')
-      done
-
-(* Decode packed keys back into (src, typ, dst); zero counters are not
-   entries. *)
+(* Decode each entry's row back into (src, typ) and its col into dst; only
+   nonzero counters are entries. *)
 let iter_triples t f =
-  let labels1 = t.labels + 1 in
-  let emit key count =
-    if count <> 0 then begin
-      let l2o = key mod labels1 and rest = key / labels1 in
-      let l1o = rest mod labels1 and tyo = rest / labels1 in
-      f ~src:(unwild (l1o - 1)) ~typ:(unwild (tyo - 1)) ~dst:(unwild (l2o - 1))
-        ~count
-    end
-  in
-  match t.layout with
-  | Dense dense ->
-      for key = 0 to Bigarray.Array1.dim dense - 1 do
-        emit key dense.{key}
-      done
-  | Rows { row_start; cols; cnts; _ } ->
-      for r = 0 to Bigarray.Array1.dim row_start - 2 do
-        for j = row_start.{r} to row_start.{r + 1} - 1 do
-          emit ((r * labels1) + cols.{j}) cnts.{j}
-        done
-      done
-  | Packed { keys; counts } ->
-      for i = 0 to Bigarray.Array1.dim keys - 1 do
-        emit keys.{i} counts.{i}
-      done
+  let labels1 = t.labels + 1 and { ids; start; cols; cnts } = t.out_rows in
+  for i = 0 to Bigarray.Array1.dim ids - 1 do
+    let typ = unwild ((ids.{i} / labels1) - 1)
+    and src = unwild ((ids.{i} mod labels1) - 1) in
+    for j = start.{i} to start.{i + 1} - 1 do
+      f ~src ~typ ~dst:(unwild (cols.{j} - 1)) ~count:cnts.{j}
+    done
+  done
 
 let hierarchy t = t.hierarchy
 
@@ -325,100 +243,61 @@ let freeze (_ : t) = ()
 
 (* ---- compiling label-level tables into a snapshot ---- *)
 
-(* Above this many dense slots, switch to the CSR rows layout: 2M counters
-   (16 MB) covers every generated dataset's (L+1)²·(T+1) comfortably while
-   keeping adversarial label vocabularies from allocating gigabytes. The
-   same limit bounds the rows layout's row directory ((T+1)·(L+1) slots);
-   beyond it the flat sorted-key fallback kicks in. *)
-let dense_slot_limit = 2_000_000
-
-let pack ~l1 ~typ ~l2 ~labels1 = (((typ + 1) * labels1) + l1 + 1) * labels1 + (l2 + 1)
-
-(* Compress sorted (key, count) entries into a CSR row directory. Keys are
-   row·labels1 + col, so sorting by key sorts by (row, col) and the
-   sequential fill below leaves each row's cols ascending. *)
-let csr_of_entries entries ~nrows ~labels1 =
-  Array.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) entries;
-  let row_start = Array.make (nrows + 1) 0 in
-  Array.iter
-    (fun (k, _) ->
-      let r = k / labels1 in
-      row_start.(r + 1) <- row_start.(r + 1) + 1)
-    entries;
-  for r = 1 to nrows do
-    row_start.(r) <- row_start.(r) + row_start.(r - 1)
+(* Compress the first [n] entries, with keys row·(L+1) + col, into occupied
+   rows: visiting them in key order visits them by (row, col), so one
+   sequential pass opens each row at its first entry and leaves its cols
+   ascending. Sorting an index permutation of flat int arrays keeps the
+   compile's garbage to a few words per entry. *)
+let rows_of_entries ~n ~keys ~counts ~labels1 =
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare keys.(a) keys.(b)) order;
+  let key j = keys.(order.(j)) in
+  let opens j = j = 0 || key j / labels1 <> key (j - 1) / labels1 in
+  let n_rows = ref 0 in
+  for j = 0 to n - 1 do
+    if opens j then incr n_rows
   done;
-  let n = Array.length entries in
+  let ids = ia_make !n_rows and start = ia_make (!n_rows + 1) in
   let cols = ia_make n and cnts = ia_make n in
-  Array.iteri
-    (fun i (k, c) ->
-      cols.{i} <- k mod labels1;
-      cnts.{i} <- c)
-    entries;
-  (ia_of_array row_start, cols, cnts)
+  let i = ref (-1) in
+  for j = 0 to n - 1 do
+    if opens j then begin
+      incr i;
+      ids.{!i} <- key j / labels1;
+      start.{!i} <- j
+    end;
+    cols.{j} <- key j mod labels1;
+    cnts.{j} <- counts.(order.(j))
+  done;
+  start.{!n_rows} <- n;
+  { ids; start; cols; cnts }
 
-(* Lay the counters out for a key space of [labels] × [types]. *)
-let compile_layout ~labels ~types ~triples ~any_type =
+(* Lay the nonzero counters of a key space of [labels] out as occupied
+   rows, once keyed by source and once by destination. *)
+let compile_layout ~labels ~triples ~any_type =
   let labels1 = labels + 1 in
-  let slots = (types + 1) * labels1 * labels1 in
-  if slots <= dense_slot_limit then begin
-    Lpp_obs.Metrics.incr m_layout_dense;
-    let dense = ia_make slots in
-    Hashtbl.iter
-      (fun (l1, l2) c -> dense.{pack ~l1 ~typ:star ~l2 ~labels1} <- c)
-      any_type;
-    Hashtbl.iter
-      (fun (l1, typ, l2) c -> dense.{pack ~l1 ~typ ~l2 ~labels1} <- c)
-      triples;
-    Dense dense
-  end
-  else begin
-    let gather key_of =
-      let n = Hashtbl.length any_type + Hashtbl.length triples in
-      let entries = Array.make n (0, 0) in
-      let i = ref 0 in
-      let put key c =
-        entries.(!i) <- (key, c);
-        incr i
-      in
-      Hashtbl.iter (fun (l1, l2) c -> put (key_of ~l1 ~typ:star ~l2) c) any_type;
-      Hashtbl.iter (fun (l1, typ, l2) c -> put (key_of ~l1 ~typ ~l2) c) triples;
-      entries
-    in
-    let nrows = (types + 1) * labels1 in
-    if nrows <= dense_slot_limit then begin
-      Lpp_obs.Metrics.incr m_layout_rows;
-      let row_start, cols, cnts =
-        csr_of_entries (gather (pack ~labels1)) ~nrows ~labels1
-      in
-      (* dst-major mirror: swap the label roles in the key *)
-      let tr_row_start, tr_cols, tr_cnts =
-        csr_of_entries
-          (gather (fun ~l1 ~typ ~l2 -> pack ~l1:l2 ~typ ~l2:l1 ~labels1))
-          ~nrows ~labels1
-      in
-      Rows { row_start; cols; cnts; tr_row_start; tr_cols; tr_cnts }
+  let size = Hashtbl.length any_type + Hashtbl.length triples in
+  let src_keys = Array.make size 0 and dst_keys = Array.make size 0 in
+  let counts = Array.make size 0 and n = ref 0 in
+  let key ~typ near far =
+    ((((typ + 1) * labels1) + near + 1) * labels1) + far + 1
+  in
+  let put l1 typ l2 c =
+    if c <> 0 then begin
+      src_keys.(!n) <- key ~typ l1 l2;
+      dst_keys.(!n) <- key ~typ l2 l1;
+      counts.(!n) <- c;
+      incr n
     end
-    else begin
-      Lpp_obs.Metrics.incr m_layout_packed;
-      let entries = gather (pack ~labels1) in
-      Array.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) entries;
-      Packed
-        {
-          keys = ia_of_array (Array.map fst entries);
-          counts = ia_of_array (Array.map snd entries);
-        }
-    end
-  end
+  in
+  Hashtbl.iter (fun (l1, l2) c -> put l1 star l2 c) any_type;
+  Hashtbl.iter (fun (l1, typ, l2) c -> put l1 typ l2 c) triples;
+  ( rows_of_entries ~n:!n ~keys:src_keys ~counts ~labels1,
+    rows_of_entries ~n:!n ~keys:dst_keys ~counts ~labels1 )
 
-let layout_bytes layout =
+let rows_bytes { ids; start; cols; cnts } =
   let ba = Lpp_util.Mem_size.bigarray1 in
-  match layout with
-  | Dense d -> ba d
-  | Rows { row_start; cols; cnts; tr_row_start; tr_cols; tr_cnts } ->
-      ba row_start + ba cols + ba cnts + ba tr_row_start + ba tr_cols
-      + ba tr_cnts
-  | Packed { keys; counts } -> ba keys + ba counts
+  ba ids + ba start + ba cols + ba cnts
 
 let next_epoch = Atomic.make 0
 [@@lpp.domain_safe "one Atomic drawing snapshot ids; fetch_and_add only"]
@@ -640,11 +519,13 @@ module Builder = struct
       (fun (l1, l2) _ -> labels := max !labels (max l1 l2 + 1))
       b.any_type;
     let labels = !labels and types = !types in
-    let layout =
-      compile_layout ~labels ~types ~triples:b.triples ~any_type:b.any_type
+    let out_rows, in_rows =
+      compile_layout ~labels ~triples:b.triples ~any_type:b.any_type
     in
     let nc = ia_of_array b.nc in
-    let bytes = layout_bytes layout + Lpp_util.Mem_size.bigarray1 nc in
+    let bytes =
+      rows_bytes out_rows + rows_bytes in_rows + Lpp_util.Mem_size.bigarray1 nc
+    in
     if !Lpp_obs.Obs.live then Lpp_obs.Metrics.set g_frozen_bytes bytes;
     let nc_bytes = Array.length b.nc * Lpp_util.Mem_size.int_entry in
     let entries n ~keys =
@@ -660,7 +541,8 @@ module Builder = struct
       rel_type_totals = Array.copy b.rel_type_totals;
       labels;
       types;
-      layout;
+      out_rows;
+      in_rows;
       bytes;
       mem_simple = nc_bytes + entries b.pair_entries ~keys:2;
       mem_advanced = nc_bytes + entries (Hashtbl.length b.triples) ~keys:3;

@@ -15,16 +15,15 @@
     Optional statistics (Section 4.2): {!Label_hierarchy}, {!Label_partition},
     {!Prop_stats}.
 
-    The counters are compiled into flat Bigarrays when the snapshot is
-    taken, in a layout chosen from the key-space size: a dense
-    [(T+1)·(L+1)²] counter matrix when the key space is small; a CSR-style
-    row directory (per-(type, near-label) slices of sorted far-label
-    entries, with a dst-major mirror for [In]-direction sweeps) when it is
-    large but the directory fits; and flat sorted int-packed keys with
-    whole-table binary search as the last resort. Out-of-range ids, wildcard
-    sides and labels interned after the build all read as documented below,
-    whatever the layout. Updates go through {!Builder}, which never changes
-    a snapshot already taken. *)
+    The nonzero counters are compiled into flat Bigarrays when the
+    snapshot is taken, in one sparse layout for every vocabulary: a CSR
+    store over the occupied (type, near label) rows only, each row's far
+    labels sorted, with a dst-major mirror for [In]-direction sweeps. Its
+    bytes follow the nonzero counters (16 B per occupied row and 32 B per
+    counter), not the [(T+1)·(L+1)²] key space, and a lookup is two binary
+    searches. Out-of-range ids, wildcard sides and labels interned after
+    the build all read as documented below. Updates go through {!Builder},
+    which never changes a snapshot already taken. *)
 
 type t
 
@@ -99,10 +98,10 @@ val rc_row :
   row:int array ->
   unit
 (** Fill [row.(l') <- rc t ~dir ~node ~types ~other:(Some l')] for every
-    [l' < Array.length row]. On the dense and row layouts this runs as a few
-    contiguous sweeps instead of per-[(node, l')] lookups — one call covers
-    an Expand's whole target-probability row; the flat sorted-key layout
-    falls back to one {!rc} per label. Counts are identical either way. *)
+    [l' < Array.length row]. Finds each requested type's row once per
+    orientation and walks its nonzero entries instead of looking up every
+    [(node, l')] pair, so one call covers an Expand's whole
+    target-probability row. *)
 
 val iter_triples :
   t ->

@@ -1,9 +1,10 @@
 (* The compiled catalog read path must answer exactly like the independent
    per-relationship oracle (Catalog_oracle): identical nc/rc/simple_rc/
    rc_row answers and entries — including wildcard sides, out-of-range ids
-   and ids grown through Catalog.Builder — in every layout (dense, rows,
-   packed). A snapshot never changes once taken, and estimates are
-   bit-identical one-shot or via the session API. *)
+   and ids grown through Catalog.Builder — with bytes that follow the
+   nonzero counters whatever the vocabulary's size. A snapshot never changes
+   once taken, and estimates are bit-identical one-shot or via the session
+   API. *)
 
 open Lpp_pgraph
 open Lpp_stats
@@ -40,6 +41,28 @@ let agrees cat oracle =
   | Ok _ -> true
   | Error m -> QCheck.Test.fail_report m
 
+let rc_bytes cat = List.assoc "catalog.rc" (Catalog.memory_breakdown cat)
+
+(* The footprint the sparse layout keeps for any vocabulary: 16 B per
+   occupied row and 16 B per entry in each of its two orientations is at
+   most 64 B per nonzero counter, plus the arrays' fixed headers. *)
+let footprint_bound cat =
+  let entries = ref 0 in
+  Catalog.iter_triples cat (fun ~src:_ ~typ:_ ~dst:_ ~count:_ -> incr entries);
+  (64 * !entries) + 256
+
+let fits cat =
+  rc_bytes cat <= footprint_bound cat
+  || QCheck.Test.fail_reportf "catalog.rc is %d B, over the %d B bound"
+       (rc_bytes cat) (footprint_bound cat)
+
+let expect_fits what cat =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: catalog.rc %d B <= %d B" what (rc_bytes cat)
+       (footprint_bound cat))
+    true
+    (rc_bytes cat <= footprint_bound cat)
+
 (* One note applied to both a builder and an oracle. *)
 let note_node b o ~labels =
   Catalog.Builder.note_node_added b ~labels;
@@ -74,8 +97,10 @@ let prop_frozen_matches_hashtable =
         note_node b o ~labels:[| big |];
         note_rel b o ~src_labels:[| big |] ~typ:5 ~dst_labels:[| 0 |]
       end;
-      agrees (Catalog.Builder.snapshot b) o
-      && agrees (Catalog.build g) (Catalog_oracle.of_graph g))
+      let grown = Catalog.Builder.snapshot b and built = Catalog.build g in
+      agrees grown o && fits grown
+      && agrees built (Catalog_oracle.of_graph g)
+      && fits built)
 
 (* A snapshot is immutable: notes taken after it change the next snapshot,
    never this one, and each snapshot has its own epoch. *)
@@ -95,75 +120,54 @@ let prop_snapshot_unchanged_by_notes =
       Catalog.epoch first <> Catalog.epoch second
       && agrees first o1 && agrees second o2)
 
-let two_type_graph () =
-  let b = Graph_builder.create () in
-  let a = Graph_builder.add_node b ~labels:[ "A" ] ~props:[] in
-  let c = Graph_builder.add_node b ~labels:[ "B" ] ~props:[] in
-  let d = Graph_builder.add_node b ~labels:[ "A"; "B" ] ~props:[] in
-  List.iter
-    (fun (src, dst, rel_type) ->
-      ignore (Graph_builder.add_rel b ~src ~dst ~rel_type ~props:[]))
-    [ (a, c, "u"); (c, d, "v"); (d, d, "u"); (d, a, "v") ];
-  Graph_builder.freeze b
-
-let rc_bytes cat = List.assoc "catalog.rc" (Catalog.memory_breakdown cat)
-
-(* A label id of 1,000,000 on a 2-type graph makes even the rows layout's
-   (T+1)·(L+1) directory exceed the slot limit, so the snapshot falls back
-   to the flat sorted-key layout; rc_row takes its generic per-label path. *)
-let test_packed_layout_matches () =
-  let g = two_type_graph () in
-  let big = 1_000_000 in
-  let b = Catalog.Builder.of_graph g and o = Catalog_oracle.of_graph g in
+(* A label id grown through the Builder far past the campus vocabulary
+   (1,500 or 1,000,000) spans a key space of millions to 10¹³ counters, of
+   which under a hundred are nonzero: the snapshot still answers like the
+   oracle, and its bytes follow the nonzero counters alone. The two cases
+   keep the names of the key-space sizes at which the catalog once switched
+   to its row-directory and flat sorted-key layouts. *)
+let test_grown_label_matches big () =
+  let { graph; _ } : Fixtures.campus = Fixtures.campus () in
+  let b = Catalog.Builder.of_graph graph and o = Catalog_oracle.of_graph graph in
   note_node b o ~labels:[| big |];
-  note_rel b o ~src_labels:[| big |] ~typ:1 ~dst_labels:[| 0; big |];
+  note_rel b o ~src_labels:[| big |] ~typ:2 ~dst_labels:[| 0; big |];
   note_rel b o ~src_labels:[| 1 |] ~typ:0 ~dst_labels:[| big |];
   let cat = Catalog.Builder.snapshot b in
   Alcotest.(check int) "label space grown" (big + 1) (Catalog.label_count cat);
-  (* only occupied keys are stored: no dense matrix, no row directory *)
-  Alcotest.(check bool) "flat sorted-key layout" true (rc_bytes cat < 4096);
-  expect_agrees "packed probes"
-    ~labels:[ -1; 0; 1; 2; 3; big - 1; big; big + 1 ]
-    ~row_len:6 cat o;
-  (* whole rows reaching the grown id *)
+  expect_fits "grown" cat;
+  expect_agrees "grown probes"
+    ~labels:(List.init 12 (fun i -> i - 1) @ [ big - 1; big; big + 1 ])
+    ~row_len:1503 cat o;
+  (* whole rows reaching the grown id, in both orientations *)
   List.iter
     (fun (dir, node, types) ->
       let row = Array.make (big + 2) (-1) in
       Catalog.rc_row cat ~dir ~node ~types ~row;
       if row <> Catalog_oracle.rc_row o ~dir ~node ~types ~len:(big + 2) then
-        Alcotest.fail "full packed rc_row differs from the oracle")
-    [ (Direction.Both, None, [||]); (Direction.Out, Some big, [| 1 |]) ];
+        Alcotest.fail "full rc_row differs from the oracle")
+    [
+      (Direction.Both, None, [||]);
+      (Direction.Out, Some big, [| 2 |]);
+      (Direction.In, Some big, [| 0 |]);
+    ];
   Alcotest.(check int) "grown id count" 1
-    (Catalog.rc cat ~dir:Direction.Out ~node:(Some big) ~types:[| 1 |]
-       ~other:(Some big))
-
-(* A label id around 1500 pushes (L+1)²·(T+1) past the dense slot limit
-   while the row directory still fits: the CSR rows layout. *)
-let test_rows_layout_matches () =
-  let { graph; _ } : Fixtures.campus = Fixtures.campus () in
-  let b = Catalog.Builder.of_graph graph and o = Catalog_oracle.of_graph graph in
-  note_node b o ~labels:[| 1500 |];
-  note_rel b o ~src_labels:[| 1500 |] ~typ:2 ~dst_labels:[| 0; 1500 |];
-  let cat = Catalog.Builder.snapshot b in
-  (* a row directory, far smaller than the (T+1)·(L+1)² matrix *)
-  Alcotest.(check bool) "rows layout" true
-    (rc_bytes cat > 8 * 1501 && rc_bytes cat < 8 * 1501 * 1501);
-  expect_agrees "rows probes"
-    ~labels:(List.init 12 (fun i -> i - 1) @ [ 1499; 1500; 1501 ])
-    ~row_len:1503 cat o;
+    (Catalog.rc cat ~dir:Direction.Out ~node:(Some big) ~types:[| 2 |]
+       ~other:(Some big));
   Alcotest.(check int) "label past the grown space counts 0" 0
-    (Catalog.rc cat ~dir:Direction.Out ~node:(Some 2000) ~types:[||]
+    (Catalog.rc cat ~dir:Direction.Out ~node:(Some (2 * big)) ~types:[||]
        ~other:None)
 
 (* The generated vocabularies, which `lpp lint` checked against the old
-   hashtable tables: every smoke-tier catalog answers like the oracle. *)
+   hashtable tables: every smoke-tier catalog answers like the oracle and
+   keeps the footprint bound. *)
 let test_generated_vocabularies () =
   List.iter
     (fun name ->
       let ds =
         Option.get (Lpp_datasets.Scale.build Lpp_datasets.Scale.Smoke ~name ~seed:1)
       in
-      expect_agrees name ds.catalog (Catalog_oracle.of_graph ds.graph))
+      expect_agrees name ds.catalog (Catalog_oracle.of_graph ds.graph);
+      expect_fits name ds.catalog)
     [ "snb"; "cineasts"; "dbpedia" ]
 
 (* Taking a snapshot is idempotent: two snapshots of an unchanged builder
@@ -250,9 +254,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_frozen_matches_hashtable;
     QCheck_alcotest.to_alcotest prop_snapshot_unchanged_by_notes;
     Alcotest.test_case "frozen: packed layout parity" `Quick
-      test_packed_layout_matches;
+      (test_grown_label_matches 1_000_000);
     Alcotest.test_case "frozen: rows layout parity" `Quick
-      test_rows_layout_matches;
+      (test_grown_label_matches 1500);
     Alcotest.test_case "frozen: generated vocabularies == oracle" `Quick
       test_generated_vocabularies;
     Alcotest.test_case "frozen: freeze idempotent" `Quick test_freeze_idempotent;

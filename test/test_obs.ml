@@ -1,6 +1,6 @@
 (* The observability layer (Lpp_obs): JSON emitter round-trips, span
    nesting and per-domain recording, shard-merged metrics, the Chrome trace
-   sink, hand-computed catalog layout and lookup-path counters, and the central
+   sink, hand-computed catalog lookup-path counters, and the central
    guarantee that enabling instrumentation never changes an estimate bit.
 
    Every test that enables the global switch does so under Fun.protect and
@@ -246,84 +246,50 @@ let tiny_graph () =
   ignore (Lpp_pgraph.Graph_builder.add_rel b ~src:a ~dst:c ~rel_type:"u" ~props:[]);
   Lpp_pgraph.Graph_builder.freeze b
 
-(* the tiny graph with one node carrying label id [big]: the layout is
-   chosen when the snapshot is taken, inside the caller's [with_obs] *)
-let grown_catalog big =
-  let b = Catalog.Builder.of_graph (tiny_graph ()) in
-  Catalog.Builder.note_node_added b ~labels:[| big |];
-  Catalog.Builder.snapshot b
-
 let counter name =
   (* reuse the instrumented modules' registrations by name *)
   Lpp_obs.Metrics.value (Lpp_obs.Metrics.counter name)
 
-let test_lookup_path_counters () =
+(* the tiny graph's catalog with its label space grown to id [big] by one
+   node carrying it *)
+let grown_catalog big () =
+  let b = Catalog.Builder.of_graph (tiny_graph ()) in
+  Catalog.Builder.note_node_added b ~labels:[| big |];
+  Catalog.Builder.snapshot b
+
+(* The same probes, with the same counts, on the tiny graph's catalog and on
+   ones grown to label id 1,500 and 1,000,000 (the sizes at which the catalog
+   once switched to its row-directory and flat sorted-key layouts, whose
+   names the cases keep): the lookup path does not depend on the
+   vocabulary's size. *)
+let test_lookup_path_counters catalog_of () =
   with_obs @@ fun () ->
-  let catalog = Catalog.build (tiny_graph ()) in
-  Alcotest.(check int) "small key space is laid out dense" 1
-    (counter "catalog.layout.dense");
+  let catalog = catalog_of () in
   let rc ~dir ~node ~types =
     ignore (Catalog.rc catalog ~dir ~node ~types ~other:None)
   in
-  (* Out + any-type: exactly one dense probe *)
+  (* Out + any-type: exactly one row probe *)
   rc ~dir:Direction.Out ~node:(Some 0) ~types:[||];
-  Alcotest.(check int) "one dense probe" 1 (counter "catalog.lookup.dense");
+  Alcotest.(check int) "one row probe" 1 (counter "catalog.lookup.rows");
   (* Both sums two directed lookups: two more probes *)
   rc ~dir:Direction.Both ~node:(Some 0) ~types:[||];
-  Alcotest.(check int) "both = two probes" 3 (counter "catalog.lookup.dense");
-  (* one valid type probes the dense array; an out-of-range type is a miss *)
+  Alcotest.(check int) "both = two probes" 3 (counter "catalog.lookup.rows");
+  (* one valid type probes the rows; an out-of-range type is a miss *)
   rc ~dir:Direction.Out ~node:(Some 0) ~types:[| 0; 5 |];
-  Alcotest.(check int) "valid type probes dense" 4 (counter "catalog.lookup.dense");
+  Alcotest.(check int) "valid type probes rows" 4 (counter "catalog.lookup.rows");
   Alcotest.(check int) "out-of-range type misses" 1 (counter "catalog.lookup.miss");
-  (* an unknown label is a bounds miss before the layout is consulted *)
-  rc ~dir:Direction.Out ~node:(Some 99) ~types:[||];
+  (* a label past the key space is a bounds miss before any search *)
+  rc ~dir:Direction.Out ~node:(Some (Catalog.label_count catalog)) ~types:[||];
   Alcotest.(check int) "unknown label misses" 2 (counter "catalog.lookup.miss");
   (* negative types are skipped without any probe *)
   rc ~dir:Direction.Out ~node:(Some 0) ~types:[| -3 |];
-  Alcotest.(check int) "negative type: no probe" 4 (counter "catalog.lookup.dense");
-  (* the whole-row sweep takes the dense fast path *)
-  let row = Array.make (Catalog.label_count catalog) 0 in
-  Catalog.rc_row catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||] ~row;
-  Alcotest.(check int) "rc_row dense fast path" 1 (counter "catalog.rc_row.dense");
-  Alcotest.(check int) "fast path does not probe per label" 4
-    (counter "catalog.lookup.dense");
-  Alcotest.(check int) "no other layout" 0
-    (counter "catalog.layout.rows" + counter "catalog.layout.packed")
-
-let test_rows_layout_counters () =
-  with_obs @@ fun () ->
-  (* growing a label id to 1500 pushes (L+1)²·(T+1) past the dense slot
-     limit; the (T+1)·(L+1) row directory still fits *)
-  let catalog = grown_catalog 1500 in
-  Alcotest.(check int) "large key space is laid out in rows" 1
-    (counter "catalog.layout.rows");
-  ignore (Catalog.rc catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||] ~other:None);
-  Alcotest.(check int) "row probe counted as rows" 1 (counter "catalog.lookup.rows");
+  Alcotest.(check int) "negative type: no probe" 4 (counter "catalog.lookup.rows");
+  (* the whole-row sweep walks the row instead of probing per label *)
   Catalog.rc_row catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||]
     ~row:(Array.make 3 0);
   Alcotest.(check int) "rc_row walks the row" 1 (counter "catalog.rc_row.rows");
-  Alcotest.(check int) "row walk does not probe per label" 1
-    (counter "catalog.lookup.rows");
-  Alcotest.(check int) "no dense or packed probes" 0
-    (counter "catalog.lookup.dense" + counter "catalog.lookup.packed")
-
-let test_packed_layout_counters () =
-  with_obs @@ fun () ->
-  (* a label id of 1,000,000 makes even the (T+1)·(L+1) row directory
-     exceed the slot limit: flat sorted keys *)
-  let catalog = grown_catalog 1_000_000 in
-  Alcotest.(check int) "huge key space is laid out packed" 1
-    (counter "catalog.layout.packed");
-  ignore (Catalog.rc catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||] ~other:None);
-  Alcotest.(check int) "binary-search probe counted" 1
-    (counter "catalog.lookup.packed");
-  Alcotest.(check int) "no dense or row probes" 0
-    (counter "catalog.lookup.dense" + counter "catalog.lookup.rows");
-  Catalog.rc_row catalog ~dir:Direction.Out ~node:(Some 0) ~types:[||]
-    ~row:(Array.make 3 0);
-  Alcotest.(check int) "rc_row generic path" 1 (counter "catalog.rc_row.generic");
-  Alcotest.(check int) "generic sweep = one probe per label" 4
-    (counter "catalog.lookup.packed")
+  Alcotest.(check int) "row walk does not probe per label" 4
+    (counter "catalog.lookup.rows")
 
 (* ---- Chrome trace / metrics sinks ------------------------------------ *)
 
@@ -885,11 +851,11 @@ let suite =
     Alcotest.test_case "metrics: log2 buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "metrics: gauge max-merge" `Quick test_gauge_max_merge;
     Alcotest.test_case "catalog: lookup-path counters" `Quick
-      test_lookup_path_counters;
+      (test_lookup_path_counters (fun () -> Catalog.build (tiny_graph ())));
     Alcotest.test_case "catalog: rows-layout counters" `Quick
-      test_rows_layout_counters;
+      (test_lookup_path_counters (grown_catalog 1500));
     Alcotest.test_case "catalog: packed-layout counters" `Quick
-      test_packed_layout_counters;
+      (test_lookup_path_counters (grown_catalog 1_000_000));
     Alcotest.test_case "export: chrome trace round-trip" `Quick
       test_chrome_trace_roundtrip;
     Alcotest.test_case "export: metrics json shape" `Quick

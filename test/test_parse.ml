@@ -40,6 +40,34 @@ let test_type_alternatives () =
   Alcotest.(check int) "teaches|attends" 6
     (count "(p:Person)-[:teaches|attends]->(c)")
 
+(* A type alternation is a set: repeating a type resolves to the pattern
+   without the repeat, so every configuration estimates the same bits and
+   the matcher counts the same. *)
+let test_repeated_type () =
+  let catalog = Lpp_stats.Catalog.build (Lazy.force graph) in
+  let bits config p =
+    Int64.bits_of_float (Lpp_core.Estimator.estimate_pattern config catalog p)
+  in
+  List.iter
+    (fun (repeated, plain) ->
+      let pr = (parse_ok repeated).pattern and pp = (parse_ok plain).pattern in
+      Alcotest.(check bool) (repeated ^ " resolves like " ^ plain) true (pr = pp);
+      List.iter
+        (fun config ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s under %s" repeated (Lpp_core.Config.name config))
+            (bits config pp) (bits config pr))
+        (Lpp_core.Config.all @ [ Lpp_core.Config.a_lhdt ]);
+      Alcotest.(check int) (repeated ^ " count") (count plain) (count repeated))
+    [
+      ("(s:Student)-[:attends|attends]->(c:Course)",
+       "(s:Student)-[:attends]->(c:Course)");
+      ("(p:Person)-[:teaches|attends|teaches]->(c)",
+       "(p:Person)-[:attends|teaches]->(c)");
+      ("(a:Person)-[:likes|likes*1..2]->(b:Person)",
+       "(a:Person)-[:likes*1..2]->(b:Person)");
+    ]
+
 let test_props () =
   Alcotest.(check int) "eq string" 1 (count "(p {name: \"Emil\"})");
   Alcotest.(check int) "eq int" 1 (count "(p {semester: 3})");
@@ -279,6 +307,8 @@ let suite =
     Alcotest.test_case "parse: directed chain" `Quick test_directed_chain;
     Alcotest.test_case "parse: undirected/untyped" `Quick test_undirected_and_untyped;
     Alcotest.test_case "parse: type alternatives" `Quick test_type_alternatives;
+    Alcotest.test_case "parse: repeated type counted once" `Quick
+      test_repeated_type;
     Alcotest.test_case "parse: properties" `Quick test_props;
     Alcotest.test_case "parse: shared vars/cycle" `Quick test_shared_variables_cycle;
     Alcotest.test_case "parse: comma paths" `Quick test_comma_paths;

@@ -747,6 +747,70 @@ let test_prom_http_listener () =
   Alcotest.(check bool) "unknown path is 404" true
     (contains missing "HTTP/1.0 404")
 
+(* A scraper that asks for a flight dump larger than the socket buffers and
+   never reads it must not stall the reader: an NDJSON ping still pongs
+   within a second, and the answer is delivered whole once the scraper does
+   read. *)
+let test_prom_stalled_scraper () =
+  with_server ~prom_port:0 @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
+  let port =
+    match Serve.prom_port server with
+    | Some p -> p
+    | None -> Alcotest.fail "prom listener did not come up"
+  in
+  let client = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  (* 256 traced requests with 8 KB ids: a flight dump of about 2 MB *)
+  let id = String.make 8192 'x' in
+  for i = 1 to 256 do
+    let line =
+      Json.to_string
+        (Json.Obj
+           [
+             ("op", Json.String "estimate");
+             ("pattern", Json.String "(a:Person)-[]->(b)");
+             ("trace", Json.String (id ^ string_of_int i));
+           ])
+    in
+    match Json.member "ok" (Client.request client line) with
+    | Some (Json.Bool true) -> ()
+    | _ -> Alcotest.fail "traced estimate failed"
+  done;
+  let scraper = Client.scrape_unread ~port "/flight" in
+  Fun.protect ~finally:(fun () -> try Unix.close scraper with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (* let the reader take the request and fill the buffers *)
+  Unix.sleepf 0.2;
+  Client.send_line client {|{"op":"ping"}|};
+  (match Client.try_recv_line ~wait_s:1.0 client with
+  | Some line ->
+      Alcotest.(check bool) "ping answered ok" true
+        (contains line {|"ok":true|})
+  | None -> Alcotest.fail "ping not answered within 1 s of a stalled scrape");
+  (* the scraper reads at last: the whole answer arrives, then EOF *)
+  let buf = Buffer.create (1 lsl 20) and chunk = Bytes.create 65536 in
+  let rec drain () =
+    match Unix.read scraper chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+  in
+  drain ();
+  let answer = Buffer.contents buf in
+  Alcotest.(check bool) "200 answer" true (contains answer "HTTP/1.0 200");
+  let rec header_end i =
+    if i + 4 > String.length answer then Alcotest.fail "answer has no header end"
+    else if String.sub answer i 4 = "\r\n\r\n" then i + 4
+    else header_end (i + 1)
+  in
+  Alcotest.(check bool) "answer outgrew the socket buffers" true
+    (String.length answer > 1 lsl 20);
+  Alcotest.(check bool) "body as long as Content-Length" true
+    (contains answer
+       (Printf.sprintf "Content-Length: %d\r\n"
+          (String.length answer - header_end 0)))
+
 let test_top_render () =
   with_server @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
   let client = Client.connect addr in
@@ -815,5 +879,7 @@ let suite =
       test_metrics_series_from_workers;
     Alcotest.test_case "http: prometheus listener" `Quick
       test_prom_http_listener;
+    Alcotest.test_case "http: non-reading scraper does not stall NDJSON clients"
+      `Quick test_prom_stalled_scraper;
     Alcotest.test_case "top: frame renders" `Quick test_top_render;
   ]
