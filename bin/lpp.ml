@@ -8,83 +8,13 @@
 
 open Cmdliner
 
-let dataset_of_name ?(scale = Lpp_datasets.Scale.Default) name ~seed =
-  match Lpp_datasets.Scale.build scale ~name ~seed with
-  | Some ds -> ds
-  | None when Sys.file_exists name -> begin
-      (* a saved graph file (see `lpp export` / Lpp_pgraph.Graph_io) *)
-      match Lpp_pgraph.Graph_io.load name with
-      | Ok graph -> Lpp_datasets.Dataset.make ~name:(Filename.basename name) graph
-      | Error msg -> failwith (Printf.sprintf "cannot load %s: %s" name msg)
-    end
-  | None ->
-      failwith
-        (Printf.sprintf "unknown dataset %S (snb|cineasts|dbpedia or a saved graph file)"
-           name)
-
-let dataset_arg =
-  Arg.(value & opt string "snb"
-       & info [ "dataset"; "d" ] ~docv:"NAME"
-           ~doc:"snb, cineasts, dbpedia, or the path of a saved graph file")
-
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed")
-
-let scale_arg =
-  Arg.(value & opt (some string) None
-       & info [ "scale" ] ~docv:"TIER"
-           ~doc:"Data set size tier: smoke (sub-second), default, or large \
-                 (≥10⁷ relationships, no properties, sampled ground truth)")
-
-let resolve_scale scale_name =
-  match scale_name with
-  | Some s -> begin
-      match Lpp_datasets.Scale.of_name s with
-      | Ok t -> t
-      | Error msg -> failwith msg
-    end
-  | None -> Lpp_datasets.Scale.Default
-
-let queries_arg =
-  Arg.(value & opt int 20 & info [ "queries"; "n" ] ~docv:"N" ~doc:"Queries to generate")
-
-let props_arg =
-  Arg.(value & flag & info [ "props" ] ~doc:"Generate queries with property predicates")
-
-let jobs_arg =
-  Arg.(value & opt (some int) None
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Domains for parallel stages (default: LPP_JOBS or the \
-                 recommended domain count); results are identical for every N")
-
-let set_jobs jobs = Option.iter Lpp_util.Pool.set_default_jobs jobs
-
-let trace_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record spans and write a Chrome trace_event JSON file \
-                 (load with about:tracing or Perfetto)")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Record counters/histograms and write them as JSON")
-
-let gen_workload ?(scale = Lpp_datasets.Scale.Default) ds ~seed ~n ~props =
-  let flavour =
-    if props then Lpp_workload.Query_gen.With_props
-    else Lpp_workload.Query_gen.No_props
-  in
-  let ground_truth =
-    if Lpp_datasets.Scale.sampled_truth scale then
-      Lpp_workload.Query_gen.Sampled_wj { walks = 2000 }
-    else Lpp_workload.Query_gen.Exact_matching
-  in
-  let spec =
-    { (Lpp_workload.Query_gen.default_spec flavour) with
-      target = n; attempts = 6 * n; truth_budget = 10_000_000; ground_truth }
-  in
-  Lpp_workload.Query_gen.generate (Lpp_util.Rng.create (seed + 1000)) ds spec
+module C = Cli_common
+module Client = Lpp_serve.Client
+module Dataset = Lpp_datasets.Dataset
+module Json = Lpp_util.Json
+module Query_gen = Lpp_workload.Query_gen
+module Server = Lpp_serve.Server
+module Table = Lpp_util.Ascii_table
 
 let bytes_cell b =
   if b >= 1 lsl 20 then
@@ -93,120 +23,111 @@ let bytes_cell b =
 
 (* Per-component resident bytes of the packed graph and the compiled
    catalog, as measured by Mem_size / Bigarray.Array1.size_in_bytes. *)
-let print_memory_table (ds : Lpp_datasets.Dataset.t) =
-  let t = Lpp_util.Ascii_table.create [ "component"; "bytes" ] in
+let print_memory_table (ds : Dataset.t) =
+  let t = Table.create [ "component"; "bytes" ] in
   let rows =
     Lpp_pgraph.Graph.memory_breakdown ds.graph
     @ Lpp_stats.Catalog.memory_breakdown ds.catalog
   in
-  List.iter (fun (k, v) -> Lpp_util.Ascii_table.add_row t [ k; bytes_cell v ]) rows;
-  Lpp_util.Ascii_table.add_row t
+  List.iter (fun (k, v) -> Table.add_row t [ k; bytes_cell v ]) rows;
+  Table.add_row t
     [ "total"; bytes_cell (List.fold_left (fun a (_, v) -> a + v) 0 rows) ];
-  Lpp_util.Ascii_table.print ~title:"Memory" t
+  Table.print ~title:"Memory" t
 
 (* ---- datasets ------------------------------------------------------- *)
 
 let cmd_datasets =
-  let run seed scale_name =
-    let scale = resolve_scale scale_name in
-    let t = Lpp_util.Ascii_table.create Lpp_datasets.Dataset.summary_headers in
+  let run seed scale =
+    let t = Table.create Dataset.summary_headers in
     List.iter
       (fun name ->
-        Lpp_util.Ascii_table.add_row t
-          (Lpp_datasets.Dataset.summary_row (dataset_of_name name ~seed ~scale)))
-      [ "snb"; "cineasts"; "dbpedia" ];
-    Lpp_util.Ascii_table.print
+        Table.add_row t
+          (Dataset.summary_row (C.load { name; seed; scale })))
+      C.generators;
+    Table.print
       ~title:(Printf.sprintf "Generated data sets (%s tier)"
                 (Lpp_datasets.Scale.to_string scale))
       t
   in
   Cmd.v (Cmd.info "datasets" ~doc:"Summarise the three synthetic data sets")
-    Term.(const run $ seed_arg $ scale_arg)
+    Term.(const run $ C.seed $ C.scale)
 
 (* ---- workload ------------------------------------------------------- *)
 
 let cmd_workload =
-  let run jobs name seed n props scale_name =
-    set_jobs jobs;
-    let scale = resolve_scale scale_name in
-    let ds = dataset_of_name name ~seed ~scale in
-    let qs = gen_workload ds ~seed ~n ~props ~scale in
-    let t = Lpp_util.Ascii_table.create [ "id"; "shape"; "size"; "truth"; "pattern" ] in
+  let run () data workload =
+    let ds = C.load data in
+    let qs = workload data ds in
+    let t = Table.create [ "id"; "shape"; "size"; "truth"; "pattern" ] in
     List.iter
-      (fun (q : Lpp_workload.Query_gen.query) ->
-        Lpp_util.Ascii_table.add_row t
+      (fun (q : Query_gen.query) ->
+        Table.add_row t
           [ string_of_int q.id;
             Lpp_pattern.Shape.to_string q.shape;
             string_of_int q.size;
-            (match Lpp_workload.Query_gen.truth_ci_width q with
+            (match Query_gen.truth_ci_width q with
             | None -> string_of_int q.true_card
             | Some w -> Printf.sprintf "%d ±%.0f" q.true_card (w /. 2.0));
             Format.asprintf "%a" (Lpp_pattern.Pattern.pp ~names:(Some ds.graph))
               q.pattern ])
       qs;
-    Lpp_util.Ascii_table.print
+    Table.print
       ~title:(Printf.sprintf "Workload on %s (%d queries)" ds.name (List.length qs))
       t
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Generate an anchored query workload with ground truth")
-    Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ queries_arg
-          $ props_arg $ scale_arg)
+    Term.(const run $ C.jobs $ C.data $ C.workload)
 
 (* ---- estimate ------------------------------------------------------- *)
 
 let cmd_estimate =
-  let run jobs name seed n props scale_name trace_out metrics_out =
-    set_jobs jobs;
-    let scale = resolve_scale scale_name in
-    Cli_common.with_obs ?trace_out ?metrics_out @@ fun () ->
-    let ds = dataset_of_name name ~seed ~scale in
-    let qs = gen_workload ds ~seed ~n ~props ~scale in
+  let run () data workload trace_out metrics_out =
+    C.with_obs ?trace_out ?metrics_out @@ fun () ->
+    let ds = C.load data in
+    let qs = workload data ds in
     let techs = Lpp_harness.Technique.our_configurations ds in
     let t =
-      Lpp_util.Ascii_table.create
+      Table.create
         ([ "id"; "truth" ]
         @ List.map (fun (x : Lpp_harness.Technique.t) -> x.name) techs)
     in
     List.iter
-      (fun (q : Lpp_workload.Query_gen.query) ->
-        Lpp_util.Ascii_table.add_row t
+      (fun (q : Query_gen.query) ->
+        Table.add_row t
           ([ string_of_int q.id; string_of_int q.true_card ]
           @ List.map
               (fun (x : Lpp_harness.Technique.t) ->
                 Printf.sprintf "%.1f" (x.estimate q.pattern))
               techs))
       qs;
-    Lpp_util.Ascii_table.print
+    Table.print
       ~title:(Printf.sprintf "Estimates on %s" ds.name)
       t;
     (* summary line per technique *)
-    let t2 = Lpp_util.Ascii_table.create [ "technique"; "q-error median [q25, q75]" ] in
+    let t2 = Table.create [ "technique"; "q-error median [q25, q75]" ] in
     List.iter
       (fun (x : Lpp_harness.Technique.t) ->
         let ms = Lpp_harness.Runner.run ~measure_time:false x qs in
-        Lpp_util.Ascii_table.add_row t2
+        Table.add_row t2
           [ x.name; Lpp_harness.Report.qerr_cell (Lpp_harness.Runner.q_errors ms) ])
       techs;
-    Lpp_util.Ascii_table.print ~title:"Accuracy summary" t2;
+    Table.print ~title:"Accuracy summary" t2;
     print_memory_table ds
   in
   Cmd.v
     (Cmd.info "estimate"
        ~doc:"Estimate a generated workload with every configuration of our technique")
-    Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ queries_arg
-          $ props_arg $ scale_arg $ trace_out_arg $ metrics_out_arg)
+    Term.(const run $ C.jobs $ C.data $ C.workload $ C.trace_out $ C.metrics_out)
 
 (* ---- plan ----------------------------------------------------------- *)
 
 let cmd_plan =
-  let run jobs name seed n props scale_name =
-    set_jobs jobs;
-    let scale = resolve_scale scale_name in
-    let ds = dataset_of_name name ~seed ~scale in
-    let qs = gen_workload ds ~seed ~n ~props ~scale in
+  let run () data workload =
+    let ds = C.load data in
+    let qs = workload data ds in
     List.iter
-      (fun (q : Lpp_workload.Query_gen.query) ->
+      (fun (q : Query_gen.query) ->
         Printf.printf "\n-- query %d (%s, truth %d)\n   %s\n" q.id
           (Lpp_pattern.Shape.to_string q.shape)
           q.true_card
@@ -224,16 +145,14 @@ let cmd_plan =
   Cmd.v
     (Cmd.info "plan"
        ~doc:"Show operator sequences and per-operator cardinality traces")
-    Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ queries_arg
-          $ props_arg $ scale_arg)
+    Term.(const run $ C.jobs $ C.data $ C.workload)
 
 (* ---- export --------------------------------------------------------- *)
 
 let cmd_export =
-  let run name seed scale_name out =
-    let scale = resolve_scale scale_name in
-    let ds = dataset_of_name name ~seed ~scale in
-    Lpp_pgraph.Graph_io.save ds.graph out;
+  let run data out =
+    let ds = C.load data in
+    C.write_file (Lpp_pgraph.Graph_io.save ds.graph) out;
     Printf.printf "wrote %s (%d nodes, %d relationships) to %s\n" ds.name
       (Lpp_pgraph.Graph.node_count ds.graph)
       (Lpp_pgraph.Graph.rel_count ds.graph)
@@ -245,16 +164,14 @@ let cmd_export =
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Serialise a generated data set to a graph file")
-    Term.(const run $ dataset_arg $ seed_arg $ scale_arg $ out)
+    Term.(const run $ C.data $ out)
 
 (* ---- query ---------------------------------------------------------- *)
 
 let cmd_query =
-  let run jobs name seed scale_name trace_out metrics_out queries =
-    set_jobs jobs;
-    let scale = resolve_scale scale_name in
-    Cli_common.with_obs ?trace_out ?metrics_out @@ fun () ->
-    let ds = dataset_of_name name ~seed ~scale in
+  let run () data trace_out metrics_out queries =
+    C.with_obs ?trace_out ?metrics_out @@ fun () ->
+    let ds = C.load data in
     let sessions =
       List.map
         (fun config -> (config, Lpp_core.Estimator.make config ds.catalog))
@@ -292,126 +209,77 @@ let cmd_query =
   Cmd.v
     (Cmd.info "query"
        ~doc:"Parse openCypher-style patterns, estimate and count them")
-    Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ scale_arg
-          $ trace_out_arg $ metrics_out_arg $ queries)
+    Term.(const run $ C.jobs $ C.data $ C.trace_out $ C.metrics_out $ queries)
 
 (* ---- lint ----------------------------------------------------------- *)
 
-let config_of_name name =
-  match Lpp_core.Config.of_name name with
-  | Ok c -> c
-  | Error msg -> failwith msg
-
-(* Arguments shared by the pattern-driven subcommands (lint, trace); both
-   load patterns through Cli_common.load_patterns and exit 1 on errors. *)
-let config_arg =
-  Arg.(value & opt string "A-LHD"
-       & info [ "config"; "c" ] ~docv:"CFG"
-           ~doc:"Estimator configuration \
-                 (S-L, A-L, A-LH, A-LD, A-LHD, A-LHD-10, A-LHDT)")
-
-let file_arg =
-  Arg.(value & opt (some string) None
-       & info [ "file"; "f" ] ~docv:"FILE"
-           ~doc:"Read patterns from FILE (one per line, # comments)")
-
-let patterns_arg =
-  Arg.(value & pos_all string [] & info [] ~docv:"PATTERN"
-       ~doc:"openCypher-style patterns; none = use a generated workload")
-
 let cmd_lint =
-  let run jobs name seed n props scale_name json config_name file patterns =
-    set_jobs jobs;
-    let config = config_of_name config_name in
-    let scale = resolve_scale scale_name in
-    let ds = dataset_of_name name ~seed ~scale in
-    let catalog_diags = Lpp_analysis.Catalog_check.run ds.catalog in
-    let texts_and_algs =
-      Cli_common.load_patterns ds ~file ~patterns ~fallback:(fun () ->
-          gen_workload ds ~seed ~n ~props)
-      |> List.map (fun (text, r) ->
-             (text, Result.map (fun p -> Lpp_pattern.Planner.plan p) r))
-    in
+  let run () data json config patterns =
+    let open Lpp_analysis in
+    let ds = C.load data in
+    let catalog_diags = Catalog_check.run ds.catalog in
     let reports =
       List.map
-        (fun (text, alg) ->
-          match alg with
-          | Ok alg ->
-              (text, Ok (Lpp_analysis.Lint.check_sequence ~config ~catalog:ds.catalog alg))
-          | Error msg -> (text, Error msg))
-        texts_and_algs
+        (fun (text, r) ->
+          let check p =
+            Lint.check_sequence ~config ~catalog:ds.catalog (Lpp_pattern.Planner.plan p)
+          in
+          (text, Result.map check r))
+        (patterns data ds)
     in
-    let parse_errors =
-      List.length (List.filter (fun (_, r) -> Result.is_error r) reports)
+    let diags = function Ok rep -> Lint.report_diagnostics rep | Error _ -> [] in
+    let errors =
+      Diagnostic.count Error
+        (catalog_diags @ List.concat_map (fun (_, r) -> diags r) reports)
+      + List.length (List.filter (fun (_, r) -> Result.is_error r) reports)
     in
-    let all_diags =
-      catalog_diags
-      @ List.concat_map
-          (fun (_, r) ->
-            match r with
-            | Ok rep -> Lpp_analysis.Lint.report_diagnostics rep
-            | Error _ -> [])
-          reports
-    in
-    let errors = Lpp_analysis.Diagnostic.count Error all_diags + parse_errors in
     if json then begin
+      let diagnostics ds = Json.List (List.map Diagnostic.to_json ds) in
       let seq_json (text, r) =
-        match r with
-        | Ok rep ->
-            let z = rep.Lpp_analysis.Lint.seq.Lpp_analysis.Seq_lint.provably_zero in
-            let sound =
-              match rep.Lpp_analysis.Lint.soundness with
-              | Some s -> string_of_bool s.Lpp_analysis.Soundness.sound
-              | None -> "null"
-            in
-            Printf.sprintf
-              "{\"pattern\":\"%s\",\"provably_zero\":%b,\"sound\":%s,\"diagnostics\":%s}"
-              (Lpp_analysis.Diagnostic.json_escape text)
-              z sound
-              (Lpp_analysis.Diagnostic.list_to_json
-                 (Lpp_analysis.Lint.report_diagnostics rep))
-        | Error msg ->
-            Printf.sprintf "{\"pattern\":\"%s\",\"parse_error\":\"%s\"}"
-              (Lpp_analysis.Diagnostic.json_escape text)
-              (Lpp_analysis.Diagnostic.json_escape msg)
+        Json.Obj
+          (("pattern", Json.String text)
+          ::
+          (match r with
+          | Ok (rep : Lint.sequence_report) ->
+              [ ("provably_zero", Json.Bool rep.seq.provably_zero);
+                ( "sound",
+                  Option.fold ~none:Json.Null
+                    ~some:(fun (s : Soundness.t) -> Json.Bool s.sound)
+                    rep.soundness );
+                ("diagnostics", diagnostics (Lint.report_diagnostics rep)) ]
+          | Error msg -> [ ("parse_error", Json.String msg) ]))
       in
-      Printf.printf
-        "{\"dataset\":\"%s\",\"config\":\"%s\",\"errors\":%d,\"catalog\":%s,\"sequences\":[%s]}\n"
-        (Lpp_analysis.Diagnostic.json_escape ds.name)
-        (Lpp_analysis.Diagnostic.json_escape (Lpp_core.Config.name config))
-        errors
-        (Lpp_analysis.Diagnostic.list_to_json catalog_diags)
-        (String.concat "," (List.map seq_json reports))
+      print_endline
+        (Json.to_string
+           (Json.Obj
+              [ ("dataset", Json.String ds.name);
+                ("config", Json.String (Lpp_core.Config.name config));
+                ("errors", Json.Int errors);
+                ("catalog", diagnostics catalog_diags);
+                ("sequences", Json.List (List.map seq_json reports)) ]))
     end
     else begin
+      let print_diags = List.iter (Format.printf "  %a@." Diagnostic.pp) in
       Printf.printf "catalog %s: %s\n" ds.name
         (if catalog_diags = [] then "consistent"
          else Printf.sprintf "%d finding(s)" (List.length catalog_diags));
-      List.iter
-        (fun d -> Format.printf "  %a@." Lpp_analysis.Diagnostic.pp d)
-        catalog_diags;
+      print_diags catalog_diags;
       List.iter
         (fun (text, r) ->
           match r with
           | Error msg -> Printf.printf "%s\n  parse error: %s\n" text msg
-          | Ok rep ->
-              let ds' = Lpp_analysis.Lint.report_diagnostics rep in
-              let verdict =
-                if rep.Lpp_analysis.Lint.seq.Lpp_analysis.Seq_lint.provably_zero
-                then "provably empty"
-                else if ds' = [] then "clean"
-                else Printf.sprintf "%d finding(s)" (List.length ds')
-              in
-              Printf.printf "%s: %s\n" text verdict;
-              List.iter
-                (fun d -> Format.printf "  %a@." Lpp_analysis.Diagnostic.pp d)
-                ds')
+          | Ok (rep : Lint.sequence_report) ->
+              let found = Lint.report_diagnostics rep in
+              Printf.printf "%s: %s\n" text
+                (if rep.seq.provably_zero then "provably empty"
+                 else if found = [] then "clean"
+                 else Printf.sprintf "%d finding(s)" (List.length found));
+              print_diags found)
         reports;
       Printf.printf "%d sequence(s), %d error(s)\n" (List.length reports) errors
     end;
-    Cli_common.exit_if_errors errors
+    C.exit_if_errors errors
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON") in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Statically analyse operator sequences and the statistics catalog"
@@ -421,35 +289,27 @@ let cmd_lint =
                the estimate-soundness verifier (Lpp_analysis) over the given \
                patterns — or over a generated workload — and exits non-zero \
                if any error-severity diagnostic is found." ])
-    Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ queries_arg
-          $ props_arg $ scale_arg $ json $ config_arg $ file_arg
-          $ patterns_arg)
+    Term.(const run $ C.jobs $ C.data $ C.json $ C.config $ C.patterns)
 
 (* ---- srclint -------------------------------------------------------- *)
 
 let cmd_srclint =
   let run root json suppress list_rules =
+    let open Lpp_srclint in
     if list_rules then begin
-      if json then
-        print_endline (Lpp_util.Json.to_string (Lpp_srclint.Rules.to_json ()))
-      else print_string (Lpp_srclint.Rules.to_table ())
+      if json then print_endline (Json.to_string (Rules.to_json ()))
+      else print_string (Rules.to_table ())
     end
     else begin
-      let report = Lpp_srclint.Srclint.run ~suppress ~root () in
-      let errors = Lpp_srclint.Srclint.errors report in
-      if json then
-        print_endline
-          (Lpp_util.Json.to_string (Lpp_srclint.Srclint.to_json report))
+      let report = Srclint.run ~suppress ~root () in
+      let errors = Srclint.errors report in
+      if json then print_endline (Json.to_string (Srclint.to_json report))
       else begin
-        List.iter
-          (fun d -> Format.printf "%a@." Lpp_analysis.Diagnostic.pp d)
-          report.Lpp_srclint.Srclint.diagnostics;
+        List.iter (Format.printf "%a@." Lpp_analysis.Diagnostic.pp) report.diagnostics;
         Printf.printf "%d file(s), %d error(s), %d warning(s)\n"
-          (List.length report.Lpp_srclint.Srclint.files)
-          errors
-          (Lpp_srclint.Srclint.warnings report)
+          (List.length report.files) errors (Srclint.warnings report)
       end;
-      Cli_common.exit_if_errors errors
+      C.exit_if_errors errors
     end
   in
   let root =
@@ -457,7 +317,6 @@ let cmd_srclint =
          & info [ "root" ] ~docv:"DIR"
              ~doc:"Project root; lib/, bin/ and bench/ below it are linted")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON") in
   let suppress =
     Arg.(value & opt_all string []
          & info [ "suppress"; "S" ] ~docv:"CODE"
@@ -486,16 +345,12 @@ let cmd_srclint =
                $(b,lpp lint). Suppress per site with [@lpp.allow \"D006 \
                reason\"] / justify globals with [@@lpp.domain_safe \
                \"reason\"], or per run with $(b,--suppress)." ])
-    Term.(const run $ root $ json $ suppress $ list_rules)
+    Term.(const run $ root $ C.json $ suppress $ list_rules)
 
 (* ---- trace ---------------------------------------------------------- *)
 
 let cmd_trace =
-  let run jobs name seed n props scale_name config_name file out metrics
-      count patterns =
-    set_jobs jobs;
-    let config = config_of_name config_name in
-    let scale = resolve_scale scale_name in
+  let run () data config out metrics count patterns =
     (* Enable before the data set is built so catalog build phases (compile
        included) and the pool's per-task spans all land in the trace. *)
     Lpp_obs.Obs.enable ();
@@ -503,11 +358,7 @@ let cmd_trace =
     Fun.protect
       ~finally:(fun () -> Lpp_obs.Obs.disable ())
       (fun () ->
-        let ds = dataset_of_name name ~seed ~scale in
-        let loaded =
-          Cli_common.load_patterns ds ~file ~patterns ~fallback:(fun () ->
-              gen_workload ds ~seed ~n ~props)
-        in
+        let ds = C.load data in
         let session = Lpp_core.Estimator.make config ds.catalog in
         List.iter
           (fun (text, r) ->
@@ -527,20 +378,20 @@ let cmd_trace =
                   Printf.printf "%s\n  estimate %.2f, exact %s\n" text est exact
                 end
                 else Printf.printf "%s\n  estimate %.2f\n" text est)
-          loaded;
+          (patterns data ds);
         Option.iter
           (fun path ->
-            Lpp_obs.Export.write_chrome_trace path;
+            C.write_file Lpp_obs.Export.write_chrome_trace path;
             Printf.printf "wrote Chrome trace to %s\n" path)
           out;
         Option.iter
           (fun path ->
-            Lpp_obs.Export.write_metrics path;
+            C.write_file Lpp_obs.Export.write_metrics path;
             Printf.printf "wrote metrics to %s\n" path)
           metrics;
         print_newline ();
         Lpp_obs.Export.print_summary ());
-    Cli_common.exit_if_errors !parse_errors
+    C.exit_if_errors !parse_errors
   in
   let out =
     Arg.(value & opt (some string) None
@@ -565,9 +416,8 @@ let cmd_trace =
                ($(b,--out)) and metrics JSON ($(b,--metrics)) and prints an \
                aggregate text report. Exits non-zero if any pattern fails to \
                parse, mirroring $(b,lpp lint)." ])
-    Term.(const run $ jobs_arg $ dataset_arg $ seed_arg $ queries_arg
-          $ props_arg $ scale_arg $ config_arg $ file_arg $ out
-          $ metrics_out_arg $ count $ patterns_arg)
+    Term.(const run $ C.jobs $ C.data $ C.config $ out $ C.metrics_out $ count
+          $ C.patterns)
 
 (* ---- serve ---------------------------------------------------------- *)
 
@@ -576,49 +426,38 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* [key] of the daemon's answer to the request [line] *)
+let ask client key line = Json.member key (Client.request client line)
+
 let cmd_serve =
-  let run name seed scale_name config_name socket port host workers batch
-      max_line max_pending check file n props trace_out metrics_out patterns
-      prom flight slow_ms log_level log_json metrics_out_file metrics_every
-      cache_mb =
-    let config = config_of_name config_name in
-    let scale = resolve_scale scale_name in
-    (match Lpp_obs.Log.level_of_string log_level with
+  let run data config addr workers batch max_line max_pending check patterns
+      trace_out metrics_out prom flight slow_ms log_level log_json
+      metrics_out_file metrics_every cache_mb =
+    (match log_level with
     | Some level ->
         Lpp_obs.Log.configure ~level
           ?format:(if log_json then Some Lpp_obs.Log.Jsonl else None)
           ()
-    | None ->
-        if log_level = "off" then Lpp_obs.Log.disable ()
-        else begin
-          Printf.eprintf
-            "lpp serve: unknown --log-level %S (debug|info|warn|error|off)\n"
-            log_level;
-          exit 2
-        end);
+    | None -> Lpp_obs.Log.disable ());
     (* --metrics FILE is the server's own snapshot (the registry plus every
        serve.* series), written once the server has drained; with_obs only
        owns the trace sink here *)
     if metrics_out <> None then Lpp_obs.Obs.enable ();
-    Cli_common.with_obs ?trace_out @@ fun () ->
-    let ds = dataset_of_name name ~seed ~scale in
+    C.with_obs ?trace_out @@ fun () ->
+    let ds = C.load data in
     let addr =
-      match port with
-      | Some p -> Lpp_serve.Server.Tcp (host, p)
-      | None ->
-          Lpp_serve.Server.Unix_socket
-            (Option.value socket
-               ~default:
-                 (if check then
-                    Filename.concat (Filename.get_temp_dir_name ())
-                      (Printf.sprintf "lpp-serve-check-%d.sock" (Unix.getpid ()))
-                  else "/tmp/lpp-serve.sock"))
+      addr
+        ~default:
+          (if check then
+             Filename.concat (Filename.get_temp_dir_name ())
+               (Printf.sprintf "lpp-serve-check-%d.sock" (Unix.getpid ()))
+           else C.default_socket)
     in
     let scfg =
-      let d = Lpp_serve.Server.default_config addr in
+      let d = Server.default_config addr in
       {
         d with
-        Lpp_serve.Server.workers = Option.value workers ~default:d.Lpp_serve.Server.workers;
+        Server.workers = Option.value workers ~default:d.Server.workers;
         batch;
         max_line;
         max_pending;
@@ -630,22 +469,20 @@ let cmd_serve =
       }
     in
     let server =
-      Lpp_serve.Server.start scfg ~graph:ds.graph ~catalog:ds.catalog
+      Server.start scfg ~graph:ds.graph ~catalog:ds.catalog
     in
     (* metrics snapshots: write-temp-rename so scrapers reading the file
        never observe a partial document *)
-    let write_metrics_file path =
-      let tmp = path ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          Lpp_util.Json.to_channel oc (Lpp_serve.Server.metrics_json server);
-          output_char oc '\n');
-      Sys.rename tmp path
+    let write_metrics_file =
+      C.write_file (fun path ->
+          let tmp = path ^ ".tmp" in
+          Out_channel.with_open_text tmp (fun oc ->
+              Json.to_channel oc (Server.metrics_json server);
+              output_char oc '\n');
+          Sys.rename tmp path)
     in
     let stop_server () =
-      Lpp_serve.Server.stop server;
+      Server.stop server;
       Option.iter write_metrics_file metrics_out_file;
       Option.iter
         (fun path ->
@@ -657,139 +494,108 @@ let cmd_serve =
       (* Self-test: every pattern must answer bit-identically to an offline
          session over the same catalog, and the protocol must answer (not
          drop) malformed input. Used by the @serve-smoke alias. *)
-      let loaded =
-        Cli_common.load_patterns ds ~file ~patterns ~fallback:(fun () ->
-            gen_workload ds ~seed ~n ~props)
-      in
+      let loaded = patterns data ds in
       let session = Lpp_core.Estimator.make config ds.catalog in
-      let client = Lpp_serve.Client.connect addr in
+      let client = Client.connect addr in
       let failures = ref 0 in
       let checked = ref 0 in
       let fail fmt = incr failures; Printf.eprintf fmt in
-      List.iter
-        (fun (text, _) ->
-          (* re-parse the text here so both sides estimate the exact pattern
-             the server will parse off the wire *)
-          match Lpp_pattern.Parse.parse ds.graph text with
-          | Error _ -> begin
-              match Lpp_serve.Client.estimate client text with
-              | Error _ -> incr checked
-              | Ok _ ->
-                  fail "FAIL %s: server accepted an unparsable pattern\n" text
-            end
-          | Ok { pattern; _ } -> begin
-              let expect =
-                Lpp_core.Estimator.session_estimate_pattern session pattern
-              in
-              match Lpp_serve.Client.estimate client text with
-              | Ok est when est = expect -> incr checked
-              | Ok est -> fail "FAIL %s: served %h <> offline %h\n" text est expect
-              | Error msg -> fail "FAIL %s: %s\n" text msg
-            end)
-        loaded;
+      (* Re-parse each text so both sides estimate the exact pattern the
+         server parses off the wire. The cold pass also sends the texts
+         that do not parse, which must be refused. *)
+      let check_pass ~warm =
+        let tag = if warm then " (warm)" else "" in
+        List.iter
+          (fun (text, _) ->
+            match Lpp_pattern.Parse.parse ds.graph text with
+            | Error _ when warm -> ()
+            | Error _ -> begin
+                match Client.estimate client text with
+                | Error _ -> incr checked
+                | Ok _ ->
+                    fail "FAIL %s: server accepted an unparsable pattern\n" text
+              end
+            | Ok { pattern; _ } -> begin
+                let expect =
+                  Lpp_core.Estimator.session_estimate_pattern session pattern
+                in
+                match Client.estimate client text with
+                | Ok est when est = expect -> incr checked
+                | Ok est ->
+                    fail "FAIL%s %s: served %h <> offline %h\n" tag text est expect
+                | Error msg -> fail "FAIL%s %s: %s\n" tag text msg
+              end)
+          loaded
+      in
+      check_pass ~warm:false;
       (* warm pass: the same patterns again on the same connection. These
          answers come from the worker's L1 (or the L2), and the contract is
          that a hit returns the exact bits a miss computed — so warm must
          still be bit-identical to the offline session (and to the cold
          pass), whatever the --cache-mb budget. *)
-      List.iter
-        (fun (text, _) ->
-          match Lpp_pattern.Parse.parse ds.graph text with
-          | Error _ -> ()
-          | Ok { pattern; _ } -> begin
-              let expect =
-                Lpp_core.Estimator.session_estimate_pattern session pattern
-              in
-              match Lpp_serve.Client.estimate client text with
-              | Ok est when est = expect -> incr checked
-              | Ok est ->
-                  fail "FAIL (warm) %s: served %h <> offline %h\n" text est
-                    expect
-              | Error msg -> fail "FAIL (warm) %s: %s\n" text msg
-            end)
-        loaded;
-      (match
-         Option.bind
-           (Lpp_util.Json.member "stats"
-              (Lpp_serve.Client.request client {|{"op":"stats"}|}))
-           (Lpp_util.Json.member "cache")
-       with
+      check_pass ~warm:true;
+      let ask = ask client in
+      (match Option.bind (ask "stats" {|{"op":"stats"}|}) (Json.member "cache") with
       | Some c ->
-          let i k = Option.value (Lpp_util.Json.member_int k c) ~default:0 in
+          let i k = Option.value (Json.member_int k c) ~default:0 in
           if i "l1_hits" + i "l2_hits" = 0 then
             fail "FAIL: warm pass produced no cache hits\n"
       | None -> fail "FAIL: stats op reports no cache block\n");
       let expect_ok_false what line =
-        match Lpp_util.Json.member "ok" (Lpp_serve.Client.request client line) with
-        | Some (Lpp_util.Json.Bool false) -> ()
-        | _ -> fail "FAIL: %s was not answered with ok:false\n" what
+        if ask "ok" line <> Some (Json.Bool false) then
+          fail "FAIL: %s was not answered with ok:false\n" what
       in
       expect_ok_false "malformed JSON" "{not json";
       expect_ok_false "unknown op" {|{"op":"shrug"}|};
       (* a client that hangs up with answers pending costs only its own
          connection: the ping below must still pong *)
-      let quitter = Lpp_serve.Client.connect addr in
+      let quitter = Client.connect addr in
       for _ = 1 to 100 do
-        Lpp_serve.Client.send_line quitter {|{"op":"ping"}|}
+        Client.send_line quitter {|{"op":"ping"}|}
       done;
-      Lpp_serve.Client.close quitter;
-      (match
-         Lpp_util.Json.member "ok" (Lpp_serve.Client.request client {|{"op":"ping"}|})
-       with
-      | Some (Lpp_util.Json.Bool true) -> ()
-      | _ -> fail "FAIL: ping did not pong\n");
+      Client.close quitter;
+      if ask "ok" {|{"op":"ping"}|} <> Some (Json.Bool true) then
+        fail "FAIL: ping did not pong\n";
       (* a scraper that never reads its answer costs only its own
          connection: 256 traced requests with 8 KB ids make a flight dump
          of about 2 MB, more than the socket buffers hold, and a ping must
          still pong within a second of the scrape *)
+      let estimate_req pattern extra =
+        Json.to_string
+          (Json.Obj
+             ([ ("op", Json.String "estimate"); ("pattern", Json.String pattern) ]
+             @ extra))
+      in
       Option.iter
         (fun port ->
           let id = String.make 8192 'x' in
           for i = 1 to 256 do
             ignore
-              (Lpp_serve.Client.request client
-                 (Lpp_util.Json.to_string
-                    (Lpp_util.Json.Obj
-                       [
-                         ("op", Lpp_util.Json.String "estimate");
-                         ("pattern", Lpp_util.Json.String "(a)");
-                         ("trace", Lpp_util.Json.String (id ^ string_of_int i));
-                       ]))
-                : Lpp_util.Json.t)
+              (Client.request client
+                 (estimate_req "(a)" [ ("trace", Json.String (id ^ string_of_int i)) ])
+                : Json.t)
           done;
-          let scraper = Lpp_serve.Client.scrape_unread ~port "/flight" in
+          let scraper = Client.scrape_unread ~port "/flight" in
           (* let the reader take the request before the ping is sent *)
           Unix.sleepf 0.2;
-          Lpp_serve.Client.send_line client {|{"op":"ping"}|};
-          (match Lpp_serve.Client.try_recv_line ~wait_s:1.0 client with
+          Client.send_line client {|{"op":"ping"}|};
+          (match Client.try_recv_line ~wait_s:1.0 client with
           | Some line when contains line {|"ok":true|} -> ()
           | _ -> fail "FAIL: ping did not pong within 1 s of a stalled scrape\n");
           Unix.close scraper)
-        (Lpp_serve.Server.prom_port server);
-      (match
-         Lpp_util.Json.member "stats"
-           (Lpp_serve.Client.request client {|{"op":"stats"}|})
-       with
-      | Some (Lpp_util.Json.Obj _) -> ()
+        (Server.prom_port server);
+      (match ask "stats" {|{"op":"stats"}|} with
+      | Some (Json.Obj _) -> ()
       | _ -> fail "FAIL: stats op returned no stats object\n");
       (* observability surface: traced request (server-assigned and hostile
          client-supplied ids), metrics op in both formats, flight dump *)
       let first_pattern =
         match loaded with (text, _) :: _ -> text | [] -> "(a)"
       in
-      let estimate_req extra =
-        Lpp_util.Json.to_string
-          (Lpp_util.Json.Obj
-             ([
-                ("op", Lpp_util.Json.String "estimate");
-                ("pattern", Lpp_util.Json.String first_pattern);
-              ]
-             @ extra))
-      in
-      let check_trace what resp expect_id =
-        match Lpp_util.Json.member "trace" resp with
+      let check_trace what trace_arg expect_id =
+        match ask "trace" (estimate_req first_pattern [ ("trace", trace_arg) ]) with
         | Some trace -> begin
-            (match (expect_id, Lpp_util.Json.member_string "id" trace) with
+            (match (expect_id, Json.member_string "id" trace) with
             | Some want, Some got when got = want -> ()
             | Some want, got ->
                 fail "FAIL: %s echoed trace id %S, wanted %S\n" what
@@ -797,7 +603,7 @@ let cmd_serve =
             | None, Some _ -> ()
             | None, None -> fail "FAIL: %s trace block has no id\n" what);
             let part f =
-              match Lpp_util.Json.member_int f trace with
+              match Json.member_int f trace with
               | Some v when v >= 0 -> v
               | Some v ->
                   fail "FAIL: %s trace %s is negative (%d)\n" what f v;
@@ -810,53 +616,37 @@ let cmd_serve =
               part "queue_ns" + part "parse_ns" + part "estimate_ns"
               + part "write_ns"
             in
-            if Lpp_util.Json.member_int "total_ns" trace <> Some total then
+            if Json.member_int "total_ns" trace <> Some total then
               fail "FAIL: %s trace total_ns is not the sum of its parts\n" what
           end
         | None -> fail "FAIL: %s response carries no trace block\n" what
       in
-      check_trace "trace:true"
-        (Lpp_serve.Client.request client
-           (estimate_req [ ("trace", Lpp_util.Json.Bool true) ]))
-        None;
+      check_trace "trace:true" (Json.Bool true) None;
       let hostile = "r\"1 \\ {\"op\":\"x\"}\n\twe\xc3\xafrd" in
-      check_trace "hostile trace id"
-        (Lpp_serve.Client.request client
-           (estimate_req [ ("trace", Lpp_util.Json.String hostile) ]))
-        (Some hostile);
-      (match
-         Lpp_util.Json.member "metrics"
-           (Lpp_serve.Client.request client {|{"op":"metrics"}|})
-       with
-      | Some (Lpp_util.Json.Obj _) -> ()
+      check_trace "hostile trace id" (Json.String hostile) (Some hostile);
+      (match ask "metrics" {|{"op":"metrics"}|} with
+      | Some (Json.Obj _) -> ()
       | _ -> fail "FAIL: metrics op returned no metrics object\n");
-      (match
-         Lpp_util.Json.member_string "metrics_text"
-           (Lpp_serve.Client.request client
-              {|{"op":"metrics","format":"prometheus"}|})
-       with
-      | Some text when contains text "lpp_serve_served_total" -> ()
-      | Some _ ->
+      (match ask "metrics_text" {|{"op":"metrics","format":"prometheus"}|} with
+      | Some (Json.String text) when contains text "lpp_serve_served_total" -> ()
+      | Some (Json.String _) ->
           fail "FAIL: prometheus metrics lack the lpp_serve_served_total series\n"
-      | None -> fail "FAIL: metrics format=prometheus returned no text\n");
-      (match
-         Lpp_util.Json.member "flight"
-           (Lpp_serve.Client.request client {|{"op":"flight"}|})
-       with
+      | _ -> fail "FAIL: metrics format=prometheus returned no text\n");
+      (match ask "flight" {|{"op":"flight"}|} with
       | Some flight -> begin
-          match Lpp_util.Json.member "recent" flight with
-          | Some (Lpp_util.Json.List (_ :: _)) -> ()
+          match Json.member "recent" flight with
+          | Some (Json.List (_ :: _)) -> ()
           | _ -> fail "FAIL: flight recorder is empty after serving requests\n"
         end
       | None -> fail "FAIL: flight op returned no flight object\n");
-      Lpp_serve.Client.close client;
+      Client.close client;
       stop_server ();
       Printf.printf
         "serve check (%s, %s): %d answer(s) bit-identical (cold+warm), %d failure(s)\n"
         ds.name
         (Lpp_core.Config.name config)
         !checked !failures;
-      Cli_common.exit_if_errors !failures
+      C.exit_if_errors !failures
     end
     else begin
       let stop = Atomic.make false in
@@ -868,11 +658,9 @@ let cmd_serve =
       Printf.printf "lpp serve: %s (%s), %d worker(s), batch %d, listening on %s%s\n%!"
         ds.name
         (Lpp_core.Config.name config)
-        scfg.Lpp_serve.Server.workers scfg.Lpp_serve.Server.batch
-        (match addr with
-        | Lpp_serve.Server.Unix_socket p -> p
-        | Lpp_serve.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
-        (match Lpp_serve.Server.prom_port server with
+        scfg.Server.workers scfg.Server.batch
+        (Server.addr_string addr)
+        (match Server.prom_port server with
         | Some p -> Printf.sprintf ", prometheus on http://127.0.0.1:%d/metrics" p
         | None -> "");
       let last_metrics = ref (Lpp_util.Clock.now_ns ()) in
@@ -880,7 +668,7 @@ let cmd_serve =
         (try Unix.sleepf 0.2 with Unix.Unix_error (EINTR, _, _) -> ());
         if Atomic.exchange dump false then
           prerr_endline
-            (Lpp_util.Json.to_string (Lpp_serve.Server.flight_json server));
+            (Json.to_string (Server.flight_json server));
         match metrics_out_file with
         | Some path
           when Lpp_util.Clock.elapsed_s ~since:!last_metrics >= metrics_every ->
@@ -890,21 +678,8 @@ let cmd_serve =
       done;
       Printf.printf "draining and shutting down…\n%!";
       stop_server ();
-      print_endline (Lpp_util.Json.to_string (Lpp_serve.Server.stats_json server))
+      print_endline (Json.to_string (Server.stats_json server))
     end
-  in
-  let socket =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Unix socket path (default /tmp/lpp-serve.sock)")
-  in
-  let port =
-    Arg.(value & opt (some int) None
-         & info [ "port" ] ~docv:"PORT" ~doc:"Listen on TCP instead of a Unix socket")
-  in
-  let host =
-    Arg.(value & opt string "127.0.0.1"
-         & info [ "host" ] ~docv:"HOST" ~doc:"TCP bind address (with --port)")
   in
   let workers =
     Arg.(value & opt (some int) None
@@ -953,7 +728,7 @@ let cmd_serve =
                    slow ring")
   in
   let log_level =
-    Arg.(value & opt string "warn"
+    Arg.(value & opt C.log_level_conv (Some Lpp_obs.Log.Warn)
          & info [ "log-level" ] ~docv:"LEVEL"
              ~doc:"Structured-log threshold: debug|info|warn|error|off")
   in
@@ -995,34 +770,20 @@ let cmd_serve =
                drain queued requests before exiting.";
            `P "Try: echo '{\"op\": \"estimate\", \"pattern\": \
                \"(a:Person)-[:KNOWS]->(b)\"}' | nc -U /tmp/lpp-serve.sock" ])
-    Term.(const run $ dataset_arg $ seed_arg $ scale_arg
-          $ config_arg $ socket $ port $ host $ workers $ batch $ max_line
-          $ max_pending $ check $ file_arg $ queries_arg $ props_arg
-          $ trace_out_arg $ metrics_out_arg $ patterns_arg $ prom $ flight
-          $ slow_ms $ log_level $ log_json $ metrics_out_file $ metrics_every
-          $ cache_mb)
+    Term.(const run $ C.data $ C.config $ C.addr $ workers $ batch $ max_line
+          $ max_pending $ check $ C.patterns $ C.trace_out $ C.metrics_out
+          $ prom $ flight $ slow_ms $ log_level $ log_json $ metrics_out_file
+          $ metrics_every $ cache_mb)
 
 (* ---- top ------------------------------------------------------------- *)
 
 let cmd_top =
-  let run socket port host interval once frames =
-    let addr =
-      match port with
-      | Some p -> Lpp_serve.Server.Tcp (host, p)
-      | None ->
-          Lpp_serve.Server.Unix_socket
-            (Option.value socket ~default:"/tmp/lpp-serve.sock")
-    in
-    let addr_str =
-      match addr with
-      | Lpp_serve.Server.Unix_socket p -> p
-      | Lpp_serve.Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-    in
-    match Lpp_serve.Client.connect addr with
+  let run addr interval once frames =
+    let addr = addr ~default:C.default_socket in
+    let addr_str = Server.addr_string addr in
+    match Client.connect addr with
     | exception Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "lpp top: cannot connect to %s: %s\n" addr_str
-          (Unix.error_message e);
-        exit 1
+        C.fail "cannot connect to %s: %s" addr_str (Unix.error_message e)
     | client ->
         let stop = Atomic.make false in
         Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> Atomic.set stop true));
@@ -1030,21 +791,13 @@ let cmd_top =
         let prev = ref None in
         let rec loop () =
           let poll () =
-            let stats_resp =
-              Lpp_serve.Client.request client {|{"op":"stats"}|}
-            in
-            let metrics_resp =
-              Lpp_serve.Client.request client {|{"op":"metrics"}|}
-            in
-            ( Option.value
-                (Lpp_util.Json.member "stats" stats_resp)
-                ~default:(Lpp_util.Json.Obj []),
-              Lpp_util.Json.member "metrics" metrics_resp )
+            let stats = ask client "stats" {|{"op":"stats"}|} in
+            let metrics = ask client "metrics" {|{"op":"metrics"}|} in
+            (Option.value stats ~default:(Json.Obj []), metrics)
           in
           match poll () with
           | exception (Failure _ | Unix.Unix_error _) ->
-              Printf.eprintf "lpp top: lost connection to %s\n" addr_str;
-              exit 1
+              C.fail "lost connection to %s" addr_str
           | stats, metrics ->
               let now = Lpp_util.Clock.now_ns () in
               let frame =
@@ -1063,20 +816,7 @@ let cmd_top =
               end
         in
         loop ();
-        Lpp_serve.Client.close client
-  in
-  let socket =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Unix socket of the daemon (default /tmp/lpp-serve.sock)")
-  in
-  let port =
-    Arg.(value & opt (some int) None
-         & info [ "port" ] ~docv:"PORT" ~doc:"Poll a TCP daemon instead")
-  in
-  let host =
-    Arg.(value & opt string "127.0.0.1"
-         & info [ "host" ] ~docv:"HOST" ~doc:"TCP host (with --port)")
+        Client.close client
   in
   let interval =
     Arg.(value & opt float 2.0
@@ -1100,7 +840,7 @@ let cmd_top =
            `P "Polls the daemon's stats and metrics ops and renders served \
                count and QPS, latency and q-error quantiles, per-worker \
                utilization and queue depths. Ctrl-C exits." ])
-    Term.(const run $ socket $ port $ host $ interval $ once $ frames)
+    Term.(const run $ C.addr $ interval $ once $ frames)
 
 (* ---- stats ---------------------------------------------------------- *)
 
@@ -1115,16 +855,15 @@ let peak_rss_mib () =
         (String.split_on_char '\n' status)
 
 let cmd_stats =
-  let run name seed scale_name =
-    let scale = resolve_scale scale_name in
+  let run (data : C.data) =
     let t0 = Lpp_util.Clock.now_ns () in
-    let ds = dataset_of_name name ~seed ~scale in
+    let ds = C.load data in
     let generate_s = Lpp_util.Clock.elapsed_s ~since:t0 -. ds.catalog_s in
-    let t = Lpp_util.Ascii_table.create Lpp_datasets.Dataset.summary_headers in
-    Lpp_util.Ascii_table.add_row t (Lpp_datasets.Dataset.summary_row ds);
-    Lpp_util.Ascii_table.print
+    let t = Table.create Dataset.summary_headers in
+    Table.add_row t (Dataset.summary_row ds);
+    Table.print
       ~title:(Printf.sprintf "%s (%s tier)" ds.name
-                (Lpp_datasets.Scale.to_string scale))
+                (Lpp_datasets.Scale.to_string data.scale))
       t;
     print_memory_table ds;
     Printf.printf "generate %.2fs (%.0f rels/s), catalog build %.2fs%s\n"
@@ -1147,7 +886,7 @@ let cmd_stats =
                (CSR adjacency, relationship columns, NC/RC catalog arrays). \
                Use $(b,--scale large) to exercise the ≥10⁷-relationship \
                tier." ])
-    Term.(const run $ dataset_arg $ seed_arg $ scale_arg)
+    Term.(const run $ C.data)
 
 let () =
   let info =

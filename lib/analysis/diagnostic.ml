@@ -57,20 +57,16 @@ let pp ppf d =
     (severity_string d.severity)
     d.code pp_loc d.loc d.message
 
-(* One escaping implementation for the whole repo: Lpp_util.Json. *)
-let json_escape = Lpp_util.Json.escape
-
 let to_json d =
-  let loc_field =
+  let open Lpp_util.Json in
+  let loc_fields =
     match d.loc with
-    | Op i -> Printf.sprintf "\"op\":%d," i
-    | Stats s -> Printf.sprintf "\"stats\":\"%s\"," (json_escape s)
-    | Sequence -> ""
-    | Src { file; line } ->
-        Printf.sprintf "\"file\":\"%s\",\"line\":%d," (json_escape file) line
+    | Op i -> [ ("op", Int i) ]
+    | Stats s -> [ ("stats", String s) ]
+    | Sequence -> []
+    | Src { file; line } -> [ ("file", String file); ("line", Int line) ]
   in
-  Printf.sprintf "{\"severity\":\"%s\",\"code\":\"%s\",%s\"message\":\"%s\"}"
-    (severity_string d.severity)
-    (json_escape d.code) loc_field (json_escape d.message)
-
-let list_to_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+  Obj
+    ([ ("severity", String (severity_string d.severity)); ("code", String d.code) ]
+    @ loc_fields
+    @ [ ("message", String d.message) ])

@@ -50,15 +50,8 @@ val sort : t list -> t list
 val pp : Format.formatter -> t -> unit
 (** One line: [[severity] CODE @ loc: message]. *)
 
-val json_escape : string -> string
-(** RFC 8259 string escaping (no surrounding quotes). *)
-
-val to_json : t -> string
+val to_json : t -> Lpp_util.Json.t
 (** One JSON object, e.g.
     [{"severity":"error","code":"LPP-A101","op":3,"message":"..."}] — the
     location key is ["op"] (int), ["stats"] (string), or ["file"]/["line"]
-    for source diagnostics, and is absent for whole-sequence diagnostics.
-    Strings are escaped per RFC 8259. *)
-
-val list_to_json : t list -> string
-(** JSON array of {!to_json} objects. *)
+    for source diagnostics, and is absent for whole-sequence diagnostics. *)

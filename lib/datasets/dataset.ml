@@ -29,23 +29,6 @@ let make ?hierarchy_pairs ~name graph =
   let t0 = Lpp_util.Clock.now_ns () in
   let catalog = Catalog.build_with ?hierarchy graph in
   let catalog_s = Lpp_util.Clock.elapsed_s ~since:t0 in
-  (* Debug guard: with LPP_DEBUG_CHECKS set (anything but 0/false/empty),
-     every freshly built dataset catalog runs the consistency checker; an
-     inconsistent one fails loudly instead of skewing every estimate. *)
-  (match Sys.getenv_opt "LPP_DEBUG_CHECKS" with
-  | None | Some ("" | "0" | "false") -> ()
-  | Some _ ->
-      let diags = Lpp_analysis.Catalog_check.run catalog in
-      List.iter
-        (fun d ->
-          Lpp_obs.Log.warnf "[%s catalog] %s" name
-            (Format.asprintf "%a" Lpp_analysis.Diagnostic.pp d))
-        diags;
-      if Lpp_analysis.Diagnostic.has_errors diags then
-        failwith
-          (Printf.sprintf
-             "dataset %s: catalog consistency check failed (%d errors)" name
-             (Lpp_analysis.Diagnostic.count Error diags)));
   { name; graph; catalog; catalog_s }
 
 let summary_headers =

@@ -25,6 +25,10 @@ type addr =
   | Unix_socket of string  (** filesystem path; unlinked on shutdown *)
   | Tcp of string * int  (** host, port *)
 
+val addr_string : addr -> string
+(** The socket path, or [host:port] for TCP: how logs, [lpp serve] and
+    [lpp top] name an address. *)
+
 type config = {
   addr : addr;
   workers : int;  (** estimation domains (≥ 1) *)

@@ -25,15 +25,5 @@ let to_json r =
       ("files", Int (List.length r.files));
       ("errors", Int (errors r));
       ("warnings", Int (warnings r));
-      ( "diagnostics",
-        (* Diagnostic.to_json is the shared hand-rendered emitter; parse its
-           output back into the tree so one emitter serves both paths. *)
-        List
-          (List.map
-             (fun d ->
-               match of_string (D.to_json d) with
-               | Ok j -> j
-               | Error msg ->
-                   failwith ("Srclint.to_json: diagnostic did not round-trip: " ^ msg))
-             r.diagnostics) );
+      ("diagnostics", List (List.map D.to_json r.diagnostics));
     ]

@@ -27,6 +27,8 @@ let test_json_escape () =
     (Json.escape "a\"b\\c");
   Alcotest.(check string) "control chars" "line\\nfeed\\ttab\\u0000"
     (Json.escape "line\nfeed\ttab\000");
+  Alcotest.(check string) "other control chars" "a\\u0001b"
+    (Json.escape "a\001b");
   Alcotest.(check string) "plain passthrough" "plain" (Json.escape "plain")
 
 let test_json_roundtrip () =

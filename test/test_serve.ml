@@ -35,7 +35,7 @@ let patterns =
   ]
 
 let with_server ?(config = Lpp_core.Config.a_lhd) ?(workers = 2) ?(batch = 4)
-    ?max_line ?prom_port f =
+    ?max_line ?max_pending ?prom_port f =
   let graph, catalog = campus_ds () in
   let addr = Serve.Unix_socket (temp_sock ()) in
   let cfg =
@@ -45,6 +45,7 @@ let with_server ?(config = Lpp_core.Config.a_lhd) ?(workers = 2) ?(batch = 4)
       Serve.workers;
       batch;
       max_line = Option.value max_line ~default:d.Serve.max_line;
+      max_pending = Option.value max_pending ~default:d.Serve.max_pending;
       estimator = config;
       prom_port;
     }
@@ -241,6 +242,46 @@ let test_malformed_and_oversized () =
   match Client.estimate client "(a:Person)-[]->(b)" with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "connection did not recover: %s" msg
+
+(* With max_pending = 0 admission refuses every line, so the overload path
+   is deterministic: each pipelined request is answered with the refusal,
+   in order, counted under rejected with nothing served or cached, and
+   noted in the flight recorder; stop still returns. *)
+let test_overloaded_refused () =
+  with_server ~max_pending:0 @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
+  let client = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let requests =
+    [ {|{"op":"ping"}|}; {|{"op":"estimate","pattern":"(a:Person)-[]->(b)"}|};
+      {|{"op":"stats"}|}; {|{"op":"estimate","pattern":"(a:"}|}; "{not json" ]
+  in
+  List.iter (Client.send_line client) requests;
+  List.iter
+    (fun req ->
+      Alcotest.(check (option string)) req
+        (Some {|{"ok":false,"rejected":true,"reason":"overloaded"}|})
+        (Client.recv_line client))
+    requests;
+  Serve.stop server;
+  let stats = Serve.stats_json server in
+  let n = List.length requests in
+  Alcotest.(check (option int)) "rejected" (Some n) (Json.member_int "rejected" stats);
+  Alcotest.(check (option int)) "served" (Some 0) (Json.member_int "served" stats);
+  (match Json.member "cache" stats with
+  | Some cache ->
+      List.iter
+        (fun k -> Alcotest.(check (option int)) k (Some 0) (Json.member_int k cache))
+        [ "l1_hits"; "l2_hits"; "misses"; "l1_bytes"; "l2_entries"; "l2_bytes";
+          "l2_evictions" ]
+  | None -> Alcotest.fail "stats carry no cache block");
+  match Serve.flight server with
+  | Some flight ->
+      Alcotest.(check bool) "flight holds the refusals" true
+        (List.map
+           (fun (e : Lpp_obs.Flight.entry) -> e.outcome)
+           (Lpp_obs.Flight.recent flight)
+        = List.init n (fun _ -> Lpp_obs.Flight.Rejected "overloaded"))
+  | None -> Alcotest.fail "flight recorder disabled"
 
 (* deterministic garbage at the wire level: every non-blank line gets exactly
    one JSON response carrying an "ok" member, in order *)
@@ -858,6 +899,8 @@ let suite =
       test_concurrent_clients;
     Alcotest.test_case "wire: malformed and oversized input" `Quick
       test_malformed_and_oversized;
+    Alcotest.test_case "wire: overloaded lines are refused" `Quick
+      test_overloaded_refused;
     Alcotest.test_case "wire: garbage lines all answered" `Quick
       test_garbage_lines_answered;
     Alcotest.test_case "lifecycle: clean shutdown" `Quick test_clean_shutdown;

@@ -239,7 +239,7 @@ let test_diagnostic_json_roundtrip () =
       "let cache = Hashtbl.create 16\nlet f () = Random.int 10\nlet g m = Mutex.lock m"
   in
   Alcotest.(check int) "three findings" 3 (List.length ds);
-  match parse_json (D.list_to_json ds) with
+  match parse_json (Json.to_string (Json.List (List.map D.to_json ds))) with
   | Json.List objs ->
       Alcotest.(check int) "three objects" 3 (List.length objs);
       List.iter2
