@@ -1,7 +1,9 @@
 (* Shared benchmark environment: the three datasets, the two query sets per
    dataset, and cached per-technique measurement runs. Everything is generated
    deterministically from one seed so experiment ids are comparable across
-   runs. *)
+   runs. Each query set is generated on first use from its own RNG, so an
+   experiment that reads no query set pays for none, and the sets do not
+   depend on which experiments run. *)
 
 open Lpp_workload
 
@@ -11,8 +13,8 @@ type t = {
   scale : scale;
   seed : int;
   datasets : Lpp_datasets.Dataset.t list;
-  with_props : (string * Query_gen.query list) list;
-  no_props : (string * Query_gen.query list) list;
+  with_props : (string * Query_gen.query list Lazy.t) list;
+  no_props : (string * Query_gen.query list Lazy.t) list;
   mutable runs : (string, Lpp_harness.Runner.measurement list) Hashtbl.t option;
 }
 
@@ -20,7 +22,7 @@ let dataset_names t =
   List.map (fun (d : Lpp_datasets.Dataset.t) -> d.name) t.datasets
 
 let queries t ~with_props name =
-  List.assoc name (if with_props then t.with_props else t.no_props)
+  Lazy.force (List.assoc name (if with_props then t.with_props else t.no_props))
 
 let dataset t name =
   List.find (fun (d : Lpp_datasets.Dataset.t) -> d.name = name) t.datasets
@@ -42,21 +44,24 @@ let make ~scale ~seed =
   in
   Printf.printf "[env] datasets ready (%.1fs)\n%!" (Lpp_util.Clock.elapsed_s ~since:t0);
   let gen_set flavour (ds : Lpp_datasets.Dataset.t) i =
-    let t0 = Lpp_util.Clock.now_ns () in
-    let rng = Lpp_util.Rng.create (seed + 100 + i) in
-    let spec =
-      { (Query_gen.default_spec flavour) with
-        target;
-        attempts = 6 * target;
-        truth_budget = 10_000_000;
-      }
+    let generate () =
+      let t0 = Lpp_util.Clock.now_ns () in
+      let rng = Lpp_util.Rng.create (seed + 100 + i) in
+      let spec =
+        { (Query_gen.default_spec flavour) with
+          target;
+          attempts = 6 * target;
+          truth_budget = 10_000_000;
+        }
+      in
+      let qs = Query_gen.generate rng ds spec in
+      Printf.printf "[env] %s %s: %d queries (%.1fs)\n%!" ds.name
+        (match flavour with With_props -> "set-1 (props)" | No_props -> "set-2 (no props)")
+        (List.length qs)
+        (Lpp_util.Clock.elapsed_s ~since:t0);
+      qs
     in
-    let qs = Query_gen.generate rng ds spec in
-    Printf.printf "[env] %s %s: %d queries (%.1fs)\n%!" ds.name
-      (match flavour with With_props -> "set-1 (props)" | No_props -> "set-2 (no props)")
-      (List.length qs)
-      (Lpp_util.Clock.elapsed_s ~since:t0);
-    (ds.name, qs)
+    (ds.name, lazy (generate ()))
   in
   let with_props = List.mapi (fun i ds -> gen_set With_props ds i) datasets in
   let no_props = List.mapi (fun i ds -> gen_set No_props ds (i + 10)) datasets in

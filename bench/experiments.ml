@@ -629,9 +629,6 @@ let all : (string * string * (Env.t -> unit)) list =
     ("ext-tri", "extension: triangle statistics ablation", ext_triangles);
     ("ext-varlen", "extension: variable-length paths", ext_varlen);
     ("parallel", "multicore scaling of ground truth / catalog / runner", parallel_bench);
-    ( "throughput",
-      "estimator throughput: pre-rewrite one-shot vs sessions",
-      Throughput.run );
     ( "obs_overhead",
       "observability overhead: session estimates with tracing off vs on",
       Obs_overhead.run );

@@ -10,23 +10,19 @@ let list_experiments () =
   print_endline "available experiments:";
   List.iter
     (fun (id, descr, _) -> Printf.printf "  %-8s %s\n" id descr)
-    Experiments.all;
-  Printf.printf "  %-8s %s\n" "bechamel" "estimator latency microbenchmark"
+    Experiments.all
 
 let run quick seed only jobs =
   Option.iter Lpp_util.Pool.set_default_jobs jobs;
   let scale = if quick then Env.Quick else Env.Default in
   let wanted id =
-    match only with
-    | None -> true
-    | Some ids -> List.mem id (String.split_on_char ',' ids)
+    match only with None -> true | Some ids -> List.mem id ids
   in
   let env = Env.make ~scale ~seed in
   let t0 = Lpp_util.Clock.now_ns () in
   List.iter
     (fun (id, _descr, f) -> if wanted id then f env)
     Experiments.all;
-  if wanted "bechamel" then Bechamel_bench.run env;
   Printf.printf "\n[bench] done in %.1fs\n" (Lpp_util.Clock.elapsed_s ~since:t0)
 
 let () =
@@ -37,11 +33,14 @@ let () =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Master RNG seed.")
   in
+  (* an unknown id is a usage error, raised before any data is generated *)
   let only =
+    let ids = List.map (fun (id, _, _) -> (id, id)) Experiments.all in
     Arg.(
       value
-      & opt (some string) None
-      & info [ "only" ] ~docv:"IDS" ~doc:"Comma-separated experiment ids.")
+      & opt (some (list (enum ids))) None
+      & info [ "only" ] ~docv:"IDS"
+          ~doc:"Comma-separated experiment ids (see $(b,--list)).")
   in
   let list_flag =
     Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.")

@@ -1,8 +1,9 @@
 (* Observability overhead on the estimator hot path — the numbers behind
    BENCH_obs_overhead.json.
 
-   Two costs per dataset × configuration cell, at jobs = 1 over the same
-   pre-planned workload as [Throughput]:
+   Two costs per dataset × configuration cell, at jobs = 1 over each data
+   set's with-props query set, planned once (the comparison is
+   estimator-only, not planner):
 
    - enabled/disabled ratio, measured directly: one Bechamel OLS fit of the
      session pass with observability off, one with it on.
@@ -22,6 +23,65 @@
    and aborts the experiment when violated. *)
 
 open Bechamel
+open Toolkit
+
+type cell = {
+  ds_name : string;
+  config : Lpp_core.Config.t;
+  catalog : Lpp_stats.Catalog.t;
+  algs : Lpp_pattern.Algebra.t array;
+}
+
+let make_cells (env : Env.t) =
+  List.concat_map
+    (fun (ds : Lpp_datasets.Dataset.t) ->
+      let algs =
+        Env.queries env ~with_props:true ds.name
+        |> List.map (fun (q : Lpp_workload.Query_gen.query) ->
+               Lpp_pattern.Planner.plan q.pattern)
+        |> Array.of_list
+      in
+      List.map
+        (fun config -> { ds_name = ds.name; config; catalog = ds.catalog; algs })
+        Lpp_core.Config.all)
+    env.datasets
+
+let cell_key c = Printf.sprintf "%s/%s" c.ds_name (Lpp_core.Config.name c.config)
+
+let pass_session session c () =
+  let acc = ref 0.0 in
+  Array.iter
+    (fun alg -> acc := !acc +. Lpp_core.Estimator.session_estimate session alg)
+    c.algs;
+  !acc
+
+(* ns per workload pass for each test, keyed by its name, via Bechamel's OLS
+   fit. *)
+let measure_ns tests =
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
+  in
+  let instances = Instance.[ monotonic_clock ] in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+  in
+  let grouped = Test.make_grouped ~name:"" ~fmt:"%s%s" tests in
+  let raw = Benchmark.all cfg instances grouped in
+  let results =
+    Analyze.merge ols instances
+      (List.map (fun instance -> Analyze.all ols instance raw) instances)
+  in
+  let ns = Hashtbl.create 64 in
+  (match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
+  | None -> ()
+  | Some per_name ->
+      Hashtbl.iter
+        (fun name ols_result ->
+          match Analyze.OLS.estimates ols_result with
+          | Some (est :: _) -> Hashtbl.replace ns name est
+          | _ -> ())
+        per_name);
+  ns
 
 let median xs =
   match List.sort compare xs with
@@ -50,17 +110,15 @@ let hot_path_calls snapshot =
     0 snapshot.Lpp_obs.Metrics.counters
 
 let run (env : Env.t) =
-  let cells = Throughput.make_cells env in
+  let cells = make_cells env in
   let sessions =
-    List.map
-      (fun (c : Throughput.cell) -> Lpp_core.Estimator.make c.config c.catalog)
-      cells
+    List.map (fun c -> Lpp_core.Estimator.make c.config c.catalog) cells
   in
   let pairs = List.combine cells sessions in
   assert (not (Lpp_obs.Obs.enabled ()));
   let reference =
     List.map
-      (fun ((c : Throughput.cell), session) ->
+      (fun (c, session) ->
         Array.map (Lpp_core.Estimator.session_estimate session) c.algs)
       pairs
   in
@@ -70,7 +128,7 @@ let run (env : Env.t) =
   Lpp_obs.Obs.enable ();
   let calls_per_pass =
     List.map2
-      (fun ((c : Throughput.cell), session) ref_ests ->
+      (fun (c, session) ref_ests ->
         Lpp_obs.Metrics.reset ();
         Lpp_obs.Trace.clear ();
         let got =
@@ -85,7 +143,7 @@ let run (env : Env.t) =
           failwith
             (Printf.sprintf
                "obs_overhead: %s: enabled estimates differ from disabled"
-               (Throughput.cell_key c));
+               (cell_key c));
         hot_path_calls (Lpp_obs.Metrics.snapshot ()))
       pairs reference
   in
@@ -125,16 +183,15 @@ let run (env : Env.t) =
   let find ns key = Option.value ~default:nan (Hashtbl.find_opt ns key) in
   let session_tests () =
     List.map2
-      (fun (c : Throughput.cell) session ->
-        Test.make ~name:(Throughput.cell_key c)
-          (Staged.stage (Throughput.pass_session session c)))
+      (fun c session ->
+        Test.make ~name:(cell_key c) (Staged.stage (pass_session session c)))
       cells sessions
   in
   Printf.printf "[obs] measuring disabled path…\n%!";
-  let off_ns = Throughput.measure_ns ~phase:"obs-off" (session_tests ()) in
+  let off_ns = measure_ns (session_tests ()) in
   Printf.printf "[obs] measuring enabled path…\n%!";
   Lpp_obs.Obs.enable ();
-  let on_ns = Throughput.measure_ns ~phase:"obs-on" (session_tests ()) in
+  let on_ns = measure_ns (session_tests ()) in
   Lpp_obs.Obs.disable ();
   Lpp_obs.Obs.reset ();
   let table =
@@ -148,8 +205,8 @@ let run (env : Env.t) =
   let on_ratios = ref [] in
   let rows =
     List.map2
-      (fun (c : Throughput.cell) calls ->
-        let key = Throughput.cell_key c in
+      (fun c calls ->
+        let key = cell_key c in
         let off = find off_ns key in
         let on = find on_ns key in
         let on_ratio = on /. off in
@@ -172,7 +229,7 @@ let run (env : Env.t) =
         Lpp_util.Json.Obj
           [
             ("dataset", String c.ds_name);
-            ("config", String c.cfg_name);
+            ("config", String (Lpp_core.Config.name c.config));
             ("queries", Int (Array.length c.algs));
             ("disabled_ns_per_pass", Float off);
             ("enabled_ns_per_pass", Float on);

@@ -242,14 +242,6 @@ type t = {
   counters : counters;
 }
 
-(* Observability mirrors: the always-on [counters] feed the serve stats;
-   these feed the metrics registry when the global switch is live. *)
-let m_l1_hit = Lpp_obs.Metrics.counter "estcache.l1.hit"
-
-let m_l2_hit = Lpp_obs.Metrics.counter "estcache.l2.hit"
-
-let m_miss = Lpp_obs.Metrics.counter "estcache.miss"
-
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
 let create ?(l1_slots = 1024) ?l2 ?counters config catalog =
@@ -298,12 +290,10 @@ let miss t alg ~slot ~hash =
   match from_l2 with
   | Some v ->
       t.counters.c_shared_hits <- t.counters.c_shared_hits + 1;
-      if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_l2_hit;
       l1_insert t ~slot ~hash ~key v;
       v
   | None ->
       t.counters.c_misses <- t.counters.c_misses + 1;
-      if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_miss;
       let v = Estimator.session_estimate t.session alg in
       l1_insert t ~slot ~hash ~key v;
       (match t.l2 with
@@ -335,7 +325,6 @@ let estimate t alg =
   done;
   if !found then begin
     t.counters.c_hits <- t.counters.c_hits + 1;
-    if !Lpp_obs.Obs.live then Lpp_obs.Metrics.incr m_l1_hit;
     !result
   end
   else begin

@@ -47,8 +47,8 @@ val l2_stats : l2 -> l2_stats
     Always-on (not gated on the [Lpp_obs] switch) so the serving layer can
     surface them per worker; written only by the owning domain — readers on
     other domains may see slightly stale word-sized values, never torn ones.
-    When observability is live the same events also feed the metrics
-    registry ([estcache.l1.hit], [estcache.l2.hit], [estcache.miss]). *)
+    They are the only count of these events: serve exports them as its
+    [serve.cache.*] series. *)
 
 type counters = {
   mutable c_hits : int;  (** L1 hits *)

@@ -8,6 +8,7 @@ let () =
       ("matcher", Test_matcher.suite);
       ("stats", Test_stats.suite);
       ("estimator", Test_estimator.suite);
+      ("legacy", Test_legacy.suite);
       ("baselines", Test_baselines.suite);
       ("datasets", Test_datasets.suite);
       ("workload", Test_workload.suite);

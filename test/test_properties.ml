@@ -64,27 +64,75 @@ let test_graph_io_roundtrip_random () =
             Alcotest.(check int) "counts invariant" (count g) (count g'))
   done
 
-let random_connected_pattern rng max_nodes =
+(* Node labels 0..2, hop range (1, 2), no types or properties; with [rich],
+   the draws cover [rich]'s whole vocabulary plus the id one past each kind
+   (what an unknown name resolves to, see [Pattern.of_spec]): up to two
+   labels per node, up to two relationship types, property predicates on
+   nodes and relationships, and hop ranges up to three. The plain draws are
+   unchanged, so existing callers keep their inputs. *)
+let random_connected_pattern ?rich rng max_nodes =
   let open Lpp_util in
+  let module G = Lpp_pgraph.Graph in
+  let ids bound k =
+    List.init k (fun _ -> Rng.int rng (bound + 1)) |> List.sort Int.compare
+  in
+  let labels g = Array.of_list (ids (G.label_count g) (Rng.int rng 3)) in
+  let types g =
+    ids (G.rel_type_count g) (Rng.int rng 3)
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  let values =
+    Lpp_pgraph.Value.[| Int 0; Int 3; Str ""; Str "x"; Float 0.5; Bool true |]
+  in
+  let props g =
+    List.init (G.prop_key_count g + 1) Fun.id
+    |> List.filter_map (fun key ->
+           if not (Rng.coin rng 0.2) then None
+           else if Rng.coin rng 0.3 then Some (key, Pattern.Exists)
+           else Some (key, Pattern.Eq (Rng.pick rng values)))
+    |> Array.of_list
+  in
   let n = Rng.int_in rng 1 max_nodes in
   let nodes =
     Array.init n (fun _ ->
-        { Pattern.n_labels = (if Rng.bool rng then [| Rng.int rng 3 |] else [||]);
-          n_props = [||] })
+        match rich with
+        | None ->
+            { Pattern.n_labels = (if Rng.bool rng then [| Rng.int rng 3 |] else [||]);
+              n_props = [||] }
+        | Some g ->
+            let n_labels = labels g in
+            { Pattern.n_labels; n_props = props g })
   in
+  let rel ~src ~dst ~directed ~hops =
+    match rich with
+    | None ->
+        { Pattern.r_src = src; r_dst = dst; r_types = [||]; r_directed = directed;
+          r_props = [||]; r_hops = (if hops then Some (1, 2) else None) }
+    | Some g ->
+        let r_types = types g in
+        let r_props = props g in
+        let r_hops =
+          if hops then
+            let lo = Rng.int_in rng 1 2 in
+            Some (lo, lo + Rng.int rng 2)
+          else None
+        in
+        { Pattern.r_src = src; r_dst = dst; r_types; r_directed = directed;
+          r_props; r_hops }
+  in
+  (* the plain mode's draw order; changing it changes every caller's inputs *)
   let rels = ref [] in
   for i = 1 to n - 1 do
-    rels :=
-      { Pattern.r_src = i; r_dst = Rng.int rng i; r_types = [||];
-        r_directed = Rng.bool rng; r_props = [||];
-        r_hops = (if Rng.coin rng 0.2 then Some (1, 2) else None) }
-      :: !rels
+    let hops = Rng.coin rng 0.2 in
+    let directed = Rng.bool rng in
+    let dst = Rng.int rng i in
+    rels := rel ~src:i ~dst ~directed ~hops :: !rels
   done;
-  if n >= 2 && Rng.coin rng 0.5 then
-    rels :=
-      { Pattern.r_src = Rng.int rng n; r_dst = Rng.int rng n; r_types = [||];
-        r_directed = true; r_props = [||]; r_hops = None }
-      :: !rels;
+  if n >= 2 && Rng.coin rng 0.5 then begin
+    let dst = Rng.int rng n in
+    let src = Rng.int rng n in
+    rels := rel ~src ~dst ~directed:true ~hops:false :: !rels
+  end;
   Pattern.make ~nodes ~rels:(Array.of_list !rels)
 
 let test_shape_total_and_consistent () =

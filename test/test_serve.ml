@@ -733,6 +733,16 @@ let test_metrics_series_from_workers () =
   Alcotest.(check (option int)) "serve.request_ns count" (Some 4)
     (Option.bind (series "histograms" "serve.request_ns")
        (Json.member_int "count"));
+  (* the worker counters are the only count of cache events *)
+  (match Json.member "counters" metrics with
+  | Some (Json.Obj counters) ->
+      Alcotest.(check (list string)) "no estcache.* registry counter" []
+        (List.filter_map
+           (fun (name, _) ->
+             if String.starts_with ~prefix:"estcache." name then Some name
+             else None)
+           counters)
+  | _ -> Alcotest.fail "counters member missing");
   let text = Serve.prometheus server in
   List.iter
     (fun line ->
