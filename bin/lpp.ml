@@ -430,9 +430,9 @@ let contains hay needle =
 let ask client key line = Json.member key (Client.request client line)
 
 let cmd_serve =
-  let run data config addr workers batch max_line max_pending check patterns
-      trace_out metrics_out prom flight slow_ms log_level log_json
-      metrics_out_file metrics_every cache_mb =
+  let run data config addr workers max_line check patterns trace_out
+      metrics_out prom flight slow_ms log_level log_json metrics_out_file
+      metrics_every cache_mb =
     (match log_level with
     | Some level ->
         Lpp_obs.Log.configure ~level
@@ -458,9 +458,7 @@ let cmd_serve =
       {
         d with
         Server.workers = Option.value workers ~default:d.Server.workers;
-        batch;
         max_line;
-        max_pending;
         estimator = config;
         flight_capacity = flight;
         slow_ns = Int64.of_float (slow_ms *. 1e6);
@@ -499,7 +497,10 @@ let cmd_serve =
       let client = Client.connect addr in
       let failures = ref 0 in
       let checked = ref 0 in
-      let fail fmt = incr failures; Printf.eprintf fmt in
+      let fail fmt = incr failures; Printf.kfprintf flush stderr fmt in
+      (* a liveness step that fails leaves the daemon unanswering, and every
+         later ask would wait for it without end: the check ends there *)
+      let fatal fmt = Printf.kfprintf (fun _ -> exit 1) stderr fmt in
       (* Re-parse each text so both sides estimate the exact pattern the
          server parses off the wire. The cold pass also sends the texts
          that do not parse, which must be refused. *)
@@ -556,32 +557,67 @@ let cmd_serve =
       Client.close quitter;
       if ask "ok" {|{"op":"ping"}|} <> Some (Json.Bool true) then
         fail "FAIL: ping did not pong\n";
-      (* a scraper that never reads its answer costs only its own
-         connection: 256 traced requests with 8 KB ids make a flight dump
-         of about 2 MB, more than the socket buffers hold, and a ping must
-         still pong within a second of the scrape *)
+      let pongs c ~wait_s =
+        Client.send_line c {|{"op":"ping"}|};
+        match Client.try_recv_line ~wait_s c with
+        | Some line -> contains line {|"pong":true|}
+        | None -> false
+      in
       let estimate_req pattern extra =
         Json.to_string
           (Json.Obj
              ([ ("op", Json.String "estimate"); ("pattern", Json.String pattern) ]
              @ extra))
       in
+      (* 256 traced requests with 8 KB ids: about 2 MB of answers, and a
+         flight dump of about 2 MB once they are answered *)
+      let traced =
+        let id = String.make 8192 'x' in
+        List.init 256 (fun i ->
+            estimate_req "(a)" [ ("trace", Json.String (id ^ string_of_int (i + 1))) ])
+      in
+      (* a client that pipelines them and never reads holds back only
+         itself: its answers outgrow the socket buffers and the daemon's
+         1 MiB output bound, and a ping must still pong within a second *)
+      let staller =
+        Client.unread addr (String.concat "" (List.map (fun l -> l ^ "\n") traced))
+      in
+      if not (pongs client ~wait_s:1.0) then
+        fatal "FAIL: ping did not pong within 1 s of a client that stopped reading\n";
+      Unix.close staller;
+      (* a connection flood stalls no one either: idle connections up to
+         1,100 or until this process runs out of descriptors (the daemon
+         closes each one it accepts past what select can watch, and rests
+         its listeners while the descriptor table is full); the ping must
+         pong within a second, and a connection opened after the flood is
+         served *)
+      let flooders = Client.flood addr 1100 in
+      let pinged = pongs client ~wait_s:1.0 in
+      List.iter Unix.close flooders;
+      if not pinged then
+        fatal "FAIL: ping did not pong within 1 s of %d idle connections\n"
+          (List.length flooders);
+      (match Client.connect addr with
+      | fresh ->
+          if not (pongs fresh ~wait_s:5.0) then
+            fatal "FAIL: a connection opened after the flood was not served\n";
+          Client.close fresh
+      | exception Unix.Unix_error (e, _, _) ->
+          fatal "FAIL: no connection after the flood: %s\n" (Unix.error_message e));
+      (* a scraper that never reads its answer costs only its own
+         connection: the flight dump is more than the socket buffers hold,
+         and a ping must still pong within a second of the scrape *)
       Option.iter
         (fun port ->
-          let id = String.make 8192 'x' in
-          for i = 1 to 256 do
-            ignore
-              (Client.request client
-                 (estimate_req "(a)" [ ("trace", Json.String (id ^ string_of_int i)) ])
-                : Json.t)
-          done;
-          let scraper = Client.scrape_unread ~port "/flight" in
-          (* let the reader take the request before the ping is sent *)
+          List.iter (fun line -> ignore (Client.request client line : Json.t)) traced;
+          let scraper =
+            Client.unread (Server.Tcp ("127.0.0.1", port))
+              "GET /flight HTTP/1.0\r\n\r\n"
+          in
+          (* let the daemon take the request before the ping is sent *)
           Unix.sleepf 0.2;
-          Client.send_line client {|{"op":"ping"}|};
-          (match Client.try_recv_line ~wait_s:1.0 client with
-          | Some line when contains line {|"ok":true|} -> ()
-          | _ -> fail "FAIL: ping did not pong within 1 s of a stalled scrape\n");
+          if not (pongs client ~wait_s:1.0) then
+            fatal "FAIL: ping did not pong within 1 s of a stalled scrape\n";
           Unix.close scraper)
         (Server.prom_port server);
       (match ask "stats" {|{"op":"stats"}|} with
@@ -655,10 +691,10 @@ let cmd_serve =
       Sys.set_signal Sys.sigint handler;
       Sys.set_signal Sys.sigterm handler;
       Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> Atomic.set dump true));
-      Printf.printf "lpp serve: %s (%s), %d worker(s), batch %d, listening on %s%s\n%!"
+      Printf.printf "lpp serve: %s (%s), %d worker(s), listening on %s%s\n%!"
         ds.name
         (Lpp_core.Config.name config)
-        scfg.Server.workers scfg.Server.batch
+        scfg.Server.workers
         (Server.addr_string addr)
         (match Server.prom_port server with
         | Some p -> Printf.sprintf ", prometheus on http://127.0.0.1:%d/metrics" p
@@ -684,29 +720,23 @@ let cmd_serve =
   let workers =
     Arg.(value & opt (some int) None
          & info [ "workers"; "w" ] ~docv:"N"
-             ~doc:"Estimation domains (default: recommended domain count - 1)")
-  in
-  let batch =
-    Arg.(value & opt int 16
-         & info [ "batch" ] ~docv:"K" ~doc:"Max requests a worker drains per wakeup")
+             ~doc:"Serving domains, each reading, answering and writing the \
+                   connections it accepts (default: recommended domain \
+                   count - 1)")
   in
   let max_line =
     Arg.(value & opt int (64 * 1024)
          & info [ "max-line" ] ~docv:"BYTES" ~doc:"Reject request lines longer than this")
-  in
-  let max_pending =
-    Arg.(value & opt int 1024
-         & info [ "max-pending" ] ~docv:"N"
-             ~doc:"Reject new requests when a worker has this many queued")
   in
   let check =
     Arg.(value & flag
          & info [ "check" ]
              ~doc:"Self-test mode: serve on a temporary socket, verify the \
                    given patterns (or a generated workload) answer \
-                   bit-identically to an offline session, exercise the \
-                   tracing/metrics/flight surface (with --prom, also a \
-                   scraper that never reads), then exit")
+                   bit-identically to an offline session, check that a \
+                   client that never reads and a connection flood stall no \
+                   one (with --prom, also a scraper that never reads), \
+                   exercise the tracing/metrics/flight surface, then exit")
   in
   let prom =
     Arg.(value & opt (some int) None
@@ -767,13 +797,13 @@ let cmd_serve =
                estimate requests over a Unix or TCP socket. One JSON request \
                per line, one JSON response per line, in order per connection \
                (see DESIGN.md \xc2\xa712 for the protocol). SIGINT/SIGTERM \
-               drain queued requests before exiting.";
+               answer every request already read and write the pending \
+               answers, for at most 5 s, before exiting.";
            `P "Try: echo '{\"op\": \"estimate\", \"pattern\": \
                \"(a:Person)-[:KNOWS]->(b)\"}' | nc -U /tmp/lpp-serve.sock" ])
-    Term.(const run $ C.data $ C.config $ C.addr $ workers $ batch $ max_line
-          $ max_pending $ check $ C.patterns $ C.trace_out $ C.metrics_out
-          $ prom $ flight $ slow_ms $ log_level $ log_json $ metrics_out_file
-          $ metrics_every $ cache_mb)
+    Term.(const run $ C.data $ C.config $ C.addr $ workers $ max_line $ check
+          $ C.patterns $ C.trace_out $ C.metrics_out $ prom $ flight $ slow_ms
+          $ log_level $ log_json $ metrics_out_file $ metrics_every $ cache_mb)
 
 (* ---- top ------------------------------------------------------------- *)
 
@@ -839,7 +869,7 @@ let cmd_top =
          [ `S Manpage.s_description;
            `P "Polls the daemon's stats and metrics ops and renders served \
                count and QPS, latency and q-error quantiles, per-worker \
-               utilization and queue depths. Ctrl-C exits." ])
+               served counts and utilization. Ctrl-C exits." ])
     Term.(const run $ C.addr $ interval $ once $ frames)
 
 (* ---- stats ---------------------------------------------------------- *)

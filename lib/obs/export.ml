@@ -43,32 +43,6 @@ let thread_meta dom =
       ("args", Json.Obj [ ("name", Json.String (Printf.sprintf "domain-%d" dom)) ]);
     ]
 
-(* Wire-level request linking: a span carrying a ["flow_out"] arg starts a
-   flow (ph "s") and one carrying ["flow_in"] ends it (ph "f"), both keyed by
-   the arg's numeric id. The server stamps the admission span on the reader
-   domain with [flow_out] and the handling span on the worker domain with
-   [flow_in], so Chrome/Perfetto draws an arrow from admission to service. *)
-let flow_events (s : Trace.span) =
-  let ev ph key id =
-    Json.Obj
-      ([
-         ("name", Json.String "serve.flow");
-         ("cat", Json.String (if s.cat = "" then "lpp" else s.cat));
-         ("ph", Json.String ph);
-         ("id", Json.Int (int_of_float id));
-         ("ts", Json.Float (ns_to_us s.ts));
-         ("pid", Json.Int 1);
-         ("tid", Json.Int s.dom);
-       ]
-      @ if key = "flow_in" then [ ("bp", Json.String "e") ] else [])
-  in
-  Array.to_list s.args
-  |> List.filter_map (fun (k, v) ->
-         match k with
-         | "flow_out" -> Some (ev "s" k v)
-         | "flow_in" -> Some (ev "f" k v)
-         | _ -> None)
-
 let chrome_trace () =
   let spans = Trace.spans () in
   let doms =
@@ -78,9 +52,7 @@ let chrome_trace () =
     [
       ( "traceEvents",
         Json.List
-          (List.map thread_meta doms
-          @ List.map span_event spans
-          @ List.concat_map flow_events spans) );
+          (List.map thread_meta doms @ List.map span_event spans) );
       ("displayTimeUnit", Json.String "ms");
       ("droppedSpans", Json.Int (Trace.dropped ()));
     ]

@@ -8,10 +8,7 @@ val chrome_trace : unit -> Lpp_util.Json.t
 (** The [trace_event] document Chrome's [about:tracing] / Perfetto loads:
     one ["ph": "X"] (complete) event per span with microsecond [ts]/[dur],
     [tid] = recording domain, plus thread-name metadata events and a
-    [droppedSpans] count. Spans whose args carry ["flow_out"]/["flow_in"]
-    additionally emit flow start/finish events (["ph": "s"/"f"]) keyed by
-    the arg value, linking the server's admission span (reader domain) to
-    the handling span (worker domain). *)
+    [droppedSpans] count. *)
 
 val write_chrome_trace : string -> unit
 

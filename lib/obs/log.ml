@@ -1,6 +1,6 @@
 (* Structured logging for the serving path.
 
-   Requirements (DESIGN.md §15): hot paths (reader/worker domains) must be
+   Requirements (DESIGN.md §15): hot paths (serve worker domains) must be
    able to log without taking a lock or formatting anything when the level is
    filtered out, and the disabled cost must stay a couple of loads so the
    BENCH_obs_overhead bound keeps holding with this module compiled in.
@@ -14,7 +14,7 @@
    slot mid-overwrite — records are immutable boxed values, so a racing read
    yields either the old or the new record, both valid (momentary view; a
    record can at worst be emitted twice across flushes under overwrite
-   pressure, and the [lost] counter is approximate for the same reason).
+   pressure).
 
    Rate limiting is a per-domain token bucket per [limiter] value: a
    suppressed call costs a DLS lookup and a couple of float ops, never
@@ -78,7 +78,6 @@ type dom_state = {
   slots : record array;
   mutable wr : int;  (* total appended; owner-only writes *)
   mutable rd : int;  (* total flushed; flusher-only, under [mu] *)
-  mutable lost : int;  (* approximate; flusher-only, under [mu] *)
 }
 
 let mu = Mutex.create ()
@@ -96,7 +95,7 @@ let make_state () =
       let id = !next_id in
       incr next_id;
       let st =
-        { id; slots = Array.make capacity dummy; wr = 0; rd = 0; lost = 0 }
+        { id; slots = Array.make capacity dummy; wr = 0; rd = 0 }
       in
       states := st :: !states;
       st)
@@ -148,11 +147,8 @@ let drain_locked () =
     List.concat_map
       (fun st ->
         let w = st.wr in
-        let avail = w - st.rd in
-        if avail > capacity then begin
-          st.lost <- st.lost + (avail - capacity);
-          st.rd <- w - capacity
-        end;
+        (* records overwritten before this flush are gone *)
+        if w - st.rd > capacity then st.rd <- w - capacity;
         let out = ref [] in
         for i = w - 1 downto st.rd do
           out := st.slots.(i land mask) :: !out
@@ -170,10 +166,6 @@ let drain_locked () =
 
 let flush () =
   Lpp_util.Sync.with_lock mu (fun () -> emit_locked (drain_locked ()))
-
-let lost () =
-  Lpp_util.Sync.with_lock mu (fun () ->
-      List.fold_left (fun acc st -> acc + st.lost) 0 !states)
 
 (* ---- rate limiting --------------------------------------------------- *)
 
@@ -271,11 +263,7 @@ let disable () = active := false
 
 let reset () =
   Lpp_util.Sync.with_lock mu (fun () ->
-      List.iter
-        (fun st ->
-          st.rd <- st.wr;
-          st.lost <- 0)
-        !states;
+      List.iter (fun st -> st.rd <- st.wr) !states;
       sink_format := Human;
       sink_channel := stderr);
   active := true;

@@ -76,10 +76,6 @@ val flush : unit -> unit
 (** Drain all per-domain buffers to the sink, merged in timestamp order.
     Daemons call this on idle ticks and at shutdown. *)
 
-val lost : unit -> int
-(** Approximate count of buffered records overwritten before they could be
-    flushed. *)
-
 val reset : unit -> unit
 (** Discard buffered records and restore the default configuration
     (human-format [stderr] at [Warn]). For tests. *)

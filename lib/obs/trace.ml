@@ -29,14 +29,7 @@ type span = {
    from different domains share a timeline. *)
 let epoch = Lpp_util.Clock.now_ns ()
 
-let default_capacity = 1 lsl 16
-
-let capacity = ref default_capacity
-[@@lpp.domain_safe "set from quiescent points only, before rings exist"]
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Trace.set_capacity";
-  capacity := n
+let capacity = 1 lsl 16
 
 let dummy =
   { name = ""; cat = ""; ts = 0L; dur = 0L; dom = 0; depth = 0; args = [||] }
@@ -69,7 +62,7 @@ let make_state () =
       let st =
         {
           id;
-          buf = Array.make !capacity dummy;
+          buf = Array.make capacity dummy;
           len = 0;
           dropped = 0;
           stack_name = Array.make 64 "";

@@ -47,11 +47,8 @@ val dropped : unit -> int
 val clear : unit -> unit
 (** Empty every domain's ring and span stack. *)
 
-val set_capacity : int -> unit
-(** Ring capacity for domains that start tracing after the call (default
-    65536 spans); existing rings keep their size. *)
-
-val default_capacity : int
+val capacity : int
+(** Spans one domain's ring holds (65536). *)
 
 val epoch : int64
 (** The [Clock.now_ns] origin all span timestamps are relative to. *)

@@ -6,19 +6,30 @@ open Lpp_util
 
 type t = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
 
-let connect (addr : Server.addr) =
-  let fd =
+(* [setup fd] on a fresh socket for [addr], then connect; the socket is
+   closed if either fails. A server that has not accepted within 5 s (its
+   backlog is full) counts as unreachable: EAGAIN, or EINPROGRESS on TCP. *)
+let open_socket (addr : Server.addr) setup =
+  let domain, sa =
     match addr with
-    | Server.Unix_socket path ->
-        let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_UNIX path);
-        fd
+    | Server.Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
     | Server.Tcp (host, port) ->
-        let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_INET (Unix.inet_addr_of_string host, port));
-        fd
+        (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
   in
-  { fd; buf = Buffer.create 512; eof = false }
+  let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+  match
+    setup fd;
+    Unix.setsockopt_float fd SO_SNDTIMEO 5.0;
+    Unix.connect fd sa;
+    Unix.setsockopt_float fd SO_SNDTIMEO 0.0
+  with
+  | () -> fd
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+
+let connect addr =
+  { fd = open_socket addr ignore; buf = Buffer.create 512; eof = false }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -78,19 +89,44 @@ let try_recv_line ?(wait_s = 0.0) t =
   in
   go ()
 
-let scrape_unread ~port target =
-  let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
+let unread addr text =
+  (* set before the handshake, so the advertised window stays small *)
+  let fd = open_socket addr (fun fd -> Unix.setsockopt_int fd SO_RCVBUF 1) in
+  let len = String.length text in
+  let rec send off =
+    if off < len then
+      match Unix.write_substring fd text off (len - off) with
+      | n -> send (off + n)
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> (
+          (* a tenth of a second without progress: the server stopped
+             reading *)
+          match Unix.select [] [ fd ] [] 0.1 with
+          | [], _, _ -> ()
+          | _ -> send off
+          | exception Unix.Unix_error (EINTR, _, _) -> send off)
+  in
   match
-    (* set before the handshake, so the advertised window stays small *)
-    Unix.setsockopt_int fd SO_RCVBUF 1;
-    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-    let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" target in
-    ignore (Unix.write_substring fd req 0 (String.length req) : int)
+    Unix.set_nonblock fd;
+    send 0;
+    Unix.clear_nonblock fd
   with
   | () -> fd
   | exception e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e
+
+let flood addr n =
+  let rec go acc n =
+    if n = 0 then acc
+    else
+      match open_socket addr ignore with
+      | fd -> go (fd :: acc) (n - 1)
+      | exception
+          Unix.Unix_error
+            ((EMFILE | ENFILE | EAGAIN | EWOULDBLOCK | EINPROGRESS), _, _) ->
+          acc
+  in
+  go [] n
 
 let request t line =
   send_line t line;

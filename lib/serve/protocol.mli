@@ -27,7 +27,7 @@
     {"ok": true, "metrics": {…}} | {"ok": true, "metrics_text": "…"}
     {"ok": true, "flight": {…}}
     {"ok": false, "error": {"kind": "parse_error", "message": "…"}}
-    {"ok": false, "rejected": true, "reason": "overloaded"}
+    {"ok": false, "rejected": true, "reason": "oversized"}
     v}
 
     Tracing: ["trace": true] asks the server to stamp a request id
@@ -40,8 +40,8 @@
 
     Malformed input is answered, never dropped: a line that is not a JSON
     object, names an unknown ["op"], or lacks a required field yields an
-    [ok:false] error response with a machine-readable [kind]. Admission
-    failures (line too long, queue full) yield [rejected:true] responses. *)
+    [ok:false] error response with a machine-readable [kind]. A line longer
+    than the server's limit yields a [rejected:true] response. *)
 
 type trace_opt =
   | Trace_auto  (** ["trace": true] — server assigns [r<seq>] *)
@@ -92,10 +92,14 @@ val error : id:Lpp_util.Json.t option -> kind:string -> string -> Lpp_util.Json.
     ["parse_error"], ["unknown_config"] or ["internal"]. *)
 
 val rejected : id:Lpp_util.Json.t option -> reason:string -> Lpp_util.Json.t
-(** Admission refusal; [reason] is ["oversized"] or ["overloaded"]. *)
+(** Refusal of a line longer than the server's limit; [reason] is
+    ["oversized"]. *)
 
 type trace_times = {
-  queue_ns : int64;  (** admission → dequeue on the worker *)
+  queue_ns : int64;
+      (** the line read → its worker starts on it. Time the request spent in
+          the socket buffer before its worker read it is not counted: it
+          shows in the client's round trip. *)
   parse_ns : int64;  (** request JSON + pattern parse + session lookup *)
   estimate_ns : int64;  (** the estimator call *)
   write_ns : int64;  (** response serialization *)

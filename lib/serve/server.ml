@@ -1,32 +1,35 @@
 (* The serving runtime. Domain layout and ownership:
 
-   - reader domain: owns the listen socket and every connection's read side
-     (select loop, per-connection line buffer, admission), plus the optional
-     plain-HTTP Prometheus listener. Never writes to NDJSON connections and
-     never touches estimator state.
-   - worker domains: own the write side of their connections, their
+   - worker domains, and no other: each runs one select loop over the
+     listening sockets (NDJSON, plus HTTP with --prom) and over the
+     connections it accepted. Only the workers holding the fewest
+     connections watch the listeners, and each accepts one connection per
+     wakeup, so connections spread over the workers. Whichever worker
+     accepts a connection owns it until it is closed: it reads it, answers
+     each complete line as soon as it is split off and writes the answers
+     itself, so a connection's answers leave in request order and no
+     descriptor is touched by two domains. A worker also owns its
      per-configuration estimate-cache fronts (each an L1 over a private
-     estimator session; every estimate goes through one), and their
-     counters. A connection is owned by exactly one worker (round-robin at
-     accept), so per-connection response order equals request order and
-     writes need no lock.
-   - fd lifecycle: the reader stops reading a connection on EOF/error and
-     enqueues a final [Close] job; the owning worker closes the fd after
-     the jobs queued before it — no close/write race by construction.
+     estimator session; every estimate goes through one), its parse memo
+     and its counters.
+   - one output path for both protocols: an answer is appended to its
+     connection's unwritten output, which is written as far as the socket
+     takes it and finished from the select write set. Once that output
+     holds [out_bound] bytes, the connection's remaining lines are held and
+     it is not read until its worker has answered them all, so the requests
+     its worker has not read wait in the socket buffer. A client that stops
+     reading holds back only itself.
 
-   Observability (DESIGN.md §15): the reader stamps every admitted line with
-   a monotonic sequence number and its admission timestamp, so workers can
-   attribute queueing delay precisely. When the obs switch is live, admission
-   and handling record spans carrying the sequence number as [flow_out]/
-   [flow_in] args — the Chrome export links them into reader→worker arrows.
-   Estimate requests (and rejections) additionally land in the flight
-   recorder with a per-stage timing breakdown, and a request carrying a
-   ["trace"] field gets that breakdown echoed in its response.
+   Observability (DESIGN.md §15): every line is stamped with the time it
+   was read and, when its worker starts on it, a process-wide sequence
+   number. Estimate requests (and rejections) land in the flight recorder
+   with a per-stage timing breakdown, and a request carrying a ["trace"]
+   field gets that breakdown echoed in its response.
 
-   Shutdown (stop, SIGINT/SIGTERM via the CLI): the stopping flag makes the
-   reader close the listener, enqueue [Close] for every live connection and
-   raise reader_done; workers exit once reader_done is up and their queue is
-   drained, so every admitted request is answered before its socket dies. *)
+   Shutdown (stop, SIGINT/SIGTERM via the CLI): the stopping flag makes
+   every worker stop accepting and reading, answer the lines it has already
+   read, write the pending output for at most [deadline_ns] and close every
+   connection; [stop] then joins the workers and closes the listeners. *)
 
 open Lpp_util
 
@@ -35,9 +38,7 @@ type addr = Unix_socket of string | Tcp of string * int
 type config = {
   addr : addr;
   workers : int;
-  batch : int;
   max_line : int;
-  max_pending : int;
   estimator : Lpp_core.Config.t;
   flight_capacity : int;
   slow_ns : int64;
@@ -49,9 +50,7 @@ let default_config addr =
   {
     addr;
     workers = max 1 (Domain.recommended_domain_count () - 1);
-    batch = 16;
     max_line = 64 * 1024;
-    max_pending = 1024;
     estimator = Lpp_core.Config.a_lhd;
     flight_capacity = 256;
     slow_ns = 50_000_000L;
@@ -63,30 +62,16 @@ let default_config addr =
    flapping client costs a few lines per second, not one per event. *)
 let l_conn = Lpp_obs.Log.limiter ~burst:20 ~per_s:2.0
 
+let l_accept = Lpp_obs.Log.limiter ~burst:1 ~per_s:1.0
+
 let l_reject = Lpp_obs.Log.limiter ~burst:10 ~per_s:1.0
 
 let l_error = Lpp_obs.Log.limiter ~burst:10 ~per_s:1.0
 
-type conn = {
-  fd : Unix.file_descr;
-  owner : int;  (* worker index *)
-  rbuf : Buffer.t;  (* partial last line, reader-owned *)
-  mutable discarding : bool;  (* inside an oversized line, reader-owned *)
-  mutable wdead : bool;  (* a write failed; skip the rest, worker-owned *)
-}
-
-type job =
-  | Line of { conn : conn; line : string; admit_ns : int64; seq : int }
-      (* a complete request line, stamped at admission *)
-  | Reject of { conn : conn; resp : Json.t; reason : string; admit_ns : int64; seq : int }
-      (* admission refusal, response prebuilt *)
-  | Close of conn  (* last job for this connection: close the fd *)
-
 type worker = {
-  mu : Mutex.t;
-  cv : Condition.t;
-  jobs : job Queue.t;
-  mutable queued_lines : int;  (* Line jobs in [jobs]; admission reads it *)
+  (* Connections this worker holds; the others read it, lock-free, to leave
+     the next accept to the worker that holds the fewest. *)
+  mutable conns : int;
   (* Single-writer statistics (this worker), read lock-free by [stats_json]:
      word-sized stores cannot tear, so a concurrent read is a momentary but
      valid view — same contract as Lpp_obs.Metrics. *)
@@ -112,9 +97,8 @@ type t = {
   catalog : Lpp_stats.Catalog.t;
   l2 : Lpp_core.Est_cache.l2;  (* shared across worker domains *)
   stopping : bool Atomic.t;
-  reader_done : bool Atomic.t;
   start_ns : int64;
-  seq : int Atomic.t;  (* admission sequence; reader bumps, responses echo *)
+  seq : int Atomic.t;  (* request sequence; workers bump, responses echo *)
   workers : worker array;
   flight : Lpp_obs.Flight.t option;
   listen_fd : Unix.file_descr;
@@ -124,56 +108,7 @@ type t = {
   mutable stopped : bool;
 }
 
-(* ---- queues ---------------------------------------------------------- *)
-
-let enqueue w job =
-  Sync.with_lock w.mu (fun () ->
-      (match job with Line _ -> w.queued_lines <- w.queued_lines + 1 | _ -> ());
-      Queue.push job w.jobs;
-      Condition.signal w.cv)
-
-(* Up to [batch] jobs in arrival order; [] only at shutdown. *)
-let drain st w ~batch =
-  Sync.with_lock w.mu (fun () ->
-      while Queue.is_empty w.jobs && not (Atomic.get st.reader_done) do
-        Condition.wait w.cv w.mu
-      done;
-      let out = ref [] in
-      let n = ref 0 in
-      while !n < batch && not (Queue.is_empty w.jobs) do
-        let job = Queue.pop w.jobs in
-        (match job with Line _ -> w.queued_lines <- w.queued_lines - 1 | _ -> ());
-        out := job :: !out;
-        incr n
-      done;
-      List.rev !out)
-
-(* ---- worker ---------------------------------------------------------- *)
-
-(* Connection fds are non-blocking (the reader needs that); a full send
-   buffer therefore surfaces as EAGAIN here. Waiting for writability is the
-   intended backpressure: a client that stops reading stalls its own worker,
-   never the reader or the other workers' connections. *)
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    match Unix.write_substring fd s !off (len - !off) with
-    | n -> off := !off + n
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        ignore (Unix.select [] [ fd ] [] 0.2)
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done
-
-let respond conn json =
-  if not conn.wdead then begin
-    match write_all conn.fd (Json.to_string json ^ "\n") with
-    | () -> ()
-    | exception Unix.Unix_error _ ->
-        (* broken pipe: the reader will see the hangup and queue the Close;
-           stop writing so one dead client cannot wedge its worker *)
-        conn.wdead <- true
-  end
+(* ---- statistics ------------------------------------------------------ *)
 
 (* Aggregated per-worker histogram in the Lpp_obs.Metrics snapshot shape.
    Lock-free momentary view, same contract as [stats_json] below. *)
@@ -251,7 +186,6 @@ let stats_json st =
         ("served", Json.Int w.served);
         ("errors", Json.Int w.errors);
         ("rejected", Json.Int w.rejected);
-        ("queue", Json.Int w.queued_lines);
         ("busy_ns", Json.Float w.busy_ns);
         ( "utilization",
           Json.Float
@@ -263,7 +197,6 @@ let stats_json st =
       ("served", Json.Int served);
       ("errors", Json.Int errors);
       ("rejected", Json.Int rejected);
-      ("queued", Json.Int (total (fun w -> w.queued_lines)));
       ("uptime_s", Json.Float uptime_s);
       ( "estimates_per_sec",
         Json.Float
@@ -328,7 +261,6 @@ let metrics_snapshot st : Lpp_obs.Metrics.snapshot =
       by_name
         (reg.gauges
         @ [
-            ("serve.queue_depth", total (fun w -> w.queued_lines));
             ( "serve.uptime_s",
               int_of_float (Clock.elapsed_s ~since:st.start_ns) );
             ("serve.workers", Array.length st.workers);
@@ -360,7 +292,6 @@ let prometheus st =
   in
   let uptime_s = Clock.elapsed_s ~since:st.start_ns in
   sample "lpp_serve_worker_served_total" `Counter (fun w -> float_of_int w.served);
-  sample "lpp_serve_worker_queue" `Gauge (fun w -> float_of_int w.queued_lines);
   sample "lpp_serve_worker_utilization" `Gauge (fun w ->
       if uptime_s > 0.0 then w.busy_ns /. (uptime_s *. 1e9) else 0.0);
   Buffer.contents buf
@@ -372,7 +303,7 @@ let flight_json st =
 
 (* ---- request handling ------------------------------------------------ *)
 
-(* What [run_job] needs to know about a handled request beyond the response
+(* What [run_line] needs to know about a handled request beyond the response
    itself: tracing opt-in, flight-recorder material and stage timings. *)
 type req_info = {
   trace : Protocol.trace_opt option;
@@ -453,7 +384,7 @@ let plan_text st ws pattern =
 (* One request line, start to finish. Returns the response plus the request
    info; classification happens via the counters. Any escape — including
    estimator bugs — turns into an ["internal"] error response rather than a
-   dead worker. [t0] is the dequeue timestamp on this worker. *)
+   dead worker. [t0] is when this worker started on the line. *)
 let answer st w ws ~t0 ~seq line =
   let live = Lpp_obs.Obs.live in
   let parse_elapsed () = Clock.diff_ns ~since:t0 (Clock.now_ns ()) in
@@ -559,208 +490,96 @@ let answer st w ws ~t0 ~seq line =
         end
     end
 
-let worker_loop st idx =
-  let w = st.workers.(idx) in
-  (* the default-config front is shared by most requests; others are
-     created on first use and kept for the worker's lifetime *)
-  let ws =
-    {
-      fronts = [ (st.cfg.estimator, make_front st w st.cfg.estimator) ];
-      pmemo = Hashtbl.create 256;
-      pmemo_bytes = 0;
-    }
-  in
-  let live = Lpp_obs.Obs.live in
-  let note_flight ~seq ~id ~pattern ~config ~queue_ns ~parse_ns ~estimate_ns
-      ~write_ns ~admit_ns ~now ~outcome =
-    match st.flight with
-    | None -> ()
-    | Some fl ->
-        Lpp_obs.Flight.note fl
-          {
-            seq;
-            id;
-            pattern;
-            config;
-            worker = idx;
-            ts_ns = now;
-            queue_ns;
-            parse_ns;
-            estimate_ns;
-            write_ns;
-            total_ns = Clock.diff_ns ~since:admit_ns now;
-            outcome;
-          }
-  in
-  let run_job = function
-    | Close conn -> (try Unix.close conn.fd with Unix.Unix_error _ -> ())
-    | Reject { conn; resp; reason; admit_ns; seq } ->
-        w.rejected <- w.rejected + 1;
-        Lpp_obs.Log.warnf ~limit:l_reject "request %d rejected: %s" seq reason;
-        let t0 = Clock.now_ns () in
-        respond conn resp;
-        let now = Clock.now_ns () in
-        note_flight ~seq ~id:None ~pattern:"" ~config:""
-          ~queue_ns:(Clock.diff_ns ~since:admit_ns t0)
-          ~parse_ns:0L ~estimate_ns:0L
-          ~write_ns:(Clock.diff_ns ~since:t0 now)
-          ~admit_ns ~now
-          ~outcome:(Lpp_obs.Flight.Rejected reason)
-    | Line { conn; line; admit_ns; seq } ->
-        let t0 = Clock.now_ns () in
-        let queue_ns = Clock.diff_ns ~since:admit_ns t0 in
-        let handle () = answer st w ws ~t0 ~seq line in
-        let resp, info =
-          if !live then
-            Lpp_obs.Trace.with_span ~cat:"serve" "serve.request"
-              ~args:(fun () ->
-                [| ("rid", float_of_int seq); ("flow_in", float_of_int seq) |])
-              handle
-          else handle ()
-        in
-        let t1 = Clock.now_ns () in
-        let resp =
-          match info.trace with
-          | None -> resp
-          | Some topt ->
-              (* dry-serialize the core response so [write_ns] covers the
-                 bytes being produced, then append the trace block —
-                 [total_ns] is the sum of the four parts by construction *)
-              ignore (Json.to_string resp : string);
-              let write_ns = Clock.diff_ns ~since:t1 (Clock.now_ns ()) in
-              Protocol.with_trace
-                ~trace_id:(Protocol.trace_id topt ~seq)
-                ~seq
-                ~times:
-                  {
-                    queue_ns;
-                    parse_ns = info.parse_ns;
-                    estimate_ns = info.estimate_ns;
-                    write_ns;
-                  }
-                resp
-        in
-        respond conn resp;
-        let now = Clock.now_ns () in
-        (match info.outcome with
-        | Some outcome ->
-            note_flight ~seq
-              ~id:
-                (Option.map (fun topt -> Protocol.trace_id topt ~seq) info.trace)
-              ~pattern:info.pattern ~config:info.config ~queue_ns
-              ~parse_ns:info.parse_ns ~estimate_ns:info.estimate_ns
-              ~write_ns:(Clock.diff_ns ~since:t1 now)
-              ~admit_ns ~now ~outcome
-        | None -> ());
-        (match info.qerror with
-        | Some q when Float.is_finite q ->
-            w.qerr_count <- w.qerr_count + 1;
-            w.qerr_sum <- w.qerr_sum +. q;
-            let b = Lpp_obs.Metrics.bucket_of q in
-            w.qerr_buckets.(b) <- w.qerr_buckets.(b) + 1
-        | _ -> ());
-        let ns = Clock.elapsed_ns ~since:t0 in
-        w.busy_ns <- w.busy_ns +. ns;
-        w.lat_count <- w.lat_count + 1;
-        w.lat_sum <- w.lat_sum +. ns;
-        let b = Lpp_obs.Metrics.bucket_of ns in
-        w.lat_buckets.(b) <- w.lat_buckets.(b) + 1
-  in
-  let rec loop () =
-    match drain st w ~batch:st.cfg.batch with
-    | [] -> ()  (* reader done and queue empty: drained, exit *)
-    | jobs ->
-        List.iter run_job jobs;
-        loop ()
-  in
-  loop ()
+(* ---- connections ----------------------------------------------------- *)
 
-(* ---- reader ---------------------------------------------------------- *)
+(* A connection whose unwritten output reaches this many bytes holds its
+   remaining lines until the socket takes some of it, and is not read while
+   it holds any, so a connection costs at most this plus one answer of
+   output and one read plus one line of input. *)
+let out_bound = 1 lsl 20
 
-(* Split [conn.rbuf] plus freshly-read bytes into complete lines and apply
-   admission per line. An overlong line is answered with one [oversized]
-   rejection when its prefix first exceeds the limit; the rest of it is
-   discarded as it streams in. *)
-let feed st conn bytes n =
-  Buffer.add_subbytes conn.rbuf bytes 0 n;
-  let data = Buffer.contents conn.rbuf in
-  Buffer.clear conn.rbuf;
-  let len = String.length data in
-  let w = st.workers.(conn.owner) in
-  let live = Lpp_obs.Obs.live in
-  let stamp () = (Clock.now_ns (), Atomic.fetch_and_add st.seq 1) in
-  let reject reason =
-    let admit_ns, seq = stamp () in
-    enqueue w
-      (Reject
-         { conn; resp = Protocol.rejected ~id:None ~reason; reason; admit_ns; seq })
-  in
-  let admit line =
-    (* tolerate CRLF framing; whitespace-only lines are ignored, so an
-       interactive `nc` session can hit return without earning an error *)
-    let line =
-      if String.length line > 0 && line.[String.length line - 1] = '\r' then
-        String.sub line 0 (String.length line - 1)
-      else line
+(* An emptied connection buffer larger than this is dropped, not kept. *)
+let buf_keep = 1 lsl 16
+
+(* How long a scrape may stay open after its accept, and how long [stop]
+   keeps writing pending output before it closes every connection. *)
+let deadline_ns = 5_000_000_000L
+
+(* The select timeout: how often a worker notices [stop], flushes the log,
+   closes overdue scrapes and watches a resting listener again. *)
+let tick_s = 0.05
+
+let tick_ns = Int64.of_float (tick_s *. 1e9)
+
+(* The bytes [lo, hi) of [buf]: a connection's unanswered input or its
+   unwritten output. Kept across reads, so reading allocates nothing. *)
+type queue = { mutable buf : Bytes.t; mutable lo : int; mutable hi : int }
+
+let queue () = { buf = Bytes.empty; lo = 0; hi = 0 }
+
+let queued q = q.hi - q.lo
+
+let push q src off n =
+  if q.hi + n > Bytes.length q.buf then begin
+    let live = queued q in
+    let buf =
+      if live + n <= Bytes.length q.buf then q.buf
+      else Bytes.create (max 4096 (max (live + n) (2 * Bytes.length q.buf)))
     in
-    if String.trim line = "" then ()
-    else if String.length line > st.cfg.max_line then reject "oversized"
-    else begin
-      let full =
-        Sync.with_lock w.mu (fun () -> w.queued_lines >= st.cfg.max_pending)
-      in
-      if full then reject "overloaded"
-      else begin
-        let admit_ns, seq = stamp () in
-        if !live then begin
-          (* zero-duration admission span on the reader domain; the flow_out
-             arg links it to the worker's serve.request span *)
-          Lpp_obs.Trace.begin_span ~cat:"serve" "serve.admit";
-          Lpp_obs.Trace.end_span
-            ~args:
-              [| ("rid", float_of_int seq); ("flow_out", float_of_int seq) |]
-            ()
-        end;
-        enqueue w (Line { conn; line; admit_ns; seq })
-      end
-    end
-  in
-  let start = ref 0 in
-  (try
-     while !start <= len - 1 do
-       match String.index_from data !start '\n' with
-       | nl ->
-           let line = String.sub data !start (nl - !start) in
-           if conn.discarding then conn.discarding <- false
-           else admit line;
-           start := nl + 1
-       | exception Not_found -> raise Exit
-     done
-   with Exit -> ());
-  let rem = len - !start in
-  if conn.discarding then () (* still inside the oversized line: drop *)
-  else if rem > st.cfg.max_line then begin
-    reject "oversized";
-    conn.discarding <- true
+    Bytes.blit q.buf q.lo buf 0 live;
+    q.buf <- buf;
+    q.lo <- 0;
+    q.hi <- live
+  end;
+  Bytes.blit src off q.buf q.hi n;
+  q.hi <- q.hi + n
+
+let drop q n =
+  q.lo <- q.lo + n;
+  if q.lo = q.hi then begin
+    q.lo <- 0;
+    q.hi <- 0;
+    if Bytes.length q.buf > buf_keep then q.buf <- Bytes.empty
   end
-  else if rem > 0 then Buffer.add_substring conn.rbuf data !start rem
 
-(* ---- Prometheus HTTP (reader-owned) ---------------------------------- *)
+(* The first newline in [q] at or after [i]. *)
+let rec newline q i =
+  if i = q.hi then None
+  else if Bytes.get q.buf i = '\n' then Some i
+  else newline q (i + 1)
 
-(* Deliberately minimal: HTTP/1.0, Connection: close, GET only. One scrape
-   is one short-lived connection: its request is read until the headers
-   end, then its one answer is written as fast as the scraper reads it. The
-   reader never blocks on either step, and a connection still open
-   [http_deadline_ns] after its accept is closed, so a scraper that stops
-   reading costs one fd and one answer for that long, never a stall. *)
-type http_state =
-  | Reading of Buffer.t  (* the request so far *)
-  | Writing of { text : string; mutable off : int }  (* sent up to [off] *)
+(* NDJSON and HTTP alike. An HTTP connection is one scrape: its request is
+   read until the headers end, its one answer written, and it is closed. *)
+type conn = {
+  fd : Unix.file_descr;
+  http : bool;
+  opened_ns : int64;
+  inp : queue;  (* read, not yet answered *)
+  out : queue;  (* answered, not yet written *)
+  mutable read_ns : int64;  (* when the last read returned: its lines' stamp *)
+  mutable held : bool;  (* lines left unanswered at [out_bound]: not read *)
+  mutable discarding : bool;  (* inside an oversized line *)
+  mutable eof : bool;  (* nothing more will be read *)
+  mutable closed : bool;
+}
 
-type http_conn = { mutable state : http_state; deadline_ns : int64 }
+let append c s = push c.out (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let http_deadline_ns = 5_000_000_000L
+let respond c json =
+  append c (Json.to_string json);
+  append c "\n"
 
+(* Whether [Unix.select] can watch [fd]: it refuses a descriptor at or past
+   FD_SETSIZE with EINVAL, and a zero timeout asks without waiting. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (EINVAL, _, _) -> false
+  | exception Unix.Unix_error (EINTR, _, _) -> true
+
+(* ---- Prometheus HTTP ------------------------------------------------- *)
+
+(* Deliberately minimal: HTTP/1.0, Connection: close, GET only. *)
 let http_response ~status ~content_type body =
   Printf.sprintf
     "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
@@ -786,166 +605,315 @@ let http_answer st request_line =
       http_response ~status:"405 Method Not Allowed" ~content_type:"text/plain"
         "GET only\n"
 
-let reader_loop st =
+(* The request line of a scrape once its headers have ended (or 8 KiB have
+   arrived without an end); the headers themselves are discarded. *)
+let http_request data =
+  let rec headers_end i =
+    i + 3 < String.length data
+    && ((data.[i] = '\r' && data.[i + 1] = '\n' && data.[i + 2] = '\r'
+        && data.[i + 3] = '\n')
+       || headers_end (i + 1))
+  in
+  if headers_end 0 || String.length data > 8192 then
+    Some
+      (match String.index_opt data '\r' with
+      | Some i -> String.sub data 0 i
+      | None -> data)
+  else None
+
+(* ---- worker ---------------------------------------------------------- *)
+
+let worker_loop st idx =
+  let w = st.workers.(idx) in
+  (* the default-config front is shared by most requests; others are
+     created on first use and kept for the worker's lifetime *)
+  let ws =
+    {
+      fronts = [ (st.cfg.estimator, make_front st w st.cfg.estimator) ];
+      pmemo = Hashtbl.create 256;
+      pmemo_bytes = 0;
+    }
+  in
+  let live = Lpp_obs.Obs.live in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-  let prom_conns : (Unix.file_descr, http_conn) Hashtbl.t = Hashtbl.create 4 in
-  let next = ref 0 in
-  let bytes = Bytes.create 65536 in
-  let hangup conn =
-    Hashtbl.remove conns conn.fd;
-    Lpp_obs.Log.debugf ~limit:l_conn "connection closed (worker %d)" conn.owner;
-    enqueue st.workers.(conn.owner) (Close conn)
+  let scratch = Bytes.create 65536 in
+  let listeners =
+    (st.listen_fd, false)
+    :: (match st.prom with Some (fd, _) -> [ (fd, true) ] | None -> [])
   in
-  let accept_all () =
-    let continue = ref true in
-    while !continue do
-      match Unix.accept ~cloexec:true st.listen_fd with
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          let owner = !next mod Array.length st.workers in
-          incr next;
-          Lpp_obs.Log.debugf ~limit:l_conn "connection accepted (worker %d)"
-            owner;
-          Hashtbl.replace conns fd
-            { fd; owner; rbuf = Buffer.create 256; discarding = false;
-              wdead = false }
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-    done
+  (* after EMFILE/ENFILE the listeners rest until then: no busy spin *)
+  let resting_until = ref 0L in
+  let on fd f = Option.iter f (Hashtbl.find_opt conns fd) in
+  let close c =
+    if not c.closed then begin
+      c.closed <- true;
+      Hashtbl.remove conns c.fd;
+      w.conns <- Hashtbl.length conns;
+      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      Lpp_obs.Log.debugf ~limit:l_conn "connection closed (worker %d)" idx
+    end
   in
-  let read_conn conn =
-    match Unix.read conn.fd bytes 0 (Bytes.length bytes) with
-    | 0 -> hangup conn
-    | n -> feed st conn bytes n
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> hangup conn
+  let note_flight ~seq ~id ~pattern ~config ~queue_ns ~parse_ns ~estimate_ns
+      ~write_ns ~read_ns ~now ~outcome =
+    match st.flight with
+    | None -> ()
+    | Some fl ->
+        Lpp_obs.Flight.note fl
+          {
+            seq;
+            id;
+            pattern;
+            config;
+            worker = idx;
+            ts_ns = now;
+            queue_ns;
+            parse_ns;
+            estimate_ns;
+            write_ns;
+            total_ns = Clock.diff_ns ~since:read_ns now;
+            outcome;
+          }
   in
-  let prom_close fd =
-    Hashtbl.remove prom_conns fd;
-    try Unix.close fd with Unix.Unix_error _ -> ()
+  let reject c reason =
+    w.rejected <- w.rejected + 1;
+    let seq = Atomic.fetch_and_add st.seq 1 in
+    Lpp_obs.Log.warnf ~limit:l_reject "request %d rejected: %s" seq reason;
+    let t0 = Clock.now_ns () in
+    respond c (Protocol.rejected ~id:None ~reason);
+    let now = Clock.now_ns () in
+    note_flight ~seq ~id:None ~pattern:"" ~config:""
+      ~queue_ns:(Clock.diff_ns ~since:c.read_ns t0)
+      ~parse_ns:0L ~estimate_ns:0L
+      ~write_ns:(Clock.diff_ns ~since:t0 now)
+      ~read_ns:c.read_ns ~now
+      ~outcome:(Lpp_obs.Flight.Rejected reason)
   in
-  let prom_accept lfd =
-    let continue = ref true in
-    while !continue do
-      match Unix.accept ~cloexec:true lfd with
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          Hashtbl.replace prom_conns fd
-            {
-              state = Reading (Buffer.create 256);
-              deadline_ns = Int64.add (Clock.now_ns ()) http_deadline_ns;
-            }
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-    done
+  let run_line c line =
+    let seq = Atomic.fetch_and_add st.seq 1 in
+    let t0 = Clock.now_ns () in
+    let queue_ns = Clock.diff_ns ~since:c.read_ns t0 in
+    let handle () = answer st w ws ~t0 ~seq line in
+    let resp, info =
+      if !live then
+        Lpp_obs.Trace.with_span ~cat:"serve" "serve.request"
+          ~args:(fun () -> [| ("rid", float_of_int seq) |])
+          handle
+      else handle ()
+    in
+    let t1 = Clock.now_ns () in
+    let resp =
+      match info.trace with
+      | None -> resp
+      | Some topt ->
+          (* dry-serialize the core response so [write_ns] covers the
+             bytes being produced, then append the trace block —
+             [total_ns] is the sum of the four parts by construction *)
+          ignore (Json.to_string resp : string);
+          let write_ns = Clock.diff_ns ~since:t1 (Clock.now_ns ()) in
+          Protocol.with_trace
+            ~trace_id:(Protocol.trace_id topt ~seq)
+            ~seq
+            ~times:
+              {
+                queue_ns;
+                parse_ns = info.parse_ns;
+                estimate_ns = info.estimate_ns;
+                write_ns;
+              }
+            resp
+    in
+    respond c resp;
+    let now = Clock.now_ns () in
+    (match info.outcome with
+    | Some outcome ->
+        note_flight ~seq
+          ~id:(Option.map (fun topt -> Protocol.trace_id topt ~seq) info.trace)
+          ~pattern:info.pattern ~config:info.config ~queue_ns
+          ~parse_ns:info.parse_ns ~estimate_ns:info.estimate_ns
+          ~write_ns:(Clock.diff_ns ~since:t1 now)
+          ~read_ns:c.read_ns ~now ~outcome
+    | None -> ());
+    (match info.qerror with
+    | Some q when Float.is_finite q ->
+        w.qerr_count <- w.qerr_count + 1;
+        w.qerr_sum <- w.qerr_sum +. q;
+        let b = Lpp_obs.Metrics.bucket_of q in
+        w.qerr_buckets.(b) <- w.qerr_buckets.(b) + 1
+    | _ -> ());
+    let ns = Clock.elapsed_ns ~since:t0 in
+    w.busy_ns <- w.busy_ns +. ns;
+    w.lat_count <- w.lat_count + 1;
+    w.lat_sum <- w.lat_sum +. ns;
+    let b = Lpp_obs.Metrics.bucket_of ns in
+    w.lat_buckets.(b) <- w.lat_buckets.(b) + 1
   in
-  (* Send what the socket takes now; close once the answer is out. *)
-  let prom_write fd hc =
-    match hc.state with
-    | Reading _ -> ()
-    | Writing w -> (
-        match
-          Unix.write_substring fd w.text w.off (String.length w.text - w.off)
-        with
-        | n ->
-            w.off <- w.off + n;
-            if w.off = String.length w.text then prom_close fd
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-        | exception Unix.Unix_error (_, _, _) -> prom_close fd)
+  (* Tolerate CRLF framing; whitespace-only lines are ignored, so an
+     interactive `nc` session can hit return without earning an error. *)
+  let take_line c line =
+    let line =
+      if String.length line > 0 && line.[String.length line - 1] = '\r' then
+        String.sub line 0 (String.length line - 1)
+      else line
+    in
+    if String.trim line = "" then ()
+    else if String.length line > st.cfg.max_line then reject c "oversized"
+    else run_line c line
   in
-  let prom_read fd hc buf =
-    match Unix.read fd bytes 0 (Bytes.length bytes) with
-    | 0 -> prom_close fd
+  (* never after [close]: another worker may own the descriptor number *)
+  let write_out c =
+    if (not c.closed) && queued c.out > 0 then
+      match Unix.write c.fd c.out.buf c.out.lo (queued c.out) with
+      | n -> drop c.out n
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+      | exception Unix.Unix_error (_, _, _) -> close c
+  in
+  (* Answer [c]'s complete buffered lines in order, each written as soon
+     as it is made, until its output reaches [out_bound]; [true] if it
+     stopped there, with lines possibly left. An overlong line is answered
+     with one [oversized] rejection when its prefix first exceeds the
+     limit; the rest of it is dropped as it streams in. *)
+  let rec answer_lines c =
+    if c.closed then false
+    else if queued c.out >= out_bound then true
+    else
+      let q = c.inp in
+      match newline q q.lo with
+      | Some nl ->
+          let line = Bytes.sub_string q.buf q.lo (nl - q.lo) in
+          drop q (nl + 1 - q.lo);
+          if c.discarding then c.discarding <- false
+          else begin
+            take_line c line;
+            write_out c
+          end;
+          answer_lines c
+      | None ->
+          if c.discarding || queued q > st.cfg.max_line then begin
+            if not c.discarding then reject c "oversized";
+            c.discarding <- true;
+            drop q (queued q)
+          end;
+          false
+  in
+  (* Answer what [c] has buffered, write what the socket takes, and close
+     [c] once it has nothing more to read, answer or write. *)
+  let rec progress c =
+    let more =
+      if not c.http then begin
+        c.held <- answer_lines c;
+        c.held
+      end
+      else begin
+        (if not c.eof then
+           match
+             http_request (Bytes.sub_string c.inp.buf c.inp.lo (queued c.inp))
+           with
+           | Some request_line ->
+               append c (http_answer st request_line);
+               c.eof <- true
+           | None -> ());
+        false
+      end
+    in
+    write_out c;
+    if (not c.closed) && queued c.out = 0 then
+      if more then progress c else if c.eof then close c
+  in
+  let read_conn c =
+    match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+    | 0 -> c.eof <- true
     | n ->
-        Buffer.add_subbytes buf bytes 0 n;
-        let data = Buffer.contents buf in
-        let have_headers =
-          (* the request line is all we route on; headers are discarded *)
-          let rec find i =
-            if i + 3 >= String.length data then false
-            else if
-              data.[i] = '\r' && data.[i + 1] = '\n' && data.[i + 2] = '\r'
-              && data.[i + 3] = '\n'
-            then true
-            else find (i + 1)
-          in
-          find 0
-        in
-        if have_headers || Buffer.length buf > 8192 then begin
-          let request_line =
-            match String.index_opt data '\r' with
-            | Some i -> String.sub data 0 i
-            | None -> data
-          in
-          hc.state <- Writing { text = http_answer st request_line; off = 0 };
-          prom_write fd hc
+        c.read_ns <- Clock.now_ns ();
+        push c.inp scratch 0 n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | exception Unix.Unix_error (_, _, _) -> close c
+  in
+  (* One connection from [lfd] per wakeup, so a burst is spread over the
+     workers. A descriptor select cannot watch is closed at once; a full
+     descriptor table means no connection now. *)
+  let accept lfd ~http =
+    match Unix.accept ~cloexec:true lfd with
+    | fd, _ ->
+        if selectable fd then begin
+          Unix.set_nonblock fd;
+          let now = Clock.now_ns () in
+          Hashtbl.replace conns fd
+            { fd; http; opened_ns = now; inp = queue (); out = queue ();
+              read_ns = now; held = false; discarding = false; eof = false;
+              closed = false };
+          w.conns <- Hashtbl.length conns;
+          Lpp_obs.Log.debugf ~limit:l_conn "connection accepted (worker %d)"
+            idx
+        end
+        else begin
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Lpp_obs.Log.warnf ~limit:l_accept
+            "connection closed at accept: descriptor past select's limit"
         end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> prom_close fd
+    | exception Unix.Unix_error (e, _, _) ->
+        resting_until := Int64.add (Clock.now_ns ()) tick_ns;
+        Lpp_obs.Log.warnf ~limit:l_accept "accept failed: %s"
+          (Unix.error_message e)
   in
-  let prom_fd = Option.map fst st.prom in
+  (* Only a worker holding the fewest connections watches the listeners:
+     the others are not woken by a connection they would not take. *)
+  let fewest () =
+    Array.for_all (fun other -> w.conns <= other.conns) st.workers
+  in
+  let next_tick = ref (Int64.add (Clock.now_ns ()) tick_ns) in
   while not (Atomic.get st.stopping) do
-    let fds =
-      st.listen_fd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []
+    let rfds =
+      if Clock.now_ns () >= !resting_until && fewest () then
+        List.map fst listeners
+      else []
     in
-    let fds, wfds =
-      match prom_fd with
-      | Some lfd ->
-          Hashtbl.fold
-            (fun fd hc (r, w) ->
-              match hc.state with
-              | Reading _ -> (fd :: r, w)
-              | Writing _ -> (r, fd :: w))
-            prom_conns (lfd :: fds, [])
-      | None -> (fds, [])
-    in
-    (match Unix.select fds wfds [] 0.05 with
-    | readable, writable, _ ->
-        List.iter
-          (fun fd ->
-            if fd = st.listen_fd then accept_all ()
-            else if prom_fd = Some fd then prom_accept fd
-            else
-              match Hashtbl.find_opt conns fd with
-              | Some conn -> read_conn conn
-              | None -> (
-                  match Hashtbl.find_opt prom_conns fd with
-                  | Some ({ state = Reading buf; _ } as hc) ->
-                      prom_read fd hc buf
-                  | Some { state = Writing _; _ } | None -> ()))
-          readable;
-        List.iter
-          (fun fd ->
-            Option.iter (prom_write fd) (Hashtbl.find_opt prom_conns fd))
-          writable
-    | exception Unix.Unix_error (EINTR, _, _) -> ());
-    if Hashtbl.length prom_conns > 0 then begin
-      let now = Clock.now_ns () in
+    let rfds, wfds =
       Hashtbl.fold
-        (fun fd hc acc -> if hc.deadline_ns <= now then fd :: acc else acc)
-        prom_conns []
-      |> List.iter prom_close
-    end;
-    (* push buffered log records out on every tick; cheap when idle *)
-    Lpp_obs.Log.flush ()
+        (fun fd c (r, w) ->
+          ( (if c.eof || c.held then r else fd :: r),
+            if queued c.out > 0 then fd :: w else w ))
+        conns (rfds, [])
+    in
+    (match Unix.select rfds wfds [] tick_s with
+    | readable, writable, _ ->
+        List.iter (fun fd -> on fd progress) writable;
+        List.iter
+          (fun fd ->
+            match List.assoc_opt fd listeners with
+            | Some http -> accept fd ~http
+            | None ->
+                on fd (fun c ->
+                    read_conn c;
+                    if not c.closed then progress c))
+          readable
+    | exception Unix.Unix_error (EINTR, _, _) -> ());
+    let now = Clock.now_ns () in
+    if now >= !next_tick then begin
+      next_tick := Int64.add now tick_ns;
+      Hashtbl.fold
+        (fun _ c acc ->
+          if c.http && Clock.diff_ns ~since:c.opened_ns now >= deadline_ns then
+            c :: acc
+          else acc)
+        conns []
+      |> List.iter close;
+      Lpp_obs.Log.flush ()
+    end
   done;
-  (* graceful drain: no new connections or requests; queued work survives *)
-  (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
-  (match prom_fd with
-  | Some lfd -> (try Unix.close lfd with Unix.Unix_error _ -> ())
-  | None -> ());
-  Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
-    prom_conns;
-  Hashtbl.reset prom_conns;
-  Option.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
-    st.unlink_on_close;
-  Hashtbl.iter (fun _ conn -> enqueue st.workers.(conn.owner) (Close conn)) conns;
-  Atomic.set st.reader_done true;
-  Array.iter
-    (fun w -> Sync.with_lock w.mu (fun () -> Condition.broadcast w.cv))
-    st.workers
+  (* stopping: read nothing more, answer what was read, write the pending
+     output for at most [deadline_ns], then close what is left *)
+  let deadline = Int64.add (Clock.now_ns ()) deadline_ns in
+  let all () = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
+  List.iter (fun c -> c.eof <- true; progress c) (all ());
+  while Hashtbl.length conns > 0 && Clock.now_ns () < deadline do
+    let wfds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
+    match Unix.select [] wfds [] tick_s with
+    | _, writable, _ -> List.iter (fun fd -> on fd progress) writable
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+  done;
+  List.iter close (all ());
+  Lpp_obs.Log.flush ()
 
 (* ---- lifecycle ------------------------------------------------------- *)
 
@@ -993,10 +961,9 @@ let addr_string = function
 
 let start (cfg : config) ~graph ~catalog =
   if cfg.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
-  if cfg.batch < 1 then invalid_arg "Server.start: batch must be >= 1";
   (* A write to a client that has hung up must fail with EPIPE, which
-     [respond] and the HTTP path catch, rather than raise SIGPIPE, whose
-     default action kills the whole process. *)
+     [write_out] catches, rather than raise SIGPIPE, whose default action
+     kills the whole process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd, unlink_on_close = bind_listen cfg.addr in
   let prom =
@@ -1011,10 +978,7 @@ let start (cfg : config) ~graph ~catalog =
   in
   let worker () =
     {
-      mu = Mutex.create ();
-      cv = Condition.create ();
-      jobs = Queue.create ();
-      queued_lines = 0;
+      conns = 0;
       served = 0;
       errors = 0;
       rejected = 0;
@@ -1040,7 +1004,6 @@ let start (cfg : config) ~graph ~catalog =
           ~budget_bytes:(cfg.cache_mb * 1024 * 1024)
           ();
       stopping = Atomic.make false;
-      reader_done = Atomic.make false;
       start_ns = Clock.now_ns ();
       seq = Atomic.make 0;
       workers = Array.init cfg.workers (fun _ -> worker ());
@@ -1057,13 +1020,8 @@ let start (cfg : config) ~graph ~catalog =
       stopped = false;
     }
   in
-  let workers =
-    List.init cfg.workers (fun i -> Domain.spawn (fun () -> worker_loop st i))
-  in
-  let reader = Domain.spawn (fun () -> reader_loop st) in
-  (* reader last in the list: [stop] joins it first so reader_done is up
-     before the workers are joined *)
-  st.domains <- reader :: workers;
+  st.domains <-
+    List.init cfg.workers (fun i -> Domain.spawn (fun () -> worker_loop st i));
   Lpp_obs.Log.infof "serving on %s (%d workers%s)" (addr_string cfg.addr)
     cfg.workers
     (match prom with
@@ -1074,9 +1032,16 @@ let start (cfg : config) ~graph ~catalog =
 let stop st =
   if not st.stopped then begin
     st.stopped <- true;
+    (* a client that connects from now on finds no socket file *)
+    Option.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
+      st.unlink_on_close;
     Atomic.set st.stopping true;
     List.iter Domain.join st.domains;
     st.domains <- [];
+    (* no worker watches the listeners any more *)
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (st.listen_fd :: Option.to_list (Option.map fst st.prom));
     Lpp_obs.Log.infof "server on %s stopped" (addr_string st.cfg.addr);
     Lpp_obs.Log.flush ()
   end

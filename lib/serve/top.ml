@@ -28,7 +28,6 @@ let render ?prev ~now_ns ~addr ~stats ~metrics () =
   let served = Option.value (Json.member_int "served" stats) ~default:0 in
   let errors = Option.value (Json.member_int "errors" stats) ~default:0 in
   let rejected = Option.value (Json.member_int "rejected" stats) ~default:0 in
-  let queued = Option.value (Json.member_int "queued" stats) ~default:0 in
   let uptime = num "uptime_s" stats in
   let qps =
     match prev with
@@ -38,9 +37,8 @@ let render ?prev ~now_ns ~addr ~stats ~metrics () =
     | _ -> num "estimates_per_sec" stats
   in
   Printf.bprintf buf "lpp top — %s   uptime %.1fs\n" addr uptime;
-  Printf.bprintf buf
-    "served %s (%.1f/s)   errors %s   rejected %s   queued %d\n"
-    (fmt_count served) qps (fmt_count errors) (fmt_count rejected) queued;
+  Printf.bprintf buf "served %s (%.1f/s)   errors %s   rejected %s\n"
+    (fmt_count served) qps (fmt_count errors) (fmt_count rejected);
   (match Json.member "latency" stats with
   | Some lat ->
       Printf.bprintf buf "latency  mean %s   p50 %s   p90 %s   p99 %s\n"
@@ -74,14 +72,13 @@ let render ?prev ~now_ns ~addr ~stats ~metrics () =
   | _ -> ());
   (match Json.member "workers" stats with
   | Some (Json.List ws) when ws <> [] ->
-      let t = Ascii_table.create [ "worker"; "served"; "queue"; "util %" ] in
+      let t = Ascii_table.create [ "worker"; "served"; "util %" ] in
       List.iteri
         (fun i w ->
           Ascii_table.add_row t
             [
               string_of_int i;
               fmt_count (Option.value (Json.member_int "served" w) ~default:0);
-              string_of_int (Option.value (Json.member_int "queue" w) ~default:0);
               Printf.sprintf "%.1f" (100.0 *. num "utilization" w);
             ])
         ws;

@@ -22,7 +22,7 @@ val render :
   unit ->
   string
 (** One dashboard frame: header with uptime, served/QPS (delta against
-    [prev] when given, lifetime average otherwise), error/reject/queue
+    [prev] when given, lifetime average otherwise), error and reject
     counts, latency and rolling q-error quantiles, a per-worker table and
     any non-zero non-serve registry counters from [metrics]. Tolerant of
     missing fields (renders what it finds). *)

@@ -704,41 +704,6 @@ let test_prometheus_format () =
   Alcotest.(check bool) "+Inf le label present" true
     (contains text {|le="+Inf"|})
 
-(* ---- flow events ------------------------------------------------------ *)
-
-let test_flow_events () =
-  with_obs @@ fun () ->
-  (* reader-side admission span carries flow_out; worker-side handling span
-     carries flow_in with the same key *)
-  Lpp_obs.Trace.begin_span ~cat:"serve" "serve.admit";
-  Lpp_obs.Trace.end_span ~args:[| ("rid", 12.0); ("flow_out", 12.0) |] ();
-  Lpp_obs.Trace.with_span ~cat:"serve" "serve.request"
-    ~args:(fun () -> [| ("rid", 12.0); ("flow_in", 12.0) |])
-    (fun () -> ());
-  let doc = Lpp_obs.Export.chrome_trace () in
-  match Json.member "traceEvents" doc with
-  | Some (Json.List events) ->
-      let phase p =
-        List.filter (fun e -> Json.member "ph" e = Some (Json.String p)) events
-      in
-      (match phase "s" with
-      | [ s ] ->
-          Alcotest.(check bool) "flow start keyed by the arg" true
-            (Json.member "id" s = Some (Json.Int 12))
-      | l -> Alcotest.failf "%d flow-start events" (List.length l));
-      (match phase "f" with
-      | [ f ] ->
-          Alcotest.(check bool) "flow finish keyed by the arg" true
-            (Json.member "id" f = Some (Json.Int 12));
-          Alcotest.(check bool) "binds to enclosing slice" true
-            (Json.member "bp" f = Some (Json.String "e"))
-      | l -> Alcotest.failf "%d flow-finish events" (List.length l));
-      (* the document still reparses with flow events in it *)
-      (match Json.of_string (Json.to_string doc) with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "flow trace does not reparse: %s" msg)
-  | _ -> Alcotest.fail "traceEvents missing"
-
 (* ---- the disabled path is bit-identical ------------------------------ *)
 
 let random_graph rng =
@@ -874,6 +839,5 @@ let suite =
     Alcotest.test_case "flight: json dump" `Quick test_flight_json;
     Alcotest.test_case "export: prometheus exposition" `Quick
       test_prometheus_format;
-    Alcotest.test_case "export: flow events" `Quick test_flow_events;
     QCheck_alcotest.to_alcotest prop_enabled_estimates_bit_identical;
   ]

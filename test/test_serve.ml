@@ -34,8 +34,8 @@ let patterns =
     "(s:Student)-[:attends]->(c:Seminar), (t:Teacher)-[:teaches]->(c)";
   ]
 
-let with_server ?(config = Lpp_core.Config.a_lhd) ?(workers = 2) ?(batch = 4)
-    ?max_line ?max_pending ?prom_port f =
+let with_server ?(config = Lpp_core.Config.a_lhd) ?(workers = 2) ?max_line
+    ?prom_port f =
   let graph, catalog = campus_ds () in
   let addr = Serve.Unix_socket (temp_sock ()) in
   let cfg =
@@ -43,9 +43,7 @@ let with_server ?(config = Lpp_core.Config.a_lhd) ?(workers = 2) ?(batch = 4)
     {
       d with
       Serve.workers;
-      batch;
       max_line = Option.value max_line ~default:d.Serve.max_line;
-      max_pending = Option.value max_pending ~default:d.Serve.max_pending;
       estimator = config;
       prom_port;
     }
@@ -182,6 +180,12 @@ let test_concurrent_clients () =
     Array.of_list (patterns @ [ "(a:Alumnus)-[:mentors]->(b:Person)" ])
   in
   let rounds = 25 in
+  let clients = 3 in
+  (* every client is connected before any sends and until all are done, so
+     the two workers, each taking a connection only while it holds the
+     fewest, must share them *)
+  let connected = Atomic.make 0 and finished = Atomic.make 0 in
+  let await n = while Atomic.get n < clients do Domain.cpu_relax () done in
   (* each client parses its own expectations while the workers serve *)
   let client_run () =
     let expected =
@@ -191,13 +195,20 @@ let test_concurrent_clients () =
     in
     let client = Client.connect addr in
     Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-    Array.init (rounds * Array.length texts) (fun i ->
-        let k = i mod Array.length texts in
-        match Client.estimate client texts.(k) with
-        | Ok est -> (expected.(k), est)
-        | Error msg -> Alcotest.failf "concurrent estimate failed: %s" msg)
+    Atomic.incr connected;
+    await connected;
+    let answers =
+      Array.init (rounds * Array.length texts) (fun i ->
+          let k = i mod Array.length texts in
+          match Client.estimate client texts.(k) with
+          | Ok est -> (expected.(k), est)
+          | Error msg -> Alcotest.failf "concurrent estimate failed: %s" msg)
+    in
+    Atomic.incr finished;
+    await finished;
+    answers
   in
-  let domains = List.init 3 (fun _ -> Domain.spawn client_run) in
+  let domains = List.init clients (fun _ -> Domain.spawn client_run) in
   let results = List.map Domain.join domains in
   List.iter
     (fun answers ->
@@ -205,10 +216,27 @@ let test_concurrent_clients () =
         (fun i (expect, est) ->
           check_bits (Printf.sprintf "request %d" i) expect est)
         answers)
-    results
+    results;
+  let client = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  match
+    Option.bind
+      (Json.member "stats" (Client.request client {|{"op":"stats"}|}))
+      (Json.member "workers")
+  with
+  | Some (Json.List ws) ->
+      Alcotest.(check int) "two workers" 2 (List.length ws);
+      List.iteri
+        (fun i w ->
+          Alcotest.(check bool)
+            (Printf.sprintf "worker %d served some estimates" i)
+            true
+            (Option.value (Json.member_int "served" w) ~default:0 > 0))
+        ws
+  | _ -> Alcotest.fail "stats.workers missing"
 
 let test_malformed_and_oversized () =
-  with_server ~max_line:128 @@ fun ~graph:_ ~catalog:_ ~addr ~server:_ ->
+  with_server ~max_line:128 @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
   let client = Client.connect addr in
   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   let kind_of resp =
@@ -239,48 +267,17 @@ let test_malformed_and_oversized () =
   | Some (Json.String r) -> Alcotest.(check string) "reason" "oversized" r
   | _ -> Alcotest.fail "rejection carried no reason");
   (* the connection survives and the next request is served normally *)
-  match Client.estimate client "(a:Person)-[]->(b)" with
+  (match Client.estimate client "(a:Person)-[]->(b)" with
   | Ok _ -> ()
-  | Error msg -> Alcotest.failf "connection did not recover: %s" msg
-
-(* With max_pending = 0 admission refuses every line, so the overload path
-   is deterministic: each pipelined request is answered with the refusal,
-   in order, counted under rejected with nothing served or cached, and
-   noted in the flight recorder; stop still returns. *)
-let test_overloaded_refused () =
-  with_server ~max_pending:0 @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
-  let client = Client.connect addr in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-  let requests =
-    [ {|{"op":"ping"}|}; {|{"op":"estimate","pattern":"(a:Person)-[]->(b)"}|};
-      {|{"op":"stats"}|}; {|{"op":"estimate","pattern":"(a:"}|}; "{not json" ]
-  in
-  List.iter (Client.send_line client) requests;
-  List.iter
-    (fun req ->
-      Alcotest.(check (option string)) req
-        (Some {|{"ok":false,"rejected":true,"reason":"overloaded"}|})
-        (Client.recv_line client))
-    requests;
-  Serve.stop server;
-  let stats = Serve.stats_json server in
-  let n = List.length requests in
-  Alcotest.(check (option int)) "rejected" (Some n) (Json.member_int "rejected" stats);
-  Alcotest.(check (option int)) "served" (Some 0) (Json.member_int "served" stats);
-  (match Json.member "cache" stats with
-  | Some cache ->
-      List.iter
-        (fun k -> Alcotest.(check (option int)) k (Some 0) (Json.member_int k cache))
-        [ "l1_hits"; "l2_hits"; "misses"; "l1_bytes"; "l2_entries"; "l2_bytes";
-          "l2_evictions" ]
-  | None -> Alcotest.fail "stats carry no cache block");
+  | Error msg -> Alcotest.failf "connection did not recover: %s" msg);
+  (* the rejection is noted in the flight recorder *)
   match Serve.flight server with
   | Some flight ->
-      Alcotest.(check bool) "flight holds the refusals" true
-        (List.map
-           (fun (e : Lpp_obs.Flight.entry) -> e.outcome)
-           (Lpp_obs.Flight.recent flight)
-        = List.init n (fun _ -> Lpp_obs.Flight.Rejected "overloaded"))
+      Alcotest.(check bool) "flight holds the rejection" true
+        (List.exists
+           (fun (e : Lpp_obs.Flight.entry) ->
+             e.outcome = Lpp_obs.Flight.Rejected "oversized")
+           (Lpp_obs.Flight.recent flight))
   | None -> Alcotest.fail "flight recorder disabled"
 
 (* deterministic garbage at the wire level: every non-blank line gets exactly
@@ -308,7 +305,7 @@ let test_clean_shutdown () =
   let graph, catalog = campus_ds () in
   let path = temp_sock () in
   let addr = Serve.Unix_socket path in
-  let cfg = { (Serve.default_config addr) with Serve.workers = 2; batch = 4 } in
+  let cfg = { (Serve.default_config addr) with Serve.workers = 2 } in
   let server = Serve.start cfg ~graph ~catalog in
   Alcotest.(check bool) "socket exists while serving" true (Sys.file_exists path);
   let client = Client.connect addr in
@@ -750,6 +747,178 @@ let test_metrics_series_from_workers () =
     [ "lpp_serve_requests_total 4"; "lpp_serve_errors_total 1";
       "lpp_serve_rejected_total 1"; "lpp_serve_request_ns_count 4" ]
 
+(* [n] traced estimate requests, each with its own 8 KB trace id, which
+   its answer and its flight-recorder entry echo *)
+let traced_lines n =
+  let id = String.make 8192 'x' in
+  List.init n (fun i ->
+      Json.to_string
+        (Json.Obj
+           [
+             ("op", Json.String "estimate");
+             ("pattern", Json.String "(a:Person)-[]->(b)");
+             ("trace", Json.String (id ^ string_of_int (i + 1)));
+           ]))
+
+let pongs client ~wait_s =
+  Client.send_line client {|{"op":"ping"}|};
+  match Client.try_recv_line ~wait_s client with
+  | Some line -> contains line {|"pong":true|}
+  | None -> false
+
+(* A client that pipelines 256 traced estimates with 8 KB ids and never
+   reads holds back only itself. Its answers (about 2 MB) outgrow the socket
+   buffers and the 1 MiB output bound, so its worker, the only one, stops
+   answering and reading it and the rest of its requests wait in the socket.
+   Another client's ping pongs within a second, and stop gives up on the
+   stalled answers after its 5 s write deadline. *)
+let test_stalled_reader () =
+  with_server ~workers:1 @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
+  let client = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let staller =
+    Client.unread addr
+      (String.concat "" (List.map (fun l -> l ^ "\n") (traced_lines 256)))
+  in
+  Fun.protect ~finally:(fun () -> try Unix.close staller with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Alcotest.(check bool) "ping pongs within 1 s of a stalled reader" true
+    (pongs client ~wait_s:1.0);
+  let t0 = Clock.now_ns () in
+  Serve.stop server;
+  let took = Clock.elapsed_s ~since:t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "stop returned after %.1f s (< 6 s)" took)
+    true (took < 6.0)
+
+(* A client that pipelines cheap requests with large answers ([stats], 36
+   times their size) and reads slowly is held to its output bound. Once
+   1 MiB of its answers wait unwritten, its worker answers its remaining
+   lines only as the socket takes them and reads it no more until all are
+   answered: the 64 KB of requests one read takes make over 2 MB of answers,
+   which a client reading 4 KB every 10 ms needs seconds to take. So its
+   requests back up into the socket and its sends stall for a second. A
+   server that read it whenever its output fell below the bound would take
+   64 KB of requests every few hundred milliseconds, its unanswered input
+   growing without limit. *)
+let test_slow_reader_bounded () =
+  with_server ~workers:1 @@ fun ~graph:_ ~catalog:_ ~addr ~server:_ ->
+  let fd = Client.unread addr "" in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.set_nonblock fd;
+  let text = String.concat "" (List.init 4096 (fun _ -> "{\"op\":\"stats\"}\n")) in
+  let len = String.length text and chunk = Bytes.create 4096 in
+  let t0 = Clock.now_ns () in
+  (* send without blocking and read 4 KB every 10 ms, until a second
+     passes without a byte sent or 5 s or 8 MB pass without that *)
+  let rec go ~sent ~last =
+    if Clock.elapsed_s ~since:last >= 1.0 then Ok sent
+    else if sent >= 8 lsl 20 || Clock.elapsed_s ~since:t0 >= 5.0 then Error sent
+    else begin
+      let off = sent mod len in
+      match Unix.write_substring fd text off (len - off) with
+      | n -> go ~sent:(sent + n) ~last:(Clock.now_ns ())
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+          Unix.sleepf 0.01;
+          (try ignore (Unix.read fd chunk 0 (Bytes.length chunk) : int)
+           with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ());
+          go ~sent ~last
+    end
+  in
+  match go ~sent:0 ~last:t0 with
+  | Ok _ -> ()
+  | Error sent ->
+      Alcotest.failf "sends never stalled for a second (%d bytes in %.1f s)"
+        sent (Clock.elapsed_s ~since:t0)
+
+(* A connection flood stalls no one. A probe connects first, then idle
+   connections are opened until 1,100 are open or this process runs out of
+   descriptors: the server closes at once each one it accepts past what
+   select can watch (FD_SETSIZE), and rests its listeners while the
+   descriptor table is full. The probe's ping pongs within a second, a
+   connection opened after the flood closes is served, and stop returns. *)
+let test_connection_flood () =
+  with_server @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
+  let probe = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close probe) @@ fun () ->
+  let flooders = Client.flood addr 1100 in
+  let probe_pongs =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) flooders)
+      (fun () -> pongs probe ~wait_s:1.0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "probe pongs within 1 s of %d idle connections"
+       (List.length flooders))
+    true probe_pongs;
+  let fresh = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close fresh) @@ fun () ->
+  Alcotest.(check bool) "a connection opened after the flood pongs" true
+    (pongs fresh ~wait_s:5.0);
+  Serve.stop server
+
+(* A client that sends its requests and then shuts down its sending side,
+   as `echo … | nc -U -q1` and `printf … | socat -` do, gets every answer in
+   order, then EOF. *)
+let test_half_closed () =
+  with_server @@ fun ~graph ~catalog ~addr ~server:_ ->
+  let path =
+    match addr with
+    | Serve.Unix_socket p -> p
+    | Serve.Tcp _ -> Alcotest.fail "expected a Unix socket"
+  in
+  let expected = direct_estimates Lpp_core.Config.a_lhd graph catalog patterns in
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect fd (ADDR_UNIX path);
+  let lines =
+    List.map
+      (fun p ->
+        Json.to_string
+          (Json.Obj [ ("op", Json.String "estimate"); ("pattern", Json.String p) ]))
+      patterns
+    @ [ {|{"op":"ping"}|} ]
+  in
+  let text = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let rec send off =
+    if off < String.length text then
+      send (off + Unix.write_substring fd text off (String.length text - off))
+  in
+  send 0;
+  Unix.shutdown fd SHUTDOWN_SEND;
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.select [ fd ] [] [] 5.0 with
+    | [], _, _ -> Alcotest.fail "no EOF within 5 s of the last answer"
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            drain ())
+  in
+  drain ();
+  let answers =
+    List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  Alcotest.(check int) "one answer per line" (List.length lines)
+    (List.length answers);
+  List.iteri
+    (fun i raw ->
+      match (Json.of_string raw, List.nth_opt expected i) with
+      | Ok resp, Some expect -> (
+          match Option.bind (Json.member "estimate" resp) Json.number with
+          | Some est -> check_bits (List.nth patterns i) expect est
+          | None -> Alcotest.failf "answer %d carries no estimate: %s" i raw)
+      | Ok resp, None ->
+          Alcotest.(check bool) "last answer is the pong" true
+            (Json.member "pong" resp = Some (Json.Bool true))
+      | Error msg, _ -> Alcotest.failf "answer %d does not parse: %s" i msg)
+    answers
+
 let test_prom_http_listener () =
   with_server ~prom_port:0 @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
   let port =
@@ -812,22 +981,15 @@ let test_prom_stalled_scraper () =
   let client = Client.connect addr in
   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   (* 256 traced requests with 8 KB ids: a flight dump of about 2 MB *)
-  let id = String.make 8192 'x' in
-  for i = 1 to 256 do
-    let line =
-      Json.to_string
-        (Json.Obj
-           [
-             ("op", Json.String "estimate");
-             ("pattern", Json.String "(a:Person)-[]->(b)");
-             ("trace", Json.String (id ^ string_of_int i));
-           ])
-    in
-    match Json.member "ok" (Client.request client line) with
-    | Some (Json.Bool true) -> ()
-    | _ -> Alcotest.fail "traced estimate failed"
-  done;
-  let scraper = Client.scrape_unread ~port "/flight" in
+  List.iter
+    (fun line ->
+      match Json.member "ok" (Client.request client line) with
+      | Some (Json.Bool true) -> ()
+      | _ -> Alcotest.fail "traced estimate failed")
+    (traced_lines 256);
+  let scraper =
+    Client.unread (Serve.Tcp ("127.0.0.1", port)) "GET /flight HTTP/1.0\r\n\r\n"
+  in
   Fun.protect ~finally:(fun () -> try Unix.close scraper with Unix.Unix_error _ -> ())
   @@ fun () ->
   (* let the reader take the request and fill the buffers *)
@@ -909,13 +1071,18 @@ let suite =
       test_concurrent_clients;
     Alcotest.test_case "wire: malformed and oversized input" `Quick
       test_malformed_and_oversized;
-    Alcotest.test_case "wire: overloaded lines are refused" `Quick
-      test_overloaded_refused;
     Alcotest.test_case "wire: garbage lines all answered" `Quick
       test_garbage_lines_answered;
     Alcotest.test_case "lifecycle: clean shutdown" `Quick test_clean_shutdown;
     Alcotest.test_case "wire: client hangs up before reading" `Quick
       test_client_hangs_up;
+    Alcotest.test_case "wire: a half-closed client gets every answer" `Quick
+      test_half_closed;
+    Alcotest.test_case "wire: a client that stops reading stalls no one"
+      `Quick test_stalled_reader;
+    Alcotest.test_case "wire: a slow reader's requests wait in the socket"
+      `Quick test_slow_reader_bounded;
+    Alcotest.test_case "wire: connection flood" `Quick test_connection_flood;
     Alcotest.test_case "wire: unknown config names not retained" `Quick
       test_unknown_configs_bounded;
     Alcotest.test_case "wire: unknown names not retained" `Quick
