@@ -11,7 +11,7 @@ type t = {
   props : Lpp_stats.Prop_stats.t;
 }
 
-let build ?(target_buckets = 512) g =
+let build ?(target_buckets = 512) g props =
   let n = Graph.node_count g in
   (* group nodes by label signature *)
   let groups : (int list, int list ref) Hashtbl.t = Hashtbl.create 64 in
@@ -83,7 +83,7 @@ let build ?(target_buckets = 512) g =
     edges;
     out_adj;
     in_adj;
-    props = Lpp_stats.Prop_stats.build g;
+    props;
   }
 
 let bucket_count t = Array.length t.sizes

@@ -17,8 +17,11 @@
 
 type t
 
-val build : ?target_buckets:int -> Lpp_pgraph.Graph.t -> t
-(** [target_buckets] defaults to 512. *)
+val build :
+  ?target_buckets:int -> Lpp_pgraph.Graph.t -> Lpp_stats.Prop_stats.t -> t
+(** [target_buckets] defaults to 512. Property predicates are estimated from
+    the given statistics of the same graph, as a catalog holds them
+    ({!Lpp_stats.Catalog.props}). *)
 
 val bucket_count : t -> int
 

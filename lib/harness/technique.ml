@@ -77,7 +77,9 @@ let wander_join ~seed config (ds : Lpp_datasets.Dataset.t) =
   }
 
 let sumrdf ?target_buckets ?budget (ds : Lpp_datasets.Dataset.t) =
-  let est = Sumrdf.build ?target_buckets ds.graph in
+  let est =
+    Sumrdf.build ?target_buckets ds.graph (Lpp_stats.Catalog.props ds.catalog)
+  in
   {
     name = "SumRDF";
     supports = Sumrdf.supports;

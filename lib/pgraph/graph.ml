@@ -69,6 +69,8 @@ let props_at arr i = if i < Array.length arr then arr.(i) else [||]
 
 let node_props t n = props_at t.node_props n
 
+let node_prop_extent t = Array.length t.node_props
+
 let assoc_prop props key =
   let rec go i =
     if i >= Array.length props then None
@@ -96,6 +98,8 @@ let rel_dst t r = Iarr.get t.rel_dst r
 let rel_type t r = Iarr.get t.rel_type r
 
 let rel_props t r = props_at t.rel_props r
+
+let rel_prop_extent t = Array.length t.rel_props
 
 let rel_prop t r key = assoc_prop (rel_props t r) key
 

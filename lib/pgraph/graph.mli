@@ -64,6 +64,12 @@ val node_props : t -> node -> (int * Value.t) array
 (** Sorted by key id. The graph stores these arrays only up to the last
     node that carries a property; every node past it answers [[||]]. *)
 
+val node_prop_extent : t -> int
+(** Number of nodes whose property arrays the graph stores: every node at or
+    past it answers [[||]] from {!node_props}. {!Graph_builder} stores them
+    up to the last carrier, so a graph it built without node properties
+    answers 0. *)
+
 val assoc_prop : (int * Value.t) array -> int -> Value.t option
 (** Sorted-early-exit lookup over a property array in the representation
     returned by {!node_props}/{!rel_props} (ascending key ids): stops as soon
@@ -90,6 +96,9 @@ val rel_type : t -> rel -> int
 val rel_props : t -> rel -> (int * Value.t) array
 (** As {!node_props}: relationships past the last one that carries a
     property answer [[||]]. *)
+
+val rel_prop_extent : t -> int
+(** As {!node_prop_extent}, for relationships. *)
 
 val rel_prop : t -> rel -> int -> Value.t option
 

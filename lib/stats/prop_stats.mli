@@ -25,6 +25,11 @@ val mcv_limit : int
 (** 10, as in the paper and PostgreSQL's default-lite setup. *)
 
 val build : Lpp_pgraph.Graph.t -> t
+(** Interns each entity kind's values once, then counts owner by owner in
+    flat arrays; work and memory follow the property carriers, so a graph
+    without properties costs nothing per entity. Runs in the
+    [catalog.prop_stats] trace span, whose args count the carriers, property
+    slots, distinct (key, value) ids and entries. *)
 
 val find : t -> owner -> key:int -> entry option
 

@@ -232,7 +232,7 @@ let test_sumrdf_exact_with_full_resolution () =
   (* with one bucket per label signature and uniform in-bucket structure the
      random-graph model is exact *)
   let g = Fixtures.bipartite ~k_left:10 ~k_right:5 ~deg:3 in
-  let s = Sumrdf.build ~target_buckets:2 g in
+  let s = Sumrdf.build ~target_buckets:2 g (Lpp_stats.Prop_stats.build g) in
   let p =
     Pattern.of_spec g
       [ node ~labels:[ "L" ] (); node ~labels:[ "R" ] () ]
@@ -242,7 +242,7 @@ let test_sumrdf_exact_with_full_resolution () =
 
 let test_sumrdf_single_node () =
   let f = Fixtures.campus () in
-  let s = Sumrdf.build f.graph in
+  let s = Sumrdf.build f.graph (Lpp_stats.Prop_stats.build f.graph) in
   let p = Pattern.of_spec f.graph [ node ~labels:[ "Student" ] () ] [] in
   check_est "students" 3.0 (Sumrdf.estimate s p)
 
@@ -259,8 +259,9 @@ let test_sumrdf_more_buckets_more_accuracy () =
     | Lpp_exec.Matcher.Count c -> float_of_int c
     | Budget_exceeded -> Alcotest.fail "budget"
   in
-  let coarse = Sumrdf.build ~target_buckets:8 g in
-  let fine = Sumrdf.build ~target_buckets:512 g in
+  let props = Lpp_stats.Catalog.props ds.catalog in
+  let coarse = Sumrdf.build ~target_buckets:8 g props in
+  let fine = Sumrdf.build ~target_buckets:512 g props in
   Alcotest.(check bool) "more buckets" true
     (Sumrdf.bucket_count fine > Sumrdf.bucket_count coarse);
   let e_fine = Sumrdf.estimate fine p in
@@ -271,14 +272,15 @@ let test_sumrdf_more_buckets_more_accuracy () =
 
 let test_sumrdf_memory_grows_with_buckets () =
   let ds = Lazy.force Fixtures.small_snb in
-  let coarse = Sumrdf.build ~target_buckets:8 ds.graph in
-  let fine = Sumrdf.build ~target_buckets:512 ds.graph in
+  let props = Lpp_stats.Catalog.props ds.catalog in
+  let coarse = Sumrdf.build ~target_buckets:8 ds.graph props in
+  let fine = Sumrdf.build ~target_buckets:512 ds.graph props in
   Alcotest.(check bool) "memory grows" true
     (Sumrdf.memory_bytes fine > Sumrdf.memory_bytes coarse)
 
 let test_sumrdf_budget_returns () =
   let ds = Lazy.force Fixtures.small_snb in
-  let s = Sumrdf.build ds.graph in
+  let s = Sumrdf.build ds.graph (Lpp_stats.Catalog.props ds.catalog) in
   let p =
     Pattern.of_spec ds.graph
       [ node (); node (); node (); node (); node () ]

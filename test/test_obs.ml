@@ -264,6 +264,29 @@ let grown_catalog big () =
    once switched to its row-directory and flat sorted-key layouts, whose
    names the cases keep): the lookup path does not depend on the
    vocabulary's size. *)
+(* The property-statistics build says what it counted. Campus: six nodes
+   carry seven properties, of seven distinct (key, value) pairs; the
+   entries are title, name and semester under ✱, title under Course and
+   Seminar, name and semester under Person and Student, name under Teacher
+   and Tutor. *)
+let test_prop_stats_span_args () =
+  let { graph; _ } : Fixtures.campus = Fixtures.campus () in
+  with_obs @@ fun () ->
+  let ps = Prop_stats.build graph in
+  let spans =
+    List.filter
+      (fun (s : Lpp_obs.Trace.span) -> s.name = "catalog.prop_stats")
+      (Lpp_obs.Trace.spans ())
+  in
+  match spans with
+  | [ s ] ->
+      Alcotest.(check (list (pair string (float 0.0))))
+        "carriers, slots, ids, entries"
+        [ ("carriers", 6.0); ("slots", 7.0); ("ids", 7.0); ("entries", 11.0) ]
+        (Array.to_list s.args);
+      Alcotest.(check int) "entry_count" 11 (Prop_stats.entry_count ps)
+  | spans -> Alcotest.failf "%d catalog.prop_stats spans" (List.length spans)
+
 let test_lookup_path_counters catalog_of () =
   with_obs @@ fun () ->
   let catalog = catalog_of () in
@@ -823,6 +846,8 @@ let suite =
       (test_lookup_path_counters (grown_catalog 1500));
     Alcotest.test_case "catalog: packed-layout counters" `Quick
       (test_lookup_path_counters (grown_catalog 1_000_000));
+    Alcotest.test_case "catalog: prop_stats span args" `Quick
+      test_prop_stats_span_args;
     Alcotest.test_case "export: chrome trace round-trip" `Quick
       test_chrome_trace_roundtrip;
     Alcotest.test_case "export: metrics json shape" `Quick

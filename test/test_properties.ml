@@ -4,10 +4,37 @@
 
 open Lpp_pattern
 
-let random_graph rng =
+(* Values under one key that property statistics must keep apart or
+   together: every constructor, 0.0 beside -0.0 (one value under
+   [Value.equal]), nan of either sign, and strings. *)
+let rich_values =
+  Lpp_pgraph.Value.
+    [| Bool true; Bool false; Int 0; Int 1; Float 0.0; Float (-0.0); Float Float.nan;
+       Float (-.Float.nan); Float 1.5; Str ""; Str "x"; Str "y" |]
+
+(* With [~rich:true], the properties cover what property statistics must
+   get right: Bool, Int, Float and Str values under one key (with 0.0, -0.0
+   and nan), a key of up to 14 values and one of a value per entity, so more
+   than ten values tie at the MCV cut; up to two trailing nodes and
+   relationships without properties; relationship properties on types "u"
+   and "v" only. The graph is then remade through [Graph.unsafe_make] with
+   some nodes' labels repeated or reversed, which the builder would
+   normalise. The plain draws are unchanged, so existing callers keep their
+   inputs. *)
+let random_graph ?(rich = false) rng =
   let open Lpp_util in
+  let module Value = Lpp_pgraph.Value in
   let b = Lpp_pgraph.Graph_builder.create () in
-  let n = Rng.int_in rng 1 15 in
+  let n = Rng.int_in rng 1 (if rich then 40 else 15) in
+  let bare = if rich then Rng.int rng 3 else 0 in
+  let rich_props ~carries i =
+    if not (carries && Rng.coin rng 0.7) then []
+    else
+      List.filter_map Fun.id
+        [ (if Rng.coin rng 0.8 then Some ("k", Rng.pick rng rich_values) else None);
+          (if Rng.coin rng 0.6 then Some ("s", Value.Int (Rng.int rng 14)) else None);
+          (if Rng.coin rng 0.5 then Some ("id", Value.Int i) else None) ]
+  in
   let nodes =
     Array.init n (fun i ->
         let labels =
@@ -15,7 +42,8 @@ let random_graph rng =
             [ "A"; "B"; "C" ]
         in
         let props =
-          if Rng.coin rng 0.4 then
+          if rich then rich_props ~carries:(i < n - bare) i
+          else if Rng.coin rng 0.4 then
             [ ("k", Lpp_pgraph.Value.Int (Rng.int rng 5));
               ("s", Lpp_pgraph.Value.Str (String.make (Rng.int rng 3) 'x')) ]
           else []
@@ -23,14 +51,40 @@ let random_graph rng =
         Lpp_pgraph.Graph_builder.add_node b ~labels ~props)
   in
   let m = Rng.int rng (3 * n) in
-  for _ = 1 to m do
+  for j = 1 to m do
     let s = nodes.(Rng.int rng n) and d = nodes.(Rng.int rng n) in
     ignore
-      (Lpp_pgraph.Graph_builder.add_rel b ~src:s ~dst:d
-         ~rel_type:(if Rng.bool rng then "u" else "v")
-         ~props:(if Rng.coin rng 0.3 then [ ("w", Lpp_pgraph.Value.Float 0.5) ] else []))
+      (if rich then begin
+         let rel_type = Rng.pick rng [| "u"; "v"; "w" |] in
+         let props = rich_props ~carries:(rel_type <> "w" && j <= m - bare) j in
+         Lpp_pgraph.Graph_builder.add_rel b ~src:s ~dst:d ~rel_type ~props
+       end
+       else
+         Lpp_pgraph.Graph_builder.add_rel b ~src:s ~dst:d
+           ~rel_type:(if Rng.bool rng then "u" else "v")
+           ~props:
+             (if Rng.coin rng 0.3 then [ ("w", Lpp_pgraph.Value.Float 0.5) ] else []))
   done;
-  Lpp_pgraph.Graph_builder.freeze b
+  let g = Lpp_pgraph.Graph_builder.freeze b in
+  if not rich then g
+  else begin
+    let module G = Lpp_pgraph.Graph in
+    let node_labels =
+      Array.init (G.node_count g) (fun nd ->
+          let ls = G.node_labels g nd in
+          match Rng.int rng 4 with
+          | 0 -> Array.append ls ls
+          | 1 -> Array.of_list (List.rev (Array.to_list ls))
+          | _ -> Array.copy ls)
+    in
+    G.unsafe_make ~labels:(G.labels g) ~rel_types:(G.rel_types g)
+      ~prop_keys:(G.prop_keys g) ~node_labels
+      ~node_props:(Array.init (G.node_prop_extent g) (G.node_props g))
+      ~rel_src:(Array.init (G.rel_count g) (G.rel_src g))
+      ~rel_dst:(Array.init (G.rel_count g) (G.rel_dst g))
+      ~rel_type:(Array.init (G.rel_count g) (G.rel_type g))
+      ~rel_props:(Array.init (G.rel_prop_extent g) (G.rel_props g))
+  end
 
 let test_graph_io_roundtrip_random () =
   let rng = Lpp_util.Rng.create 808 in

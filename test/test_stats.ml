@@ -228,6 +228,64 @@ let test_prop_stats_mcv_order () =
         (Prop_stats.selectivity ps Any_node ~key:(key g "p")
            (Lpp_pattern.Pattern.Eq v))
 
+let expect_oracle what g ps =
+  match Prop_stats_oracle.compare_stats g ps (Prop_stats_oracle.build g) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "%s: %s" what m
+
+(* The generated data sets with their properties: the catalog's statistics
+   answer like the per-property oracle, entry for entry. *)
+let test_prop_stats_generated tier () =
+  List.iter
+    (fun name ->
+      let ds = Option.get (Lpp_datasets.Scale.build tier ~name ~seed:1) in
+      Alcotest.(check bool) (name ^ " has properties") true
+        (Graph.property_count ds.graph > 0);
+      expect_oracle name ds.graph (Catalog.props ds.catalog))
+    [ "snb"; "cineasts"; "dbpedia" ]
+
+let prop_prop_stats_matches_oracle =
+  QCheck.Test.make ~name:"property statistics == per-property oracle" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g = Test_properties.random_graph ~rich:true (Lpp_util.Rng.create (seed + 1)) in
+      let o = Prop_stats_oracle.build g in
+      match Prop_stats_oracle.compare_stats g (Prop_stats.build g) o with
+      | Ok _ -> true
+      | Error m -> QCheck.Test.fail_report m)
+
+(* A graph without properties costs the build nothing per entity: graphs of
+   10⁴ and 10⁵ relationships over one vocabulary allocate under the same
+   bound, so the large tier's start-up memory does not grow with it. *)
+let test_prop_stats_property_free () =
+  let graph rels =
+    let b = Graph_builder.create () in
+    let nodes =
+      Array.init 1000 (fun i ->
+          let label = if i mod 2 = 0 then "A" else "B" in
+          Graph_builder.add_node b ~labels:[ label ] ~props:[])
+    in
+    for r = 0 to rels - 1 do
+      ignore
+        (Graph_builder.add_rel b ~src:nodes.(r mod 1000) ~dst:nodes.(r * 7 mod 1000)
+           ~rel_type:(if r mod 3 = 0 then "u" else "v")
+           ~props:[])
+    done;
+    Graph_builder.freeze b
+  in
+  let bound = 4096 in
+  List.iter
+    (fun rels ->
+      let g = graph rels in
+      let before = Gc.allocated_bytes () in
+      let ps = Prop_stats.build g in
+      let bytes = int_of_float (Gc.allocated_bytes () -. before) in
+      Alcotest.(check int) "no entries" 0 (Prop_stats.entry_count ps);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d relationships: %d B allocated, bound %d B" rels bytes bound)
+        true (bytes <= bound))
+    [ 10_000; 100_000 ]
+
 (* ---------------- Catalog ---------------- *)
 
 let test_catalog_nc () =
@@ -397,6 +455,13 @@ let suite =
     Alcotest.test_case "props: eq selectivity" `Quick test_prop_stats_selectivity_eq;
     Alcotest.test_case "props: unknown pair" `Quick test_prop_stats_unknown_pair;
     Alcotest.test_case "props: mcv order + tail" `Quick test_prop_stats_mcv_order;
+    Alcotest.test_case "props: smoke data sets == oracle" `Quick
+      (test_prop_stats_generated Lpp_datasets.Scale.Smoke);
+    Alcotest.test_case "props: default data sets == oracle" `Slow
+      (test_prop_stats_generated Lpp_datasets.Scale.Default);
+    QCheck_alcotest.to_alcotest prop_prop_stats_matches_oracle;
+    Alcotest.test_case "props: property-free build per entity" `Quick
+      test_prop_stats_property_free;
     Alcotest.test_case "catalog: nc" `Quick test_catalog_nc;
     Alcotest.test_case "catalog: rc exhaustive" `Quick test_catalog_rc_exhaustive;
     Alcotest.test_case "catalog: simple rc" `Quick test_catalog_simple_rc;
