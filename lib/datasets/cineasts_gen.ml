@@ -81,6 +81,11 @@ let generate ?(movies = 2200) ?(props = true) ~seed () =
   let actors = selected person_acts in
   let directors = selected person_directs in
   let users = selected person_user in
+  (* Zipf samplers are made once per fixed (n, s). *)
+  let actor_zipf = Rng.Zipf.make ~n:(Array.length actors) ~s:0.7
+  and director_zipf = Rng.Zipf.make ~n:(Array.length directors) ~s:0.6
+  and user_zipf = Rng.Zipf.make ~n:(Array.length users) ~s:0.5
+  and movie_zipf = Rng.Zipf.make ~n:movies ~s:0.8 in
   let movie_ids =
     Array.init movies (fun i ->
         let year = 1950 + Rng.int rng 72 in
@@ -112,7 +117,7 @@ let generate ?(movies = 2200) ?(props = true) ~seed () =
       (* cast: Zipf over actors so a few stars appear in many movies *)
       let cast_size = 3 + Rng.geometric rng ~p:0.35 in
       for _ = 1 to min cast_size 12 do
-        let a = actors.(Rng.zipf rng ~n:(Array.length actors) ~s:0.7) in
+        let a = actors.(Rng.Zipf.draw rng actor_zipf) in
         let role = Rng.int rng 500 in
         ignore
           (Graph_builder.add_rel b ~src:a ~dst:m ~rel_type:"ACTS_IN"
@@ -121,10 +126,10 @@ let generate ?(movies = 2200) ?(props = true) ~seed () =
                   [ ("role", str (Printf.sprintf "Role%d" role)) ]
                 else []))
       done;
-      let d = directors.(Rng.zipf rng ~n:(Array.length directors) ~s:0.6) in
+      let d = directors.(Rng.Zipf.draw rng director_zipf) in
       ignore (Graph_builder.add_rel b ~src:d ~dst:m ~rel_type:"DIRECTED" ~props:[]);
       if Rng.coin rng 0.15 then begin
-        let d2 = directors.(Rng.zipf rng ~n:(Array.length directors) ~s:0.6) in
+        let d2 = directors.(Rng.Zipf.draw rng director_zipf) in
         if d2 <> d then
           ignore
             (Graph_builder.add_rel b ~src:d2 ~dst:m ~rel_type:"DIRECTED" ~props:[])
@@ -133,8 +138,8 @@ let generate ?(movies = 2200) ?(props = true) ~seed () =
   (* ratings by users *)
   let n_ratings = Array.length users * 8 in
   for _ = 1 to n_ratings do
-    let u = users.(Rng.zipf rng ~n:(Array.length users) ~s:0.5) in
-    let m = movie_ids.(Rng.zipf rng ~n:movies ~s:0.8) in
+    let u = users.(Rng.Zipf.draw rng user_zipf) in
+    let m = movie_ids.(Rng.Zipf.draw rng movie_zipf) in
     let stars = 1 + Rng.int rng 5 in
     let commented = Rng.coin rng 0.3 in
     let props =

@@ -53,12 +53,16 @@ let generate ?(entities = 24_000) ?(classes = 140) ?(rel_kinds = 90)
   in
   (* ---- entities ------------------------------------------------------ *)
   let b = Graph_builder.create () in
+  (* Zipf samplers are made once per fixed (n, s). *)
+  let class_zipf = Rng.Zipf.make ~n:classes ~s:0.7
+  and int_zipf = Rng.Zipf.make ~n:50 ~s:1.1
+  and pool_zipf = Rng.Zipf.make ~n:(Array.length value_pool) ~s:0.9 in
   let entity_class = Array.make entities 0 in
   let entity_ids =
     Array.init entities (fun i ->
         (* skewed class popularity; avoid the bare root for most entities *)
         let c =
-          let c = Rng.zipf rng ~n:classes ~s:0.7 in
+          let c = Rng.Zipf.draw rng class_zipf in
           if c = 0 && Rng.coin rng 0.9 then 1 + Rng.int rng (classes - 1) else c
         in
         entity_class.(i) <- c;
@@ -75,8 +79,8 @@ let generate ?(entities = 24_000) ?(classes = 140) ?(rel_kinds = 90)
               (fun k ->
                 if k <> 0 && Rng.coin rng 0.8 then begin
                   let v =
-                    if k mod 3 = 0 then int (Rng.zipf rng ~n:50 ~s:1.1)
-                    else str value_pool.(Rng.zipf rng ~n:(Array.length value_pool) ~s:0.9)
+                    if k mod 3 = 0 then int (Rng.Zipf.draw rng int_zipf)
+                    else str value_pool.(Rng.Zipf.draw rng pool_zipf)
                   in
                   if with_props then props := (key_name k, v) :: !props
                 end)
@@ -116,13 +120,18 @@ let generate ?(entities = 24_000) ?(classes = 140) ?(rel_kinds = 90)
     type_range.(t) <- nonempty ()
   done;
   let rel_names = Array.init rel_kinds (fun t -> Printf.sprintf "rel%d" t) in
+  (* one sampler per extent used as a domain or range, by type *)
+  let extent_zipf c = Rng.Zipf.make ~n:(Array.length extents.(c)) ~s:0.4 in
+  let type_zipf = Rng.Zipf.make ~n:rel_kinds ~s:0.8
+  and domain_zipf = Array.map extent_zipf type_domain
+  and range_zipf = Array.map extent_zipf type_range in
   let n_edges = entities * 4 in
   for _ = 1 to n_edges do
-    let t = Rng.zipf rng ~n:rel_kinds ~s:0.8 in
+    let t = Rng.Zipf.draw rng type_zipf in
     let dom = extents.(type_domain.(t)) in
     let rng_ext = extents.(type_range.(t)) in
-    let src = entity_ids.(dom.(Rng.zipf rng ~n:(Array.length dom) ~s:0.4)) in
-    let dst = entity_ids.(rng_ext.(Rng.zipf rng ~n:(Array.length rng_ext) ~s:0.4)) in
+    let src = entity_ids.(dom.(Rng.Zipf.draw rng domain_zipf.(t))) in
+    let dst = entity_ids.(rng_ext.(Rng.Zipf.draw rng range_zipf.(t))) in
     if src <> dst then begin
       let since =
         if Rng.coin rng 0.1 then Some (1900 + Rng.int rng 120) else None

@@ -35,14 +35,22 @@ let dbpedia_rel_kinds = function Smoke -> 25 | Default | Large -> 90
 
 let build t ~name ~seed =
   let props = props t in
-  match String.lowercase_ascii name with
-  | "snb" ->
-      Some (Snb_gen.generate ~persons:(snb_persons t) ~props ~seed ())
-  | "cineasts" ->
-      Some (Cineasts_gen.generate ~movies:(cineasts_movies t) ~props ~seed ())
-  | "dbpedia" ->
-      Some
-        (Dbpedia_gen.generate ~entities:(dbpedia_entities t)
-           ~classes:(dbpedia_classes t) ~rel_kinds:(dbpedia_rel_kinds t) ~props
-           ~seed ())
-  | _ -> None
+  let generate =
+    match String.lowercase_ascii name with
+    | "snb" ->
+        Some (fun () -> Snb_gen.generate ~persons:(snb_persons t) ~props ~seed ())
+    | "cineasts" ->
+        Some
+          (fun () ->
+            Cineasts_gen.generate ~movies:(cineasts_movies t) ~props ~seed ())
+    | "dbpedia" ->
+        Some
+          (fun () ->
+            Dbpedia_gen.generate ~entities:(dbpedia_entities t)
+              ~classes:(dbpedia_classes t) ~rel_kinds:(dbpedia_rel_kinds t)
+              ~props ~seed ())
+    | _ -> None
+  in
+  (* the span holds [graph.freeze] and [dataset.build]; its remainder is
+     the generator's own draws and builder calls *)
+  Option.map (Lpp_obs.Trace.with_span ~cat:"dataset" "dataset.generate") generate

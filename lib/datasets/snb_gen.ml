@@ -44,6 +44,9 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
      is identical with and without properties. *)
   let with_props = props in
   let pp l = if with_props then l else [] in
+  (* Zipf samplers are made once per fixed (n, s); only KNOWS, whose rank
+     count grows with every person, draws through [Rng.zipf]. *)
+  let draw z = Rng.Zipf.draw rng z in
   (* --- places ------------------------------------------------------- *)
   let continent_ids =
     Array.map
@@ -53,26 +56,28 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
       continents
   in
   let n_countries = 28 in
+  let continent_zipf = Rng.Zipf.make ~n:(Array.length continents) ~s:0.8 in
   let country_ids =
     Array.init n_countries (fun i ->
         let nd =
           Graph_builder.add_node b ~labels:[ "Place"; "Country" ]
             ~props:(pp [ ("name", str (Printf.sprintf "Country%d" i)) ])
         in
-        let cont = continent_ids.(Rng.zipf rng ~n:(Array.length continents) ~s:0.8) in
+        let cont = continent_ids.(draw continent_zipf) in
         ignore
           (Graph_builder.add_rel b ~src:nd ~dst:cont ~rel_type:"IS_PART_OF"
              ~props:[]);
         nd)
   in
   let n_cities = 170 in
+  let country_zipf = Rng.Zipf.make ~n:n_countries ~s:0.9 in
   let city_ids =
     Array.init n_cities (fun i ->
         let nd =
           Graph_builder.add_node b ~labels:[ "Place"; "City" ]
             ~props:(pp [ ("name", str (Printf.sprintf "City%d" i)) ])
         in
-        let country = country_ids.(Rng.zipf rng ~n:n_countries ~s:0.9) in
+        let country = country_ids.(draw country_zipf) in
         ignore
           (Graph_builder.add_rel b ~src:nd ~dst:country ~rel_type:"IS_PART_OF"
              ~props:[]);
@@ -130,6 +135,7 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
       end)
     tagclass_ids;
   let n_tags = 360 in
+  let tagclass_zipf = Rng.Zipf.make ~n:n_tagclasses ~s:1.0 in
   let tag_ids =
     Array.init n_tags (fun i ->
         let nd =
@@ -138,11 +144,12 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
         in
         ignore
           (Graph_builder.add_rel b ~src:nd
-             ~dst:tagclass_ids.(Rng.zipf rng ~n:n_tagclasses ~s:1.0)
+             ~dst:tagclass_ids.(draw tagclass_zipf)
              ~rel_type:"HAS_TYPE" ~props:[]);
         nd)
   in
-  let pick_tag rng = tag_ids.(Rng.zipf rng ~n:n_tags ~s:1.0) in
+  let tag_zipf = Rng.Zipf.make ~n:n_tags ~s:1.0 in
+  let pick_tag () = tag_ids.(draw tag_zipf) in
   (* --- persons ------------------------------------------------------- *)
   let person_ids =
     Array.init persons (fun _ ->
@@ -156,11 +163,12 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
                  ("creationDate", creation_date rng);
                  ("browserUsed", str (Rng.pick rng browsers)) ]))
   in
+  let city_zipf = Rng.Zipf.make ~n:n_cities ~s:0.9 in
   Array.iter
     (fun p ->
       ignore
         (Graph_builder.add_rel b ~src:p
-           ~dst:city_ids.(Rng.zipf rng ~n:n_cities ~s:0.9)
+           ~dst:city_ids.(draw city_zipf)
            ~rel_type:"IS_LOCATED_IN" ~props:[]);
       if Rng.coin rng 0.75 then
         ignore
@@ -179,7 +187,7 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
       let interests = 2 + Rng.geometric rng ~p:0.35 in
       for _ = 1 to min interests 12 do
         ignore
-          (Graph_builder.add_rel b ~src:p ~dst:(pick_tag rng)
+          (Graph_builder.add_rel b ~src:p ~dst:(pick_tag ())
              ~rel_type:"HAS_INTEREST" ~props:[])
       done)
     person_ids;
@@ -203,6 +211,9 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
     person_ids;
   (* --- forums, posts, comments -------------------------------------- *)
   let n_forums = max 1 (persons * 4 / 5) in
+  let moderator_zipf = Rng.Zipf.make ~n:persons ~s:0.4
+  and member_zipf = Rng.Zipf.make ~n:persons ~s:0.5
+  and creator_zipf = Rng.Zipf.make ~n:persons ~s:0.6 in
   let forum_ids =
     Array.init n_forums (fun i ->
         let nd =
@@ -212,7 +223,7 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
                  [ ("title", str (Printf.sprintf "Forum%d" i));
                    ("creationDate", creation_date rng) ])
         in
-        let moderator = person_ids.(Rng.zipf rng ~n:persons ~s:0.4) in
+        let moderator = person_ids.(draw moderator_zipf) in
         ignore
           (Graph_builder.add_rel b ~src:nd ~dst:moderator
              ~rel_type:"HAS_MODERATOR" ~props:[]);
@@ -220,16 +231,17 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
         for _ = 1 to min members 60 do
           ignore
             (Graph_builder.add_rel b ~src:nd
-               ~dst:person_ids.(Rng.zipf rng ~n:persons ~s:0.5)
+               ~dst:person_ids.(draw member_zipf)
                ~rel_type:"HAS_MEMBER"
                ~props:(pp [ ("joinDate", creation_date rng) ]))
         done;
         ignore
-          (Graph_builder.add_rel b ~src:nd ~dst:(pick_tag rng)
+          (Graph_builder.add_rel b ~src:nd ~dst:(pick_tag ())
              ~rel_type:"HAS_TAG" ~props:[]);
         nd)
   in
   let n_posts = persons * 4 in
+  let forum_zipf = Rng.Zipf.make ~n:n_forums ~s:0.6 in
   let post_ids =
     Array.init n_posts (fun _ ->
         let has_image = Rng.coin rng 0.2 in
@@ -246,25 +258,26 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
           Graph_builder.add_node b ~labels:[ "Message"; "Post" ]
             ~props:(pp props)
         in
-        let forum = forum_ids.(Rng.zipf rng ~n:n_forums ~s:0.6) in
+        let forum = forum_ids.(draw forum_zipf) in
         ignore
           (Graph_builder.add_rel b ~src:forum ~dst:nd ~rel_type:"CONTAINER_OF"
              ~props:[]);
         ignore
           (Graph_builder.add_rel b ~src:nd
-             ~dst:person_ids.(Rng.zipf rng ~n:persons ~s:0.6)
+             ~dst:person_ids.(draw creator_zipf)
              ~rel_type:"HAS_CREATOR" ~props:[]);
         if Rng.coin rng 0.6 then
           ignore
-            (Graph_builder.add_rel b ~src:nd ~dst:(pick_tag rng)
+            (Graph_builder.add_rel b ~src:nd ~dst:(pick_tag ())
                ~rel_type:"HAS_TAG" ~props:[]);
         ignore
           (Graph_builder.add_rel b ~src:nd
-             ~dst:country_ids.(Rng.zipf rng ~n:n_countries ~s:0.9)
+             ~dst:country_ids.(draw country_zipf)
              ~rel_type:"IS_LOCATED_IN" ~props:[]);
         nd)
   in
   let n_comments = persons * 8 in
+  let post_zipf = Rng.Zipf.make ~n:n_posts ~s:0.7 in
   let comment_ids = Array.make n_comments (-1) in
   for i = 0 to n_comments - 1 do
     let nd =
@@ -278,26 +291,27 @@ let generate ?(persons = 900) ?(props = true) ~seed () =
     comment_ids.(i) <- nd;
     (* reply to a post (70%) or an earlier comment (30%) *)
     let parent =
-      if i = 0 || Rng.coin rng 0.7 then post_ids.(Rng.zipf rng ~n:n_posts ~s:0.7)
+      if i = 0 || Rng.coin rng 0.7 then post_ids.(draw post_zipf)
       else comment_ids.(Rng.int rng i)
     in
     ignore (Graph_builder.add_rel b ~src:nd ~dst:parent ~rel_type:"REPLY_OF" ~props:[]);
     ignore
       (Graph_builder.add_rel b ~src:nd
-         ~dst:person_ids.(Rng.zipf rng ~n:persons ~s:0.6)
+         ~dst:person_ids.(draw creator_zipf)
          ~rel_type:"HAS_CREATOR" ~props:[]);
     if Rng.coin rng 0.25 then
       ignore
-        (Graph_builder.add_rel b ~src:nd ~dst:(pick_tag rng) ~rel_type:"HAS_TAG"
+        (Graph_builder.add_rel b ~src:nd ~dst:(pick_tag ()) ~rel_type:"HAS_TAG"
            ~props:[])
   done;
   (* likes: persons like posts and comments *)
   let n_likes = persons * 9 in
+  let comment_zipf = Rng.Zipf.make ~n:n_comments ~s:0.7 in
   for _ = 1 to n_likes do
-    let person = person_ids.(Rng.zipf rng ~n:persons ~s:0.5) in
+    let person = person_ids.(draw member_zipf) in
     let message =
-      if Rng.coin rng 0.7 then post_ids.(Rng.zipf rng ~n:n_posts ~s:0.7)
-      else comment_ids.(Rng.zipf rng ~n:n_comments ~s:0.7)
+      if Rng.coin rng 0.7 then post_ids.(draw post_zipf)
+      else comment_ids.(draw comment_zipf)
     in
     ignore
       (Graph_builder.add_rel b ~src:person ~dst:message ~rel_type:"LIKES"

@@ -2,11 +2,27 @@ module Ivec = Lpp_util.Ivec
 
 (* Streaming construction: relationship columns and per-node label slices go
    straight into growable Bigarray vectors, 32 bits wide while ids fit, and
-   properties live in sparse per-entity tables (most entities have none).
+   property arrays into growable arrays indexed by entity id that end at the
+   last entity carrying one (a large-tier graph has none).
    At freeze the relationship vectors become the graph's columns as they
-   are, and the property arrays end at the last entity that carries one.
-   Peak RSS while building is the final flat layout plus doubling slack —
-   no per-node records, no reversed lists, no second copy at freeze time. *)
+   are. Peak RSS while building is the final flat layout plus doubling
+   slack — no per-node records, no reversed lists, no second copy at freeze
+   time.
+
+   An entity gets no table of its own: label ids are sorted and
+   deduplicated in the array they arrive in, and a property list becomes
+   its (key id, value) array, sorted in place. Measured on a shared 2-vCPU
+   host with the lists built once, [add_node] with 4 labels and 5
+   properties takes about 1.3 µs and 29 minor words (2.9–3.4 µs and 265
+   with a hashtable per entity, a list per label set and an
+   [(int, _) Hashtbl.t] of property arrays), and [add_rel] with one
+   property about 0.35 µs and 8 words (1.3–1.5 µs and 83). Interning the
+   names, one string hash each, is about 50 ns of that per name. See
+   DESIGN.md §13. *)
+
+(* Per-entity property arrays by id, up to the last carrier. *)
+type props = { mutable arr : (int * Value.t) array array; mutable len : int }
+
 type t = {
   label_names : Interner.t;
   type_names : Interner.t;
@@ -14,12 +30,12 @@ type t = {
   mutable n_nodes : int;
   lab_off : Ivec.t; (* n_nodes + 1 slice offsets into lab_ids *)
   lab_ids : Ivec.t;
-  node_props : (int, (int * Value.t) array) Hashtbl.t;
+  node_props : props;
   mutable n_rels : int;
   src : Ivec.t;
   dst : Ivec.t;
   typ : Ivec.t;
-  rel_props : (int, (int * Value.t) array) Hashtbl.t;
+  rel_props : props;
   created_ns : int64;
   mutable frozen : bool;
 }
@@ -38,12 +54,12 @@ let create () =
     n_nodes = 0;
     lab_off;
     lab_ids = Ivec.create ();
-    node_props = Hashtbl.create 64;
+    node_props = { arr = [||]; len = 0 };
     n_rels = 0;
     src = Ivec.create ();
     dst = Ivec.create ();
     typ = Ivec.create ();
-    rel_props = Hashtbl.create 64;
+    rel_props = { arr = [||]; len = 0 };
     created_ns = Lpp_util.Clock.now_ns ();
     frozen = false;
   }
@@ -51,30 +67,60 @@ let create () =
 let check_live t =
   if t.frozen then invalid_arg "Graph_builder: already frozen"
 
-let dedup_sorted_ints arr =
-  Array.sort Int.compare arr;
-  let n = Array.length arr in
-  if n <= 1 then arr
-  else begin
-    let out = ref [ arr.(0) ] in
-    for i = 1 to n - 1 do
-      if arr.(i) <> arr.(i - 1) then out := arr.(i) :: !out
-    done;
-    Array.of_list (List.rev !out)
-  end
+let props_get p id = if id < p.len then p.arr.(id) else [||]
 
+let props_set p id a =
+  if id >= Array.length p.arr then begin
+    let fresh = Array.make (max (id + 1) (2 * Array.length p.arr)) [||] in
+    Array.blit p.arr 0 fresh 0 p.len;
+    p.arr <- fresh
+  end;
+  p.arr.(id) <- a;
+  if id >= p.len then p.len <- id + 1
+
+let props_freeze p =
+  if p.len = Array.length p.arr then p.arr else Array.sub p.arr 0 p.len
+
+(* Sort [a] in place (insertion sort: label sets and property lists hold a
+   handful of entries) and drop all but the last of each run of equal keys;
+   the sort is stable, so that is the last one given. Returns the length of
+   the deduplicated prefix. *)
+let sort_dedup a key =
+  let n = Array.length a in
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let k = key x in
+    let j = ref (i - 1) in
+    while !j >= 0 && key a.(!j) > k do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  let w = ref 0 in
+  for i = 0 to n - 1 do
+    if i = n - 1 || key a.(i + 1) <> key a.(i) then begin
+      a.(!w) <- a.(i);
+      incr w
+    end
+  done;
+  !w
+
+let rec fill_props keys arr i = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      arr.(i) <- (Interner.intern keys k, v);
+      fill_props keys arr (i + 1) rest
+
+(* Keys are interned in list order, as they come, so key ids keep the order
+   of first mention; a key given twice keeps its last value. *)
 let intern_props keys = function
   | [] -> [||]
-  | props ->
-      let tbl = Hashtbl.create (List.length props) in
-      List.iter
-        (fun (k, v) -> Hashtbl.replace tbl (Interner.intern keys k) v)
-        props;
-      let arr =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> Array.of_list
-      in
-      Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-      arr
+  | (_, v) :: _ as props ->
+      let arr = Array.make (List.length props) (0, v) in
+      fill_props keys arr 0 props;
+      let n = sort_dedup arr fst in
+      if n = Array.length arr then arr else Array.sub arr 0 n
 
 let intern_label t name =
   check_live t;
@@ -94,6 +140,17 @@ let rel_type_count t = Interner.size t.type_names
 
 let prop_key_count t = Interner.size t.key_names
 
+(* [labels] is the builder's own array: sorted and deduplicated in place. *)
+let push_node t labels =
+  let n = sort_dedup labels Fun.id in
+  for i = 0 to n - 1 do
+    Ivec.push t.lab_ids labels.(i)
+  done;
+  Ivec.push t.lab_off (Ivec.length t.lab_ids);
+  let id = t.n_nodes in
+  t.n_nodes <- id + 1;
+  id
+
 let add_node_ids t ~labels =
   check_live t;
   let n_labels = Interner.size t.label_names in
@@ -102,21 +159,21 @@ let add_node_ids t ~labels =
       if l < 0 || l >= n_labels then
         invalid_arg "Graph_builder.add_node_ids: label id out of range")
     labels;
-  let label_ids = dedup_sorted_ints (Array.copy labels) in
-  Array.iter (Ivec.push t.lab_ids) label_ids;
-  Ivec.push t.lab_off (Ivec.length t.lab_ids);
-  let id = t.n_nodes in
-  t.n_nodes <- id + 1;
-  id
+  push_node t (Array.copy labels)
+
+let rec fill_labels names arr i = function
+  | [] -> ()
+  | l :: rest ->
+      arr.(i) <- Interner.intern names l;
+      fill_labels names arr (i + 1) rest
 
 let add_node t ~labels ~props =
   check_live t;
-  let label_ids =
-    Array.of_list (List.map (Interner.intern t.label_names) labels)
-  in
-  let id = add_node_ids t ~labels:label_ids in
+  let label_ids = Array.make (List.length labels) 0 in
+  fill_labels t.label_names label_ids 0 labels;
+  let id = push_node t label_ids in
   let prop_arr = intern_props t.key_names props in
-  if Array.length prop_arr > 0 then Hashtbl.replace t.node_props id prop_arr;
+  if Array.length prop_arr > 0 then props_set t.node_props id prop_arr;
   id
 
 let add_rel_ids t ~src ~dst ~typ =
@@ -139,7 +196,7 @@ let add_rel t ~src ~dst ~rel_type ~props =
   let typ = Interner.intern t.type_names rel_type in
   let id = add_rel_ids t ~src ~dst ~typ in
   let rprops = intern_props t.key_names props in
-  if Array.length rprops > 0 then Hashtbl.replace t.rel_props id rprops;
+  if Array.length rprops > 0 then props_set t.rel_props id rprops;
   id
 
 (* Insert-or-replace into a sorted property array; entities carry a handful
@@ -160,9 +217,8 @@ let upsert_prop arr key value =
       Array.sort (fun (a, _) (b, _) -> Int.compare a b) out;
       out
 
-let set_prop tbl owner ~key value =
-  let prev = Option.value ~default:[||] (Hashtbl.find_opt tbl owner) in
-  Hashtbl.replace tbl owner (upsert_prop prev key value)
+let set_prop p owner ~key value =
+  props_set p owner (upsert_prop (props_get p owner) key value)
 
 let set_node_prop t node ~key value =
   check_live t;
@@ -187,19 +243,26 @@ let rel_count t = t.n_rels
 let freeze t =
   check_live t;
   t.frozen <- true;
-  let props_of tbl =
-    let len = Hashtbl.fold (fun i _ n -> max n (i + 1)) tbl 0 in
-    let arr = Array.make len [||] in
-    Hashtbl.iter (fun i a -> arr.(i) <- a) tbl;
-    arr
-  in
+  let label_sets = ref 0 in
   let g =
-    Graph.unsafe_make_packed ~labels:t.label_names ~rel_types:t.type_names
-      ~prop_keys:t.key_names ~label_off:t.lab_off ~label_ids:t.lab_ids
-      ~node_props:(props_of t.node_props)
-      ~rel_src:(Ivec.to_iarr t.src) ~rel_dst:(Ivec.to_iarr t.dst)
-      ~rel_type:(Ivec.to_iarr t.typ)
-      ~rel_props:(props_of t.rel_props)
+    Lpp_obs.Trace.with_span ~cat:"graph" "graph.freeze"
+      ~args:(fun () ->
+        [|
+          ("nodes", float_of_int t.n_nodes);
+          ("rels", float_of_int t.n_rels);
+          ("label_sets", float_of_int !label_sets);
+        |])
+    @@ fun () ->
+    let g =
+      Graph.unsafe_make_packed ~labels:t.label_names ~rel_types:t.type_names
+        ~prop_keys:t.key_names ~label_off:t.lab_off ~label_ids:t.lab_ids
+        ~node_props:(props_freeze t.node_props)
+        ~rel_src:(Ivec.to_iarr t.src) ~rel_dst:(Ivec.to_iarr t.dst)
+        ~rel_type:(Ivec.to_iarr t.typ)
+        ~rel_props:(props_freeze t.rel_props)
+    in
+    label_sets := Graph.label_set_count g;
+    g
   in
   if !Lpp_obs.Obs.live then begin
     let secs = Lpp_util.Clock.elapsed_s ~since:t.created_ns in

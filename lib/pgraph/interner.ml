@@ -13,10 +13,12 @@ let grow t =
     t.by_id <- fresh
   end
 
+(* [Hashtbl.find], not [find_opt]: a hit, the graph builder's case for
+   nearly every label, type and key it is given, allocates no option. *)
 let intern t s =
-  match Hashtbl.find_opt t.by_name s with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find t.by_name s with
+  | id -> id
+  | exception Not_found ->
       let id = t.next in
       grow t;
       t.by_id.(id) <- s;

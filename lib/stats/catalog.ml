@@ -274,26 +274,65 @@ let rows_of_entries ~n ~keys ~counts ~labels1 =
   start.{!n_rows} <- n;
   { ids; start; cols; cnts }
 
+(* Int-keyed tables hashed by a multiplicative mix: a table indexes buckets
+   by the low bits, which a packed key alone leaves to its last field. The
+   build's cells and the builder's label-level counters are both one. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let k = k * 0x1E3779B97F4A7C15 in
+    k lxor (k lsr 32)
+end)
+
+let bump tbl key n =
+  match Itbl.find tbl key with
+  | c -> c := !c + n
+  | exception Not_found -> Itbl.add tbl key (ref n)
+
+(* A label-level counter RC(l1, typ, l2) is keyed by its three ids, each
+   shifted by one so that ★ is 0, packed into 20 + 21 + 21 bits; the
+   any-type projection is the key with typ = ★. *)
+let id_bits = 21
+
+let id_mask = (1 lsl id_bits) - 1
+
+let pack ~typ l1 l2 =
+  if
+    typ < star
+    || typ + 1 >= 1 lsl (62 - (2 * id_bits))
+    || l1 < star || l1 >= id_mask || l2 < star || l2 >= id_mask
+  then invalid_arg "Catalog.Builder: label or type id out of range";
+  ((((typ + 1) lsl id_bits) lor (l1 + 1)) lsl id_bits) lor (l2 + 1)
+
+(* A packed key's fields, still shifted: 0 is ★. *)
+let packed_typ k = k lsr (2 * id_bits)
+
+let packed_near k = (k lsr id_bits) land id_mask
+
+let packed_far k = k land id_mask
+
 (* Lay the nonzero counters of a key space of [labels] out as occupied
    rows, once keyed by source and once by destination. *)
-let compile_layout ~labels ~triples ~any_type =
+let compile_layout ~labels counters =
   let labels1 = labels + 1 in
-  let size = Hashtbl.length any_type + Hashtbl.length triples in
+  let size = Itbl.length counters in
   let src_keys = Array.make size 0 and dst_keys = Array.make size 0 in
   let counts = Array.make size 0 and n = ref 0 in
-  let key ~typ near far =
-    ((((typ + 1) * labels1) + near + 1) * labels1) + far + 1
-  in
-  let put l1 typ l2 c =
-    if c <> 0 then begin
-      src_keys.(!n) <- key ~typ l1 l2;
-      dst_keys.(!n) <- key ~typ l2 l1;
-      counts.(!n) <- c;
-      incr n
-    end
-  in
-  Hashtbl.iter (fun (l1, l2) c -> put l1 star l2 c) any_type;
-  Hashtbl.iter (fun (l1, typ, l2) c -> put l1 typ l2 c) triples;
+  Itbl.iter
+    (fun k c ->
+      if !c <> 0 then begin
+        let row = packed_typ k * labels1
+        and near = packed_near k
+        and far = packed_far k in
+        src_keys.(!n) <- ((row + near) * labels1) + far;
+        dst_keys.(!n) <- ((row + far) * labels1) + near;
+        counts.(!n) <- !c;
+        incr n
+      end)
+    counters;
   ( rows_of_entries ~n:!n ~keys:src_keys ~counts ~labels1,
     rows_of_entries ~n:!n ~keys:dst_keys ~counts ~labels1 )
 
@@ -318,17 +357,12 @@ module Builder = struct
     mutable total_rels : int;
     mutable nc : int array;
     mutable rel_type_totals : int array;
-    triples : (int * int * int, int) Hashtbl.t;
-    any_type : (int * int, int) Hashtbl.t;
+    counters : int ref Itbl.t;  (* RC by packed (typ, l1, l2) key *)
     mutable pair_entries : int;
         (* number of (ℓ, t, direction) pair entries — triples with a
            wildcard far side, counted once per direction; maintained
            incrementally so the simple accounting never re-folds the table *)
   }
-
-  let get tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
-
-  let add tbl key count = Hashtbl.replace tbl key (count + get tbl key)
 
   (* Every relationship statistic depends only on the endpoints' label
      sets, so the build counts (src set, type, dst set) cells — one integer
@@ -336,31 +370,14 @@ module Builder = struct
      label-level counts once. A cell key packs the three ids as
      (s1·T + typ)·S + s2. Cells live in a hashtable, not an S²·T array, so
      memory follows the occupied cells: DBpedia-like vocabularies have ~10⁶
-     possible cells and a few thousand occupied ones. *)
-  module Cells = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-
-    (* multiplicative mix: the table indexes buckets by the low bits, which
-       the packed key alone leaves to the dst set *)
-    let hash k =
-      let k = k * 0x1E3779B97F4A7C15 in
-      k lxor (k lsr 32)
-  end)
-
-  let add_cell cells key n =
-    match Cells.find cells key with
-    | c -> c := !c + n
-    | exception Not_found -> Cells.add cells key (ref n)
-
-  (* Count one shard [lo, hi) of the relationship id range into a private
-     cell table. *)
+     possible cells and a few thousand occupied ones. [count_rels] counts
+     one shard [lo, hi) of the relationship id range into a private cell
+     table. *)
   let count_rels g ~lo ~hi =
     let n_sets = Graph.label_set_count g and n_types = Graph.rel_type_count g in
-    let cells = Cells.create 64 in
+    let cells = Itbl.create 64 in
     for r = lo to hi - 1 do
-      add_cell cells
+      bump cells
         ((((Graph.node_label_set g (Graph.rel_src g r) * n_types)
           + Graph.rel_type g r)
          * n_sets)
@@ -369,35 +386,32 @@ module Builder = struct
     done;
     cells
 
-  (* Expand cells into the label-level tables: a cell's count goes to
-     (l1, typ, l2) and (l1, l2) for l1 ∈ {★} ∪ src set, l2 ∈ {★} ∪ dst set.
-     Cells are expanded in key order so the tables' contents — and their
-     insertion order — are the same for every [jobs] value. *)
+  (* Expand cells into the label-level counters: a cell's count goes to
+     (l1, typ, l2) and (l1, ★, l2) for l1 ∈ {★} ∪ src set, l2 ∈ {★} ∪ dst
+     set. The counters are sums, and every reader folds them or sorts their
+     keys, so the order the cells come in leaves the snapshot the same for
+     every [jobs] value. *)
   let expand_cells g cells =
     let n_sets = Graph.label_set_count g and n_types = Graph.rel_type_count g in
     let rel_type_totals = Array.make n_types 0 in
-    let triples = Hashtbl.create 1024 in
-    let any_type = Hashtbl.create 256 in
-    let by_key =
-      List.sort
-        (fun (k1, _) (k2, _) -> Int.compare k1 k2)
-        (Cells.fold (fun key c acc -> (key, !c) :: acc) cells [])
-    in
-    let with_star set f =
-      f star;
-      Array.iter f set
-    in
-    List.iter
-      (fun (key, c) ->
+    let counters = Itbl.create 1024 in
+    Itbl.iter
+      (fun key c ->
+        let c = !c in
         let s2 = key mod n_sets and s1_typ = key / n_sets in
         let typ = s1_typ mod n_types and s1 = s1_typ / n_types in
         rel_type_totals.(typ) <- rel_type_totals.(typ) + c;
-        with_star (Graph.label_set g s1) (fun l1 ->
-            with_star (Graph.label_set g s2) (fun l2 ->
-                add triples (l1, typ, l2) c;
-                add any_type (l1, l2) c)))
-      by_key;
-    (rel_type_totals, triples, any_type)
+        let src = Graph.label_set g s1 and dst = Graph.label_set g s2 in
+        for i = -1 to Array.length src - 1 do
+          let l1 = if i < 0 then star else src.(i) in
+          for j = -1 to Array.length dst - 1 do
+            let l2 = if j < 0 then star else dst.(j) in
+            bump counters (pack ~typ l1 l2) c;
+            bump counters (pack ~typ:star l1 l2) c
+          done
+        done)
+      cells;
+    (rel_type_totals, counters)
 
   let of_graph ?hierarchy ?partition ?jobs g =
     let hierarchy =
@@ -426,23 +440,27 @@ module Builder = struct
               [| ("lo", float_of_int lo); ("hi", float_of_int hi) |])
             (fun () -> count_rels g ~lo ~hi))
     in
-    let rel_type_totals, triples, any_type =
+    let rel_type_totals, counters =
       Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.merge" @@ fun () ->
       (* shards merge by summation in chunk order *)
       let cells =
         match shards with
-        | [] -> Cells.create 1
+        | [] -> Itbl.create 1
         | first :: rest ->
-            List.iter (Cells.iter (fun key c -> add_cell first key !c)) rest;
+            List.iter (Itbl.iter (fun key c -> bump first key !c)) rest;
             first
       in
       expand_cells g cells
     in
     let pair_entries =
-      Hashtbl.fold
-        (fun (l1, _, l2) _ acc ->
-          acc + (if l2 = star then 1 else 0) + if l1 = star then 1 else 0)
-        triples 0
+      Itbl.fold
+        (fun k _ acc ->
+          if packed_typ k = 0 then acc
+          else
+            acc
+            + (if packed_far k = 0 then 1 else 0)
+            + if packed_near k = 0 then 1 else 0)
+        counters 0
     in
     {
       graph = g;
@@ -453,8 +471,7 @@ module Builder = struct
       total_rels = Graph.rel_count g;
       nc;
       rel_type_totals;
-      triples;
-      any_type;
+      counters;
       pair_entries;
     }
 
@@ -479,15 +496,16 @@ module Builder = struct
     b.rel_type_totals <- ensure_capacity b.rel_type_totals (typ + 1);
     b.rel_type_totals.(typ) <- b.rel_type_totals.(typ) + 1;
     let bump_pair l1 l2 =
-      (match Hashtbl.find_opt b.triples (l1, typ, l2) with
-      | Some c -> Hashtbl.replace b.triples (l1, typ, l2) (c + 1)
-      | None ->
-          Hashtbl.add b.triples (l1, typ, l2) 1;
+      let key = pack ~typ l1 l2 in
+      (match Itbl.find b.counters key with
+      | c -> incr c
+      | exception Not_found ->
+          Itbl.add b.counters key (ref 1);
           b.pair_entries <-
             b.pair_entries
             + (if l2 = star then 1 else 0)
             + if l1 = star then 1 else 0);
-      add b.any_type (l1, l2) 1
+      bump b.counters (pack ~typ:star l1 l2) 1
     in
     let bump_src l1 =
       bump_pair l1 star;
@@ -497,10 +515,7 @@ module Builder = struct
     Array.iter bump_src src_labels
 
   let unsafe_set_rc b ~src ~typ ~dst count =
-    let l1 = wild src and l2 = wild dst in
-    match typ with
-    | Some ty -> Hashtbl.replace b.triples (l1, ty, l2) count
-    | None -> Hashtbl.replace b.any_type (l1, l2) count
+    Itbl.replace b.counters (pack ~typ:(wild typ) (wild src) (wild dst)) (ref count)
 
   let unsafe_set_nc b l count = if l >= 0 && l < Array.length b.nc then b.nc.(l) <- count
 
@@ -510,18 +525,15 @@ module Builder = struct
        ids seen at build time plus any id the notes grew into *)
     let labels = ref (Array.length b.nc) in
     let types = ref (Array.length b.rel_type_totals) in
-    Hashtbl.iter
-      (fun (l1, ty, l2) _ ->
-        labels := max !labels (max l1 l2 + 1);
-        types := max !types (ty + 1))
-      b.triples;
-    Hashtbl.iter
-      (fun (l1, l2) _ -> labels := max !labels (max l1 l2 + 1))
-      b.any_type;
+    let triples = ref 0 in
+    Itbl.iter
+      (fun k _ ->
+        labels := max !labels (max (packed_near k) (packed_far k));
+        types := max !types (packed_typ k);
+        if packed_typ k > 0 then incr triples)
+      b.counters;
     let labels = !labels and types = !types in
-    let out_rows, in_rows =
-      compile_layout ~labels ~triples:b.triples ~any_type:b.any_type
-    in
+    let out_rows, in_rows = compile_layout ~labels b.counters in
     let nc = ia_of_array b.nc in
     let bytes =
       rows_bytes out_rows + rows_bytes in_rows + Lpp_util.Mem_size.bigarray1 nc
@@ -545,7 +557,7 @@ module Builder = struct
       in_rows;
       bytes;
       mem_simple = nc_bytes + entries b.pair_entries ~keys:2;
-      mem_advanced = nc_bytes + entries (Hashtbl.length b.triples) ~keys:3;
+      mem_advanced = nc_bytes + entries !triples ~keys:3;
       epoch = Atomic.fetch_and_add next_epoch 1;
       hierarchy = b.hierarchy;
       partition = b.partition;

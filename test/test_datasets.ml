@@ -154,6 +154,94 @@ let test_inferred_hierarchy_subsumes_curated () =
         (Label_hierarchy.is_strict_sublabel inferred c p))
     Lpp_datasets.Snb_gen.hierarchy_pairs
 
+(* Every generator's exact output, pinned: an FNV-1a 64 digest ({!Fnv})
+   over the three vocabularies as (id, name), each node's label-set id,
+   labels and properties, each relationship's endpoints, type and
+   properties, and both CSR sides in order. The constants were recorded
+   before the builder and the RNG were reworked for speed: the shape and
+   determinism checks above hold for any output, these only for the same
+   graphs bit for bit. *)
+let graph_fingerprint g =
+  let h = Fnv.create () in
+  let vocab v =
+    Fnv.int h (Interner.size v);
+    Interner.iter v (fun id name ->
+        Fnv.int h id;
+        Fnv.string h name)
+  in
+  let ints a =
+    Fnv.int h (Array.length a);
+    Array.iter (Fnv.int h) a
+  in
+  let props ps =
+    Fnv.int h (Array.length ps);
+    Array.iter
+      (fun (k, v) ->
+        Fnv.int h k;
+        match (v : Value.t) with
+        | Bool b -> Fnv.int h 0; Fnv.bool h b
+        | Int i -> Fnv.int h 1; Fnv.int h i
+        | Float f -> Fnv.int h 2; Fnv.float h f
+        | Str s -> Fnv.int h 3; Fnv.string h s)
+      ps
+  in
+  vocab (Graph.labels g);
+  vocab (Graph.rel_types g);
+  vocab (Graph.prop_keys g);
+  Fnv.int h (Graph.node_count g);
+  Graph.iter_nodes g (fun n ->
+      Fnv.int h (Graph.node_label_set g n);
+      ints (Graph.node_labels g n);
+      props (Graph.node_props g n));
+  Fnv.int h (Graph.rel_count g);
+  Graph.iter_rels g (fun r ->
+      Fnv.int h (Graph.rel_src g r);
+      Fnv.int h (Graph.rel_dst g r);
+      Fnv.int h (Graph.rel_type g r);
+      props (Graph.rel_props g r));
+  Graph.iter_nodes g (fun n ->
+      Fnv.int h (Graph.out_degree g n);
+      Graph.iter_out_rels g n (Fnv.int h));
+  Graph.iter_nodes g (fun n ->
+      Fnv.int h (Graph.in_degree g n);
+      Graph.iter_in_rels g n (Fnv.int h));
+  Fnv.hex h
+
+(* A generator at a tier's sizes and seed 42, with or without properties
+   ({!Lpp_datasets.Scale.build} passes the tier's own setting). *)
+let generate (tier : Lpp_datasets.Scale.t) ~props name =
+  let open Lpp_datasets in
+  match name with
+  | "snb" -> Snb_gen.generate ~persons:(Scale.snb_persons tier) ~props ~seed:42 ()
+  | "cineasts" ->
+      Cineasts_gen.generate ~movies:(Scale.cineasts_movies tier) ~props ~seed:42 ()
+  | _ ->
+      Dbpedia_gen.generate ~entities:(Scale.dbpedia_entities tier)
+        ~classes:(Scale.dbpedia_classes tier)
+        ~rel_kinds:(Scale.dbpedia_rel_kinds tier) ~props ~seed:42 ()
+
+let test_generator_fingerprints () =
+  List.iter
+    (fun (name, tier, props, expected) ->
+      let ds = generate tier ~props name in
+      Alcotest.(check string)
+        (Printf.sprintf "%s at %s tier%s, seed 42: graph fingerprint" name
+           (Lpp_datasets.Scale.to_string tier)
+           (if props then "" else " with props:false"))
+        expected
+        (graph_fingerprint ds.graph))
+    [
+      ("snb", Lpp_datasets.Scale.Smoke, true, "147dd00382a65dfd");
+      ("snb", Default, true, "db500abef3fd7c3d");
+      ("snb", Smoke, false, "05956431bf2e4d1b");
+      ("cineasts", Smoke, true, "e1de928381d2c425");
+      ("cineasts", Default, true, "777d96e27c3ef97f");
+      ("cineasts", Smoke, false, "e3ac24315ee16dff");
+      ("dbpedia", Smoke, true, "d1cdf6649b52be1f");
+      ("dbpedia", Default, true, "33e26a9a3b82945d");
+      ("dbpedia", Smoke, false, "f177d8335a8c7972");
+    ]
+
 let suite =
   [
     Alcotest.test_case "snb: shape" `Quick test_snb_shape;
@@ -169,4 +257,6 @@ let suite =
     Alcotest.test_case "dataset: summary row" `Quick test_dataset_summary_row;
     Alcotest.test_case "snb: inference ⊇ curated" `Quick
       test_inferred_hierarchy_subsumes_curated;
+    Alcotest.test_case "generators: output fingerprints" `Quick
+      test_generator_fingerprints;
   ]

@@ -287,6 +287,41 @@ let test_prop_stats_span_args () =
       Alcotest.(check int) "entry_count" 11 (Prop_stats.entry_count ps)
   | spans -> Alcotest.failf "%d catalog.prop_stats spans" (List.length spans)
 
+(* Start-up is three layers: [dataset.generate] around the generator call
+   holds [graph.freeze], whose args count what it froze, and the catalog's
+   [dataset.build]. *)
+let test_startup_spans () =
+  with_obs @@ fun () ->
+  let ds =
+    Option.get (Lpp_datasets.Scale.build Lpp_datasets.Scale.Smoke ~name:"snb" ~seed:1)
+  in
+  let g = ds.graph in
+  let one name =
+    match
+      List.filter
+        (fun (s : Lpp_obs.Trace.span) -> s.name = name)
+        (Lpp_obs.Trace.spans ())
+    with
+    | [ s ] -> s
+    | spans -> Alcotest.failf "%d %s spans" (List.length spans) name
+  in
+  let generate = one "dataset.generate" in
+  let inside (s : Lpp_obs.Trace.span) =
+    s.depth > generate.depth && s.ts >= generate.ts
+    && Int64.add s.ts s.dur <= Int64.add generate.ts generate.dur
+  in
+  let freeze = one "graph.freeze" and build = one "dataset.build" in
+  Alcotest.(check bool) "graph.freeze inside dataset.generate" true (inside freeze);
+  Alcotest.(check bool) "dataset.build inside dataset.generate" true (inside build);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "nodes, rels, label sets"
+    [
+      ("nodes", float_of_int (Graph.node_count g));
+      ("rels", float_of_int (Graph.rel_count g));
+      ("label_sets", float_of_int (Graph.label_set_count g));
+    ]
+    (Array.to_list freeze.args)
+
 let test_lookup_path_counters catalog_of () =
   with_obs @@ fun () ->
   let catalog = catalog_of () in
@@ -848,6 +883,7 @@ let suite =
       (test_lookup_path_counters (grown_catalog 1_000_000));
     Alcotest.test_case "catalog: prop_stats span args" `Quick
       test_prop_stats_span_args;
+    Alcotest.test_case "dataset: start-up spans" `Quick test_startup_spans;
     Alcotest.test_case "export: chrome trace round-trip" `Quick
       test_chrome_trace_roundtrip;
     Alcotest.test_case "export: metrics json shape" `Quick

@@ -6,22 +6,58 @@ let check_float = Alcotest.(check (float 1e-9))
 
 (* ---------------- Rng ---------------- *)
 
+(* The FNV-1a digest ({!Fnv}) of the first 10⁴ outputs of [draw] from a
+   generator seeded 42, then of the next raw output, which pins how many the
+   draws consumed. The constants below were recorded before the state and
+   the Zipf sampler were reworked for speed: every stream must stay the
+   same, as the generated data sets are built from them. *)
+let stream_digest feed draw =
+  let rng = Rng.create 42 and h = Fnv.create () in
+  for _ = 1 to 10_000 do
+    feed h (draw rng)
+  done;
+  Fnv.int64 h (Rng.bits64 rng);
+  Fnv.hex h
+
+let check_digest name expected got =
+  Alcotest.(check string) (name ^ ": digest of the first 10^4 outputs") expected
+    got
+
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
-  done
+  done;
+  check_digest "bits64" "80398c637cf1bb81" (stream_digest Fnv.int64 Rng.bits64)
 
 let test_rng_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   Alcotest.(check bool) "different seeds differ" true (Rng.bits64 a <> Rng.bits64 b)
+
+(* The minor words of 10⁵ calls of [f]: a draw that boxes anything reads at
+   least 10⁵, one that allocates nothing reads 0. *)
+let check_no_alloc name f =
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: 10^5 calls allocate nothing (%.0f words)" name words)
+    true (words < 100.0)
 
 let test_rng_int_bounds () =
   let rng = Rng.create 7 in
   for _ = 1 to 1000 do
     let v = Rng.int rng 10 in
     Alcotest.(check bool) "in [0,10)" true (v >= 0 && v < 10)
-  done
+  done;
+  check_no_alloc "Rng.int" (fun () -> Rng.int rng 1000);
+  let bounds = [| 1; 10; 1000; 1 lsl 40; max_int |] and i = ref 0 in
+  check_digest "int" "786b2d6aba6e46e9"
+    (stream_digest Fnv.int (fun rng ->
+         incr i;
+         Rng.int rng bounds.(!i mod Array.length bounds)))
 
 let test_rng_int_invalid () =
   let rng = Rng.create 7 in
@@ -43,7 +79,9 @@ let test_rng_float_bounds () =
   for _ = 1 to 1000 do
     let v = Rng.float rng 2.5 in
     Alcotest.(check bool) "in [0,2.5)" true (v >= 0.0 && v < 2.5)
-  done
+  done;
+  check_digest "float" "18cea25b7c21420d"
+    (stream_digest Fnv.float (fun rng -> Rng.float rng 1.0))
 
 let test_rng_coin_extremes () =
   let rng = Rng.create 4 in
@@ -62,7 +100,9 @@ let test_rng_coin_rate () =
     if Rng.coin rng 0.3 then incr hits
   done;
   let rate = float_of_int !hits /. float_of_int n in
-  Alcotest.(check bool) "rate near 0.3" true (Float.abs (rate -. 0.3) < 0.02)
+  Alcotest.(check bool) "rate near 0.3" true (Float.abs (rate -. 0.3) < 0.02);
+  check_digest "coin" "f844a0446f0ded5f"
+    (stream_digest Fnv.bool (fun rng -> Rng.coin rng 0.3))
 
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 5 in
@@ -82,12 +122,56 @@ let test_rng_sample_without_replacement () =
   let all = Rng.sample_without_replacement rng 100 arr in
   Alcotest.(check int) "capped at n" 30 (Array.length all)
 
+(* The Zipf grid the generators' draws span, one to 640,000 ranks at skews
+   below, at and above 1 (the harmonic case has its own formula), with each
+   stream's digest. *)
+let zipf_digests =
+  [
+    ((1, 0.35), "d9bb5f9ddf815064");
+    ((1, 0.7), "d9bb5f9ddf815064");
+    ((1, 1.0), "d9bb5f9ddf815064");
+    ((1, 1.1), "d9bb5f9ddf815064");
+    ((2, 0.35), "29ef03eadedfec01");
+    ((2, 0.7), "baea8e31ada2cda7");
+    ((2, 1.0), "18d35be42e44edc0");
+    ((2, 1.1), "35942ecfca0d60b7");
+    ((50, 0.35), "dfabf85579b506c7");
+    ((50, 0.7), "99723e87fc5fc233");
+    ((50, 1.0), "29d5c34ecece2c86");
+    ((50, 1.1), "98cd0f2ef1e17d4f");
+    ((360, 0.35), "edd603faba7744cf");
+    ((360, 0.7), "449d280a7fbf68b6");
+    ((360, 1.0), "00283df3d44f76cb");
+    ((360, 1.1), "8125c2ceabe56634");
+    ((640_000, 0.35), "cedb24c252fa1fe6");
+    ((640_000, 0.7), "c8937ab416745ff6");
+    ((640_000, 1.0), "9e18c522848ec379");
+    ((640_000, 1.1), "89da602eccedb4ea");
+  ]
+
 let test_rng_zipf_bounds () =
   let rng = Rng.create 8 in
   for _ = 1 to 2000 do
     let v = Rng.zipf rng ~n:20 ~s:1.1 in
     Alcotest.(check bool) "in [0,20)" true (v >= 0 && v < 20)
-  done
+  done;
+  List.iter
+    (fun ((n, s), expected) ->
+      let name = Printf.sprintf "zipf n=%d s=%g" n s in
+      check_digest name expected
+        (stream_digest Fnv.int (fun rng -> Rng.zipf rng ~n ~s));
+      let z = Rng.Zipf.make ~n ~s in
+      let a = Rng.create 5 and b = Rng.create 5 in
+      for i = 1 to 10_000 do
+        let want = Rng.zipf a ~n ~s and got = Rng.Zipf.draw b z in
+        if got <> want then
+          Alcotest.failf "%s: sampler draw %d is %d, Rng.zipf gave %d" name i
+            got want
+      done;
+      Alcotest.(check int64) (name ^ ": sampler consumed the same stream")
+        (Rng.bits64 a) (Rng.bits64 b);
+      check_no_alloc ("Rng.Zipf.draw, " ^ name) (fun () -> Rng.Zipf.draw b z))
+    zipf_digests
 
 let test_rng_zipf_skew () =
   let rng = Rng.create 13 in
@@ -113,12 +197,16 @@ let test_rng_geometric () =
   done;
   (* mean of failures-before-success at p=0.5 is 1 *)
   let mean = float_of_int !sum /. float_of_int n in
-  Alcotest.(check bool) "mean near 1" true (Float.abs (mean -. 1.0) < 0.1)
+  Alcotest.(check bool) "mean near 1" true (Float.abs (mean -. 1.0) < 0.1);
+  check_digest "geometric" "3667dc8b0d0ea4f5"
+    (stream_digest Fnv.int (fun rng -> Rng.geometric rng ~p:0.35))
 
 let test_rng_split_independent () =
   let a = Rng.create 21 in
   let b = Rng.split a in
-  Alcotest.(check bool) "split streams differ" true (Rng.bits64 a <> Rng.bits64 b)
+  Alcotest.(check bool) "split streams differ" true (Rng.bits64 a <> Rng.bits64 b);
+  check_digest "split" "34ac9ba0f1dd6da2"
+    (stream_digest Fnv.int64 (fun rng -> Rng.bits64 (Rng.split rng)))
 
 (* ---------------- Quantiles ---------------- *)
 
