@@ -506,10 +506,10 @@ let ext_varlen (env : Env.t) =
     t
 
 (* ------------------------------------------------------------------ *)
-(* Multicore scaling: ground truth, catalog build, runner               *)
+(* Multicore scaling: ground truth, runner                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Times the three parallelised stages at jobs ∈ {1, 2, 4}, checks the
+(* Times the two parallelised stages at jobs ∈ {1, 2, 4}, checks the
    results are bit-identical to the sequential run, and writes the numbers
    to BENCH_parallel.json for machine consumption. *)
 let parallel_bench (env : Env.t) =
@@ -526,39 +526,6 @@ let parallel_bench (env : Env.t) =
            Lpp_exec.Matcher.count ~jobs ~budget:10_000_000 ds.graph q.pattern)
          qs)
   in
-  let catalog jobs =
-    let c = Lpp_stats.Catalog.build ~jobs ds.graph in
-    let labels = None :: List.init (Lpp_stats.Catalog.label_count c) Option.some in
-    let types =
-      List.init (Lpp_pgraph.Graph.rel_type_count ds.graph) (fun t -> [| t |])
-    in
-    (* the full (label ∪ ✱)² × (type ∪ any) triple table, plus node counts
-       and the memory accounting that folds over the raw tables *)
-    let rc_matrix =
-      List.concat_map
-        (fun node ->
-          List.concat_map
-            (fun other ->
-              List.map
-                (fun types ->
-                  Lpp_stats.Catalog.rc c ~dir:Lpp_pgraph.Direction.Out ~node
-                    ~types ~other)
-                ([||] :: types))
-            labels)
-        labels
-    in
-    let ncs =
-      List.map
-        (fun l -> Lpp_stats.Catalog.nc c (Option.value ~default:(-1) l))
-        labels
-    in
-    digest
-      ( rc_matrix,
-        ncs,
-        Lpp_stats.Catalog.rel_total c,
-        Lpp_stats.Catalog.memory_bytes_simple c,
-        Lpp_stats.Catalog.memory_bytes_advanced c )
-  in
   let runner jobs =
     let tech = Technique.ours Lpp_core.Config.a_lhd ds.catalog in
     digest
@@ -567,7 +534,7 @@ let parallel_bench (env : Env.t) =
          (Runner.run ~measure_time:false ~jobs tech qs))
   in
   let stages =
-    [ ("ground_truth", ground_truth); ("catalog", catalog); ("runner", runner) ]
+    [ ("ground_truth", ground_truth); ("runner", runner) ]
   in
   let t = Ascii_table.create [ "stage"; "jobs"; "wall"; "speedup"; "identical" ] in
   let rows =
@@ -628,7 +595,7 @@ let all : (string * string * (Env.t -> unit)) list =
     ("order", "operator ordering heuristic", ordering);
     ("ext-tri", "extension: triangle statistics ablation", ext_triangles);
     ("ext-varlen", "extension: variable-length paths", ext_varlen);
-    ("parallel", "multicore scaling of ground truth / catalog / runner", parallel_bench);
+    ("parallel", "multicore scaling of ground truth / runner", parallel_bench);
     ( "obs_overhead",
       "observability overhead: session estimates with tracing off vs on",
       Obs_overhead.run );

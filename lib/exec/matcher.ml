@@ -200,56 +200,46 @@ let run ?semantics ?(budget = 50_000_000) g (p : Pattern.t) ~on_match =
   let start, try_start = make_searcher ?semantics g p ~tick ~on_match in
   Array.iter try_start (start_extent g p start)
 
-(* Parallel counting partitions the start extent across domains; every chunk
-   searches with a private budget counter equal to the full budget, and the
-   per-chunk step counts are summed afterwards. The outcome is bit-identical
-   to the sequential run: the search explores T total steps regardless of the
-   partition, the sequential run reports [Budget_exceeded] iff T > budget,
-   and here either some chunk alone exceeds the budget (hence T does), or
-   every chunk completes and the exact T is compared against the budget. *)
+(* Counting partitions the start extent into [jobs] chunks (one chunk, run
+   inline on the caller's domain, at [jobs:1]); every chunk searches with a
+   private budget counter equal to the full budget, and the per-chunk step
+   counts are summed afterwards. The outcome is the same for every [jobs]:
+   the search explores T total steps regardless of the partition, a single
+   chunk reports [Budget_exceeded] iff T > budget, and otherwise either some
+   chunk alone exceeds the budget (hence T does), or every chunk completes
+   and the exact T is compared against the budget. *)
 let count ?semantics ?(budget = 50_000_000) ?jobs g p =
   Lpp_obs.Trace.with_span ~cat:"exec" "matcher.count" @@ fun () ->
-  let jobs = Lpp_util.Pool.resolve_jobs jobs in
-  if jobs <= 1 then begin
+  let start, _ = traversal_order p in
+  let extent = start_extent g p start in
+  let chunk ~lo ~hi =
+    Lpp_obs.Trace.with_span ~cat:"exec" "matcher.partition"
+      ~args:(fun () -> [| ("lo", float_of_int lo); ("hi", float_of_int hi) |])
+    @@ fun () ->
+    let steps = ref 0 in
+    let tick () =
+      incr steps;
+      if !steps > budget then raise Out_of_budget
+    in
     let total = ref 0 in
-    match run ?semantics ~budget g p ~on_match:(fun _ _ -> incr total) with
-    | () -> Count !total
-    | exception Out_of_budget -> Budget_exceeded
-  end
-  else begin
-    let start, _ = traversal_order p in
-    let extent = start_extent g p start in
-    let chunk ~lo ~hi =
-      Lpp_obs.Trace.with_span ~cat:"exec" "matcher.partition"
-        ~args:(fun () ->
-          [| ("lo", float_of_int lo); ("hi", float_of_int hi) |])
-      @@ fun () ->
-      let steps = ref 0 in
-      let tick () =
-        incr steps;
-        if !steps > budget then raise Out_of_budget
-      in
-      let total = ref 0 in
-      let _, try_start =
-        make_searcher ?semantics g p ~tick ~on_match:(fun _ _ -> incr total)
-      in
-      match
-        for i = lo to hi - 1 do
-          try_start extent.(i)
-        done
-      with
-      | () -> (!steps, Some !total)
-      | exception Out_of_budget -> (!steps, None)
+    let _, try_start =
+      make_searcher ?semantics g p ~tick ~on_match:(fun _ _ -> incr total)
     in
-    let shards =
-      Lpp_util.Pool.parallel_chunks ~jobs ~n:(Array.length extent) chunk
-    in
-    let steps = List.fold_left (fun acc (s, _) -> acc + s) 0 shards in
-    if steps > budget || List.exists (fun (_, c) -> c = None) shards then
-      Budget_exceeded
-    else
-      Count (List.fold_left (fun acc (_, c) -> acc + Option.get c) 0 shards)
-  end
+    match
+      for i = lo to hi - 1 do
+        try_start extent.(i)
+      done
+    with
+    | () -> (!steps, Some !total)
+    | exception Out_of_budget -> (!steps, None)
+  in
+  let shards =
+    Lpp_util.Pool.parallel_chunks ?jobs ~n:(Array.length extent) chunk
+  in
+  let steps = List.fold_left (fun acc (s, _) -> acc + s) 0 shards in
+  if steps > budget || List.exists (fun (_, c) -> c = None) shards then
+    Budget_exceeded
+  else Count (List.fold_left (fun acc (_, c) -> acc + Option.get c) 0 shards)
 
 let enumerate ?semantics ?budget ?(limit = 1000) g p =
   let acc = ref [] in

@@ -19,12 +19,12 @@ val count :
 (** [count g p] is the number of result mappings of [p] over [g].
     [semantics] defaults to [Cypher]; [budget] defaults to 50 million steps.
 
-    With [jobs > 1] (default {!Lpp_util.Pool.default_jobs}) the candidate
-    extent of the start pattern node is partitioned across that many domains
-    and the per-chunk match counts are summed. The outcome — both the count
-    and whether the budget is exceeded — is bit-identical to the sequential
-    [jobs:1] run for every [jobs] value: budget accounting sums the exact
-    per-chunk step counts, never an approximation. *)
+    The candidate extent of the start pattern node is partitioned into
+    [jobs] chunks (default {!Lpp_util.Pool.default_jobs}; [jobs:1] is one
+    chunk on the caller's domain) and the per-chunk match counts are summed.
+    The outcome — both the count and whether the budget is exceeded — is the
+    same for every [jobs] value: budget accounting sums the exact per-chunk
+    step counts, never an approximation. *)
 
 type binding = { nodes : int array; rels : int array }
 (** [nodes.(i)] is the graph node bound to pattern node [i]; [rels.(j)] the
@@ -39,11 +39,6 @@ val enumerate :
   binding list
 (** First [limit] (default 1000) result mappings, in backtracking order.
     Stops silently if the budget runs out. *)
-
-val node_matches :
-  Lpp_pgraph.Graph.t -> Lpp_pattern.Pattern.t -> int -> Lpp_pgraph.Graph.node -> bool
-(** [node_matches g p i n]: does graph node [n] satisfy the label and property
-    requirements of pattern node [i]? Exposed for the workload generator. *)
 
 val prop_ok :
   (int * Lpp_pgraph.Value.t) array -> int -> Lpp_pattern.Pattern.prop_pred -> bool

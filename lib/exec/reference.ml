@@ -21,10 +21,7 @@ let drop assoc var = List.remove_assoc var assoc
 
 let prop_ok = Matcher.prop_ok
 
-(* One operator applied to a full intermediate result. Every operator
-   processes its input mappings independently of one another (GetNodes is
-   always first and introduces them), which is what makes partitioning the
-   initial extent across domains sound. *)
+(* One operator applied to a full intermediate result. *)
 let apply_op ~edge_iso g mappings (op : Algebra.op) =
   match op with
   | Get_nodes { var } ->
@@ -137,67 +134,9 @@ let eval_steps ?(semantics = Semantics.Cypher) ?(max_intermediate = 200_000) g
 let eval ?semantics ?max_intermediate g alg =
   eval_steps ?semantics ?max_intermediate g alg ~on_step:(fun _ -> ())
 
-(* Parallel counting: partition the GetNodes extent into per-domain slices
-   and run the remaining operators over each slice independently. Per-step
-   sizes are tracked locally and summed after the barrier, so the Too_big
-   outcome is identical to the sequential evaluation: a slice aborts only
-   when its local size alone exceeds [max_intermediate] (then the total does
-   too), and otherwise the exact per-step totals decide. *)
-let count_sharded ~semantics ~max_intermediate ~jobs g (alg : Algebra.t) var =
-  let edge_iso = Semantics.equal semantics Semantics.Cypher in
-  let ops = alg.ops in
-  let n_ops = Array.length ops in
-  let n = Graph.node_count g in
-  let chunk ~lo ~hi =
-    Lpp_obs.Trace.with_span ~cat:"exec" "reference.partition"
-      ~args:(fun () -> [| ("lo", float_of_int lo); ("hi", float_of_int hi) |])
-    @@ fun () ->
-    let sizes = Array.make n_ops 0 in
-    sizes.(0) <- hi - lo;
-    let exception Local_too_big in
-    let mappings = ref [] in
-    for nd = lo to hi - 1 do
-      mappings := { node_bind = [ (var, nd) ]; rel_bind = [] } :: !mappings
-    done;
-    match
-      for i = 1 to n_ops - 1 do
-        mappings := apply_op ~edge_iso g !mappings ops.(i);
-        let len = List.length !mappings in
-        sizes.(i) <- len;
-        if len > max_intermediate then raise Local_too_big
-      done
-    with
-    | () -> Some (sizes, List.length !mappings)
-    | exception Local_too_big -> None
-  in
-  let shards = Lpp_util.Pool.parallel_chunks ~jobs ~n chunk in
-  if List.exists Option.is_none shards then None
-  else begin
-    let shards = List.map Option.get shards in
-    let totals = Array.make n_ops 0 in
-    List.iter
-      (fun (sizes, _) ->
-        Array.iteri (fun i s -> totals.(i) <- totals.(i) + s) sizes)
-      shards;
-    if Array.exists (fun s -> s > max_intermediate) totals then None
-    else Some (List.fold_left (fun acc (_, c) -> acc + c) 0 shards)
-  end
-
-let count ?(semantics = Semantics.Cypher) ?(max_intermediate = 200_000) ?jobs g
-    (alg : Algebra.t) =
+let count ?semantics ?max_intermediate g alg =
   Lpp_obs.Trace.with_span ~cat:"exec" "reference.count" @@ fun () ->
-  let jobs = Lpp_util.Pool.resolve_jobs jobs in
-  let sharded_start =
-    if jobs > 1 && Array.length alg.ops > 0 then
-      match alg.ops.(0) with
-      | Algebra.Get_nodes { var } -> Some var
-      | _ -> None
-    else None
-  in
-  match sharded_start with
-  | Some var -> count_sharded ~semantics ~max_intermediate ~jobs g alg var
-  | None ->
-      Option.map List.length (eval ~semantics ~max_intermediate g alg)
+  Option.map List.length (eval ?semantics ?max_intermediate g alg)
 
 let intermediate_sizes ?semantics ?max_intermediate g alg =
   let sizes = ref [] in

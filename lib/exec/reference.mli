@@ -25,17 +25,11 @@ val eval :
 val count :
   ?semantics:Semantics.t ->
   ?max_intermediate:int ->
-  ?jobs:int ->
   Lpp_pgraph.Graph.t ->
   Lpp_pattern.Algebra.t ->
   int option
-(** Like [eval] but returns only the result cardinality. When the sequence
-    starts with [Get_nodes] and [jobs > 1] (default
-    {!Lpp_util.Pool.default_jobs}), the initial node extent is partitioned
-    across domains and each slice is evaluated independently; per-operator
-    sizes are summed afterwards, so the result — including whether
-    [max_intermediate] is exceeded — is bit-identical to the sequential
-    [jobs:1] run. *)
+(** [eval]'s result cardinality, evaluated on the caller's domain; [None]
+    exactly when [eval] gives [None]. *)
 
 val intermediate_sizes :
   ?semantics:Semantics.t ->

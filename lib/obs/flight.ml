@@ -32,7 +32,7 @@ type t = {
   mutable recent_wr : int;
   slow : entry option array;
   mutable slow_wr : int;
-  mutable slow_ns : int64;
+  slow_ns : int64;
 }
 
 let default_slow_ns = 50_000_000L (* 50 ms *)
@@ -48,11 +48,6 @@ let create ?(slow_capacity = 64) ?(slow_ns = default_slow_ns) ~capacity () =
     slow_wr = 0;
     slow_ns;
   }
-
-let set_slow_threshold t ns =
-  Lpp_util.Sync.with_lock t.mu (fun () -> t.slow_ns <- ns)
-
-let slow_threshold t = Lpp_util.Sync.with_lock t.mu (fun () -> t.slow_ns)
 
 let note t e =
   Lpp_util.Sync.with_lock t.mu (fun () ->
@@ -115,17 +110,16 @@ let entry_json ~now e =
 
 let to_json ?now t =
   let now = match now with Some n -> n | None -> Lpp_util.Clock.now_ns () in
-  let recent, slow, seen, slow_ns =
+  let recent, slow, seen =
     Lpp_util.Sync.with_lock t.mu (fun () ->
         ( drain_ring t.recent t.recent_wr,
           drain_ring t.slow t.slow_wr,
-          t.recent_wr,
-          t.slow_ns ))
+          t.recent_wr ))
   in
   Lpp_util.Json.Obj
     [
       ("seen", Int seen);
-      ("slow_ns", Int (Int64.to_int slow_ns));
+      ("slow_ns", Int (Int64.to_int t.slow_ns));
       ("recent", List (List.map (entry_json ~now) recent));
       ("slow", List (List.map (entry_json ~now) slow));
     ]

@@ -46,10 +46,6 @@ val slow : t -> entry list
 val seen : t -> int
 (** Total entries ever noted (≥ [List.length (recent t)]). *)
 
-val set_slow_threshold : t -> int64 -> unit
-
-val slow_threshold : t -> int64
-
 val to_json : ?now:int64 -> t -> Lpp_util.Json.t
 (** Both rings plus totals; per-entry [age_ms] is relative to [now]
     (default [Clock.now_ns ()]). *)

@@ -54,11 +54,6 @@ module Dataflow = struct
     s_labels : int list array;  (* most-recent selection first *)
   }
 
-  let node_bound st v =
-    v >= 0 && v < Array.length st.s_nodes && st.s_nodes.(v)
-
-  let rel_bound st v = v >= 0 && v < Array.length st.s_rels && st.s_rels.(v)
-
   let labels_of st v =
     if v >= 0 && v < Array.length st.s_labels then List.rev st.s_labels.(v)
     else []

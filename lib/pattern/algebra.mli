@@ -73,9 +73,6 @@ module Dataflow : sig
       total: out-of-range variables read as unbound with no labels. *)
   type state
 
-  val node_bound : state -> int -> bool
-  val rel_bound : state -> int -> bool
-
   val labels_of : state -> int -> int list
   (** Labels accumulated by [Label_selection] on a node variable so far, in
       selection order; a [Merge_on] folds the merged variable's labels into

@@ -308,8 +308,3 @@ let parse graph input =
   with
   | Parse_error msg -> Error msg
   | Invalid_argument msg -> Error msg
-
-let parse_exn graph input =
-  match parse graph input with
-  | Ok { pattern; _ } -> pattern
-  | Error msg -> invalid_arg ("Parse.parse_exn: " ^ msg)

@@ -33,6 +33,3 @@ type parsed = { pattern : Pattern.t; var_names : string option array }
     if any. *)
 
 val parse : Lpp_pgraph.Graph.t -> string -> (parsed, string) result
-
-val parse_exn : Lpp_pgraph.Graph.t -> string -> Pattern.t
-(** @raise Invalid_argument with the parse error message. *)

@@ -1,17 +1,18 @@
 (* The serving runtime. Domain layout and ownership:
 
-   - worker domains, and no other: each runs one select loop over the
-     listening sockets (NDJSON, plus HTTP with --prom) and over the
-     connections it accepted. Only the workers holding the fewest
+   - the caller's main domain, which under [lpp serve] only waits for a signal
+     once [start] returns (building the graph and its catalog started no pool
+     domain), plus the worker domains, and no other. Each worker runs one
+     select loop over the listening sockets (NDJSON, plus HTTP with --prom)
+     and over the connections it accepted. Only the workers holding the fewest
      connections watch the listeners, and each accepts one connection per
-     wakeup, so connections spread over the workers. Whichever worker
-     accepts a connection owns it until it is closed: it reads it, answers
-     each complete line as soon as it is split off and writes the answers
-     itself, so a connection's answers leave in request order and no
-     descriptor is touched by two domains. A worker also owns its
-     per-configuration estimate-cache fronts (each an L1 over a private
-     estimator session; every estimate goes through one), its parse memo
-     and its counters.
+     wakeup, so connections spread over the workers. Whichever worker accepts
+     a connection owns it until it is closed: it reads it, answers each
+     complete line as soon as it is split off and writes the answers itself,
+     so a connection's answers leave in request order and no descriptor is
+     touched by two domains. A worker also owns its per-configuration
+     estimate-cache fronts (each an L1 over a private estimator session; every
+     estimate goes through one), its parse memo and its counters.
    - one output path for both protocols: an answer is appended to its
      connection's unwritten output, which is written as far as the socket
      takes it and finished from the select write set. Once that output

@@ -7,23 +7,25 @@
     hot path allocates (almost) nothing and takes no locks. Behind the
     fronts, one L2 is shared by all workers.
 
-    The workers are the only domains. Each runs one select loop over the
+    Besides the caller's main domain, which under [lpp serve] only waits for a
+    signal once [start] returns, the workers are the only domains: building
+    the graph and its catalog runs on the caller's domain and starts no
+    {!Lpp_util.Pool} domain. Each worker runs one select loop over the
     listening sockets and the connections it accepted; only the workers
     holding the fewest connections watch the listeners, each taking one
-    connection per wakeup, so connections spread over the workers.
-    Whichever worker accepts a connection reads it, answers each complete
-    line as soon as it is split off, and writes the answers itself, so
-    responses on one connection come back in request order — pipelining is
-    safe without request ids. Answers go to the connection's unwritten
-    output and are written without blocking; once that output holds 1 MiB,
-    the connection's remaining lines wait for the socket to take it, and
-    the connection is not read until they are all answered, so a client
-    that stops reading holds back only itself and the requests it sends
-    meanwhile wait in the socket buffer. An accepted descriptor that
-    [select] cannot watch (past
-    FD_SETSIZE) is closed at once, and an [accept] that fails (a full
-    descriptor table) leaves the listeners unwatched until the worker's next
-    50 ms tick; either way the worker keeps serving.
+    connection per wakeup, so connections spread over the workers. Whichever
+    worker accepts a connection reads it, answers each complete line as soon
+    as it is split off, and writes the answers itself, so responses on one
+    connection come back in request order — pipelining is safe without request
+    ids. Answers go to the connection's unwritten output and are written
+    without blocking; once that output holds 1 MiB, the connection's remaining
+    lines wait for the socket to take it, and the connection is not read until
+    they are all answered, so a client that stops reading holds back only
+    itself and the requests it sends meanwhile wait in the socket buffer. An
+    accepted descriptor that [select] cannot watch (past FD_SETSIZE) is closed
+    at once, and an [accept] that fails (a full descriptor table) leaves the
+    listeners unwatched until the worker's next 50 ms tick; either way the
+    worker keeps serving.
 
     The only cross-domain mutability is the sharded estimate-cache L2
     ({!Lpp_core.Est_cache}), the flight recorder, the request sequence and

@@ -370,13 +370,11 @@ module Builder = struct
      label-level counts once. A cell key packs the three ids as
      (s1·T + typ)·S + s2. Cells live in a hashtable, not an S²·T array, so
      memory follows the occupied cells: DBpedia-like vocabularies have ~10⁶
-     possible cells and a few thousand occupied ones. [count_rels] counts
-     one shard [lo, hi) of the relationship id range into a private cell
-     table. *)
-  let count_rels g ~lo ~hi =
+     possible cells and a few thousand occupied ones. *)
+  let count_rels g =
     let n_sets = Graph.label_set_count g and n_types = Graph.rel_type_count g in
     let cells = Itbl.create 64 in
-    for r = lo to hi - 1 do
+    for r = 0 to Graph.rel_count g - 1 do
       bump cells
         ((((Graph.node_label_set g (Graph.rel_src g r) * n_types)
           + Graph.rel_type g r)
@@ -389,8 +387,7 @@ module Builder = struct
   (* Expand cells into the label-level counters: a cell's count goes to
      (l1, typ, l2) and (l1, ★, l2) for l1 ∈ {★} ∪ src set, l2 ∈ {★} ∪ dst
      set. The counters are sums, and every reader folds them or sorts their
-     keys, so the order the cells come in leaves the snapshot the same for
-     every [jobs] value. *)
+     keys, so the order the cells come in leaves the snapshot the same. *)
   let expand_cells g cells =
     let n_sets = Graph.label_set_count g and n_types = Graph.rel_type_count g in
     let rel_type_totals = Array.make n_types 0 in
@@ -413,7 +410,7 @@ module Builder = struct
       cells;
     (rel_type_totals, counters)
 
-  let of_graph ?hierarchy ?partition ?jobs g =
+  let of_graph ?hierarchy ?partition g =
     let hierarchy =
       match hierarchy with
       | Some h -> h
@@ -432,25 +429,14 @@ module Builder = struct
       Array.init (Graph.label_count g) (fun l ->
           Array.length (Graph.nodes_with_label g l))
     in
-    let jobs = Lpp_util.Pool.resolve_jobs jobs in
-    let shards =
-      Lpp_util.Pool.parallel_chunks ~jobs ~n:(Graph.rel_count g) (fun ~lo ~hi ->
-          Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.count_shard"
-            ~args:(fun () ->
-              [| ("lo", float_of_int lo); ("hi", float_of_int hi) |])
-            (fun () -> count_rels g ~lo ~hi))
+    let cells =
+      Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.count"
+        ~args:(fun () -> [| ("rels", float_of_int (Graph.rel_count g)) |])
+        (fun () -> count_rels g)
     in
     let rel_type_totals, counters =
-      Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.merge" @@ fun () ->
-      (* shards merge by summation in chunk order *)
-      let cells =
-        match shards with
-        | [] -> Itbl.create 1
-        | first :: rest ->
-            List.iter (Itbl.iter (fun key c -> bump first key !c)) rest;
-            first
-      in
-      expand_cells g cells
+      Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.merge" (fun () ->
+          expand_cells g cells)
     in
     let pair_entries =
       Itbl.fold
@@ -568,13 +554,13 @@ module Builder = struct
     } : catalog)
 end
 
-let build_with ?hierarchy ?partition ?jobs g =
+let build_with ?hierarchy ?partition g =
   Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.build"
     ~args:(fun () ->
       [|
         ("nodes", float_of_int (Graph.node_count g));
         ("rels", float_of_int (Graph.rel_count g));
       |])
-  @@ fun () -> Builder.snapshot (Builder.of_graph ?hierarchy ?partition ?jobs g)
+  @@ fun () -> Builder.snapshot (Builder.of_graph ?hierarchy ?partition g)
 
-let build ?jobs g = build_with ?jobs g
+let build g = build_with g

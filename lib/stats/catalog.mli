@@ -27,21 +27,20 @@
 
 type t
 
-val build : ?jobs:int -> Lpp_pgraph.Graph.t -> t
+val build : Lpp_pgraph.Graph.t -> t
 (** Collect all statistics in a single pass over the graph and compile them;
     hierarchy and partition are inferred from the data (Section 4.2.1 notes
     schema inference as the standard way to obtain them). Equal to
     [Builder.snapshot (Builder.of_graph g)].
 
-    With [jobs > 1] (default {!Lpp_util.Pool.default_jobs}) the relationship
-    scan is sharded across domains into private tables that are merged in
-    shard order; the resulting catalog is identical to the [jobs:1] build for
-    every [jobs] value. *)
+    The relationship scan runs on the caller's domain: one integer
+    increment per relationship into its (source label set, type, target
+    label set) cell, after which each occupied cell is expanded into its
+    label-level counters once. *)
 
 val build_with :
   ?hierarchy:Label_hierarchy.t ->
   ?partition:Label_partition.t ->
-  ?jobs:int ->
   Lpp_pgraph.Graph.t ->
   t
 (** Like {!build} but with externally supplied schema information (e.g. the
@@ -183,7 +182,6 @@ module Builder : sig
   val of_graph :
     ?hierarchy:Label_hierarchy.t ->
     ?partition:Label_partition.t ->
-    ?jobs:int ->
     Lpp_pgraph.Graph.t ->
     t
   (** The label-level tables of a graph, counted as {!build_with} does. *)

@@ -19,5 +19,3 @@ let to_string bytes =
   if b >= 1048576.0 then Printf.sprintf "%.1f MB" (b /. 1048576.0)
   else if b >= 1024.0 then Printf.sprintf "%.1f kB" (b /. 1024.0)
   else Printf.sprintf "%d B" bytes
-
-let pp_bytes ppf bytes = Format.pp_print_string ppf (to_string bytes)

@@ -29,7 +29,5 @@ val bigarray1 : ('a, 'b, 'c) Bigarray.Array1.t -> int
 (** Payload of a Bigarray ([Array1.size_in_bytes] — element count × element
     width, not the 1-word custom block the GC sees) plus the proxy header. *)
 
-val pp_bytes : Format.formatter -> int -> unit
-(** Human-readable rendering ("1.4 MB", "3.1 kB", "812 B"). *)
-
 val to_string : int -> string
+(** Human-readable rendering ("1.4 MB", "3.1 kB", "812 B"). *)

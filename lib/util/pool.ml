@@ -226,6 +226,3 @@ let parallel_map_array ?jobs f arr =
     parallel_chunks ?jobs ~n (fun ~lo ~hi ->
         Array.init (hi - lo) (fun k -> f arr.(lo + k)))
     |> Array.concat
-
-let parallel_reduce ?jobs ~n ~chunk ~merge ~init =
-  List.fold_left merge init (parallel_chunks ?jobs ~n chunk)

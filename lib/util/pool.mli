@@ -40,17 +40,6 @@ val parallel_map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map: [parallel_map_array f a] equals
     [Array.map f a] whenever [f] is pure. *)
 
-val parallel_reduce :
-  ?jobs:int ->
-  n:int ->
-  chunk:(lo:int -> hi:int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  init:'a ->
-  'a
-(** Deterministic ordered-merge reducer:
-    [fold_left merge init] over the chunk results in ascending chunk order,
-    i.e. identical to the sequential left fold for associative [merge]. *)
-
 val set_monitor :
   (helped:bool -> queue_depth:int -> (unit -> unit) -> unit) option -> unit
 (** Install (or remove, with [None]) a task monitor. The callback wraps

@@ -51,8 +51,3 @@ let summarize_array values =
   end
 
 let summarize values = summarize_array (Array.of_list values)
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d min=%.3g q25=%.3g med=%.3g q75=%.3g q95=%.3g max=%.3g mean=%.3g gmean=%.3g"
-    s.count s.min s.q25 s.median s.q75 s.q95 s.max s.mean s.geo_mean

@@ -25,5 +25,3 @@ val summarize : float list -> summary option
 
 val summarize_array : float array -> summary option
 (** Like {!summarize}; the array is copied, not mutated. *)
-
-val pp_summary : Format.formatter -> summary -> unit

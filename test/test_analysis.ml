@@ -315,7 +315,7 @@ let prop_provably_zero_is_zero =
       | p ->
           let a = Planner.plan p in
           if Lint.provably_zero ~catalog:cat a then
-            match Lpp_exec.Reference.count ~jobs:1 g a with
+            match Lpp_exec.Reference.count g a with
             | Some n -> n = 0
             | None -> true (* budget exceeded; nothing to check *)
           else true)

@@ -643,13 +643,14 @@ let test_flight_rings () =
   (match Lpp_obs.Flight.slow fl with
   | [ e ] -> Alcotest.(check int) "pinned offender" 2 e.seq
   | l -> Alcotest.failf "slow ring holds %d entries" (List.length l));
-  (* threshold is adjustable at runtime *)
-  Lpp_obs.Flight.set_slow_threshold fl 50L;
-  Alcotest.(check int64) "threshold readable" 50L
-    (Lpp_obs.Flight.slow_threshold fl);
-  Lpp_obs.Flight.note fl (fl_entry ~seq:21 ~total:60L ());
-  Alcotest.(check int) "new threshold pins" 2
-    (List.length (Lpp_obs.Flight.slow fl))
+  (* the threshold is fixed at [create]: a 60 ns request the recorder above
+     lets pass pins in one made with 50 ns, and one at exactly 50 ns too *)
+  let fl = Lpp_obs.Flight.create ~capacity:4 ~slow_ns:50L () in
+  List.iter
+    (fun (seq, total) -> Lpp_obs.Flight.note fl (fl_entry ~seq ~total ()))
+    [ (21, 60L); (22, 40L); (23, 50L) ];
+  Alcotest.(check (list int)) "threshold from create pins" [ 21; 23 ]
+    (List.map (fun (e : Lpp_obs.Flight.entry) -> e.seq) (Lpp_obs.Flight.slow fl))
 
 let test_flight_json () =
   let fl = Lpp_obs.Flight.create ~capacity:8 () in

@@ -51,21 +51,6 @@ let test_map_matches_sequential () =
   Alcotest.(check (array int)) "empty array" [||]
     (Pool.parallel_map_array ~jobs:4 f [||])
 
-let test_reduce_ordered () =
-  (* string concatenation is associative but not commutative: a scheduling-
-     dependent merge order would scramble the result *)
-  let chunk ~lo ~hi =
-    String.concat "" (List.init (hi - lo) (fun i -> string_of_int (lo + i)))
-  in
-  let expect = String.concat "" (List.init 50 string_of_int) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "ordered merge at jobs %d" jobs)
-        expect
-        (Pool.parallel_reduce ~jobs ~n:50 ~chunk ~merge:( ^ ) ~init:""))
-    jobs_values
-
 let test_exception_propagates () =
   List.iter
     (fun jobs ->
@@ -89,22 +74,14 @@ let test_exception_propagates () =
 let test_nested_calls () =
   (* a caller waiting on its chunks helps drain the queue, so nesting with
      more tasks than workers must not deadlock *)
-  let inner lo =
-    Pool.parallel_reduce ~jobs:4 ~n:10
-      ~chunk:(fun ~lo:l ~hi:h ->
-        let s = ref 0 in
-        for i = l to h - 1 do s := !s + (lo * 10) + i done;
-        !s)
-      ~merge:( + ) ~init:0
+  let sum ~n f =
+    List.fold_left ( + ) 0
+      (Pool.parallel_chunks ~jobs:4 ~n (fun ~lo ~hi ->
+           let s = ref 0 in
+           for i = lo to hi - 1 do s := !s + f i done;
+           !s))
   in
-  let total =
-    Pool.parallel_reduce ~jobs:4 ~n:8
-      ~chunk:(fun ~lo ~hi ->
-        let s = ref 0 in
-        for i = lo to hi - 1 do s := !s + inner i done;
-        !s)
-      ~merge:( + ) ~init:0
-  in
+  let total = sum ~n:8 (fun i -> sum ~n:10 (fun j -> (i * 10) + j)) in
   let expect = ref 0 in
   for i = 0 to 7 do
     for j = 0 to 9 do expect := !expect + (i * 10) + j done
@@ -221,18 +198,21 @@ let test_reference_parity () =
   List.iter
     (fun p ->
       let alg = Planner.plan p in
+      let sizes = Option.get (Reference.intermediate_sizes campus alg) in
+      let exact =
+        match Matcher.count campus p with
+        | Matcher.Count c -> c
+        | Matcher.Budget_exceeded -> Alcotest.fail "matcher over budget"
+      in
       List.iter
         (fun max_intermediate ->
-          let reference = Reference.count ~max_intermediate ~jobs:1 campus alg in
-          List.iter
-            (fun jobs ->
-              Alcotest.(check (option int))
-                (Printf.sprintf "max %d at jobs %d" max_intermediate jobs)
-                reference
-                (Reference.count ~max_intermediate ~jobs campus alg))
-            jobs_values)
-        (* sweep across the abort boundary: tiny caps must give None at every
-           jobs value, large ones the exact count *)
+          Alcotest.(check (option int))
+            (Printf.sprintf "max %d" max_intermediate)
+            (if List.exists (fun s -> s > max_intermediate) sizes then None
+             else Some exact)
+            (Reference.count ~max_intermediate campus alg))
+        (* sweep across the abort boundary: tiny caps must give None, large
+           ones the exact count *)
         [ 1; 2; 3; 5; 8; 20; 200_000 ])
     (campus_patterns campus)
 
@@ -241,66 +221,13 @@ let test_reference_agrees_with_matcher () =
   let qs = Lazy.force snb_queries in
   List.iter
     (fun (q : Lpp_workload.Query_gen.query) ->
-      match Reference.count ~jobs:4 ds.graph (Planner.plan q.pattern) with
+      match Reference.count ds.graph (Planner.plan q.pattern) with
       | None -> ()
       | Some c ->
           Alcotest.(check int)
             (Printf.sprintf "query %d" q.id)
             q.true_card c)
     (List.filteri (fun i _ -> i < 5) qs)
-
-(* ---------------- Catalog parity ---------------- *)
-
-let catalog_fingerprint g c =
-  let open Lpp_stats in
-  let labels = None :: List.init (Catalog.label_count c) Option.some in
-  let types =
-    [||] :: List.init (Lpp_pgraph.Graph.rel_type_count g) (fun t -> [| t |])
-  in
-  let rcs =
-    List.concat_map
-      (fun node ->
-        List.concat_map
-          (fun other ->
-            List.concat_map
-              (fun types ->
-                List.map
-                  (fun dir -> Catalog.rc c ~dir ~node ~types ~other)
-                  [ Lpp_pgraph.Direction.Out; In; Both ])
-              types)
-          labels)
-      labels
-  in
-  ( List.map (fun l -> Catalog.nc c (Option.value ~default:(-1) l)) labels,
-    List.init (Lpp_pgraph.Graph.rel_type_count g) (Catalog.rel_type_total c),
-    Catalog.rel_total c,
-    Catalog.nc_star c,
-    rcs,
-    Catalog.memory_bytes_simple c,
-    Catalog.memory_bytes_advanced c )
-
-let test_catalog_parity () =
-  List.iter
-    (fun g ->
-      let reference = catalog_fingerprint g (Lpp_stats.Catalog.build ~jobs:1 g) in
-      List.iter
-        (fun jobs ->
-          let got = catalog_fingerprint g (Lpp_stats.Catalog.build ~jobs g) in
-          Alcotest.(check bool)
-            (Printf.sprintf "catalog identical at jobs %d" jobs)
-            true (got = reference))
-        jobs_values)
-    [
-      (Fixtures.campus ()).graph;
-      fst (Fixtures.triangle ());
-      (Lazy.force Fixtures.small_snb).graph;
-    ]
-
-let test_catalog_empty_graph () =
-  let g = Lpp_pgraph.Graph_builder.freeze (Lpp_pgraph.Graph_builder.create ()) in
-  let c = Lpp_stats.Catalog.build ~jobs:4 g in
-  Alcotest.(check int) "no nodes" 0 (Lpp_stats.Catalog.nc_star c);
-  Alcotest.(check int) "no rels" 0 (Lpp_stats.Catalog.rel_total c)
 
 (* ---------------- Runner parity ---------------- *)
 
@@ -397,7 +324,6 @@ let suite =
     Alcotest.test_case "pool: resolve_jobs" `Quick test_resolve_jobs;
     Alcotest.test_case "pool: chunk partition" `Quick test_chunks_partition;
     Alcotest.test_case "pool: map == Array.map" `Quick test_map_matches_sequential;
-    Alcotest.test_case "pool: ordered reduce" `Quick test_reduce_ordered;
     Alcotest.test_case "pool: exception propagation" `Quick test_exception_propagates;
     Alcotest.test_case "pool: nested calls" `Quick test_nested_calls;
     Alcotest.test_case "matcher: parity on fixtures" `Quick test_matcher_parity_fixtures;
@@ -406,8 +332,6 @@ let suite =
     Alcotest.test_case "reference: parity incl. abort" `Quick test_reference_parity;
     Alcotest.test_case "reference: agrees with matcher" `Quick
       test_reference_agrees_with_matcher;
-    Alcotest.test_case "catalog: parity" `Quick test_catalog_parity;
-    Alcotest.test_case "catalog: empty graph" `Quick test_catalog_empty_graph;
     Alcotest.test_case "runner: parity" `Quick test_runner_parity;
     Alcotest.test_case "query_gen: parity" `Quick test_query_gen_parity;
     QCheck_alcotest.to_alcotest prop_matcher_parallel_random;

@@ -419,12 +419,35 @@ let prop_catalog_matches_oracle =
         let sets = List.init (Graph.label_set_count g) (Graph.label_set g) in
         List.length (List.sort_uniq compare sets) = List.length sets
       in
-      let expected = Catalog_oracle.entries g in
       interned_as_given && sets_distinct
-      && List.for_all
-           (fun jobs ->
-             Catalog_oracle.catalog_entries (Catalog.build ~jobs g) = expected)
-           [ 1; 2; 4 ])
+      && Catalog_oracle.catalog_entries (Catalog.build g)
+         = Catalog_oracle.entries g)
+
+let test_catalog_empty_graph () =
+  let c = Catalog.build (Graph_builder.freeze (Graph_builder.create ())) in
+  Alcotest.(check int) "no nodes" 0 (Catalog.nc_star c);
+  Alcotest.(check int) "no rels" 0 (Catalog.rel_total c)
+
+(* Statistics are built on the caller's domain: a counting pool monitor sees
+   no queued task, whatever the default jobs count. *)
+let test_catalog_build_no_pool_task () =
+  let graph = (Lazy.force Fixtures.small_snb).graph in
+  let tasks = Atomic.make 0 in
+  let queued build =
+    Atomic.set tasks 0;
+    ignore (build ());
+    Atomic.get tasks
+  in
+  Lpp_util.Pool.set_monitor
+    (Some
+       (fun ~helped:_ ~queue_depth:_ run ->
+         Atomic.incr tasks;
+         run ()));
+  Fun.protect ~finally:(fun () -> Lpp_util.Pool.set_monitor None) @@ fun () ->
+  Alcotest.(check int) "Catalog.build queues" 0
+    (queued (fun () -> Catalog.build graph));
+  Alcotest.(check int) "Scale.build Smoke snb queues" 0
+    (queued (fun () -> Lpp_datasets.Scale.build Smoke ~name:"snb" ~seed:1))
 
 let test_catalog_rel_type_totals () =
   let f = Fixtures.campus () in
@@ -467,5 +490,8 @@ let suite =
     Alcotest.test_case "catalog: simple rc" `Quick test_catalog_simple_rc;
     Alcotest.test_case "catalog: memory ordering" `Quick test_catalog_memory_ordering;
     Alcotest.test_case "catalog: type totals" `Quick test_catalog_rel_type_totals;
+    Alcotest.test_case "catalog: empty graph" `Quick test_catalog_empty_graph;
+    Alcotest.test_case "catalog: build queues no pool task" `Quick
+      test_catalog_build_no_pool_task;
     QCheck_alcotest.to_alcotest prop_catalog_matches_oracle;
   ]
