@@ -109,10 +109,8 @@ let start_extent g (p : Pattern.t) start =
     let best = ref np.n_labels.(0) in
     Array.iter
       (fun l ->
-        if
-          Array.length (Graph.nodes_with_label g l)
-          < Array.length (Graph.nodes_with_label g !best)
-        then best := l)
+        if Graph.label_node_count g l < Graph.label_node_count g !best then
+          best := l)
       np.n_labels;
     Graph.nodes_with_label g !best
   end

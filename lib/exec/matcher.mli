@@ -20,11 +20,12 @@ val count :
     [semantics] defaults to [Cypher]; [budget] defaults to 50 million steps.
 
     The candidate extent of the start pattern node is partitioned into
-    [jobs] chunks (default {!Lpp_util.Pool.default_jobs}; [jobs:1] is one
-    chunk on the caller's domain) and the per-chunk match counts are summed.
-    The outcome — both the count and whether the budget is exceeded — is the
-    same for every [jobs] value: budget accounting sums the exact per-chunk
-    step counts, never an approximation. *)
+    [jobs] chunks (default [--jobs], else [LPP_JOBS], else the recommended
+    domain count; [jobs:1] is one chunk on the caller's domain) and the
+    per-chunk match counts are summed. The outcome — both the count and
+    whether the budget is exceeded — is the same for every [jobs] value:
+    budget accounting sums the exact per-chunk step counts, never an
+    approximation. *)
 
 type binding = { nodes : int array; rels : int array }
 (** [nodes.(i)] is the graph node bound to pattern node [i]; [rels.(j)] the

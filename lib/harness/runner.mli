@@ -18,12 +18,12 @@ val run :
     estimate is repeated until at least ~1 ms of wall clock has been observed
     so that sub-microsecond estimators still get a meaningful latency.
 
-    With [jobs > 1] (default {!Lpp_util.Pool.default_jobs}) queries are
-    evaluated across domains; measurements come back in query order, and
-    randomised techniques use their per-query [seeded_estimate] streams, so
-    the estimates (and q-errors) are identical to the [jobs:1] run. Only the
-    [runtime_ns] readings vary between runs, as wall-clock timings always
-    do. *)
+    With [jobs > 1] (default [--jobs], else [LPP_JOBS], else the
+    recommended domain count) queries are evaluated across domains;
+    measurements come back in query order, and randomised techniques use
+    their per-query [seeded_estimate] streams, so the estimates (and
+    q-errors) are identical to the [jobs:1] run. Only the [runtime_ns]
+    readings vary between runs, as wall-clock timings always do. *)
 
 val support_fraction :
   Technique.t -> Lpp_workload.Query_gen.query list -> float

@@ -1,5 +1,5 @@
 module Iarr = Lpp_util.Iarr
-module Ivec = Lpp_util.Ivec
+module A1 = Bigarray.Array1
 
 type node = int
 
@@ -10,9 +10,10 @@ type rel = int
    difference between a 10⁸-edge graph fitting in memory or not. Nodes
    carry label sets by id: real graphs have a handful of distinct sets (SNB
    has 11 over millions of nodes), so each node costs one narrow column slot
-   and the sets themselves are shared arrays. Property lists stay boxed and
-   the per-entity arrays end at the last id that carries one: a graph
-   without properties holds two empty arrays, not a slot per entity. *)
+   and the sets themselves are shared arrays. The label index is one more
+   CSR, keyed by label. Property lists stay boxed and the per-entity arrays
+   end at the last id that carries one: a graph without properties keeps
+   nothing per entity on the OCaml heap. *)
 type t = {
   labels : Interner.t;
   rel_types : Interner.t;
@@ -28,10 +29,21 @@ type t = {
   out_tgt : Iarr.t;  (* rel ids, ascending within each node's slice *)
   in_off : Iarr.t;
   in_tgt : Iarr.t;
-  label_index : int array array; (* label id -> sorted node ids *)
+  label_off : Iarr.t;  (* label count at freeze + 1 slots *)
+  label_nodes : Iarr.t;  (* node ids, ascending within each label's slice *)
   unlabeled : int;
   prop_total : int;
 }
+
+(* Element access with the representation matched in place. The library is
+   compiled opaque in dune's default profile, so [Iarr.get] is a call per
+   element; per-element loops here (the CSR fills, the cell walk) and the
+   accessors below read through these instead. *)
+let[@inline] get (a : Iarr.t) i =
+  match a with I32 b -> Int32.to_int (A1.get b i) | I64 b -> A1.get b i
+
+let[@inline] set (a : Iarr.t) i v =
+  match a with I32 b -> A1.set b i (Int32.of_int v) | I64 b -> A1.set b i v
 
 let node_count t = Iarr.length t.node_set
 
@@ -55,9 +67,9 @@ let label_set_count t = Array.length t.label_sets
 
 let label_set t s = t.label_sets.(s)
 
-let node_label_set t n = Iarr.get t.node_set n
+let node_label_set t n = get t.node_set n
 
-let node_labels t n = t.label_sets.(Iarr.get t.node_set n)
+let node_labels t n = t.label_sets.(get t.node_set n)
 
 let node_has_label t n l =
   (* Label arrays are tiny (rarely > 5); linear scan beats binary search. *)
@@ -83,19 +95,25 @@ let assoc_prop props key =
 
 let node_prop t n key = assoc_prop (node_props t n) key
 
-let nodes_with_label t l =
+let label_node_count t l =
   (* an id at or past the label count has an empty extent; an unknown query
      label is one, as names are resolved against the vocabulary, never
      written into it, and a missing one maps to the label count *)
-  if l < 0 || l >= Array.length t.label_index then [||] else t.label_index.(l)
+  if l < 0 || l + 1 >= Iarr.length t.label_off then 0
+  else get t.label_off (l + 1) - get t.label_off l
+
+let nodes_with_label t l =
+  match label_node_count t l with
+  | 0 -> [||]
+  | len -> Iarr.sub_to_array t.label_nodes ~pos:(get t.label_off l) ~len
 
 let unlabeled_node_count t = t.unlabeled
 
-let rel_src t r = Iarr.get t.rel_src r
+let rel_src t r = get t.rel_src r
 
-let rel_dst t r = Iarr.get t.rel_dst r
+let rel_dst t r = get t.rel_dst r
 
-let rel_type t r = Iarr.get t.rel_type r
+let rel_type t r = get t.rel_type r
 
 let rel_props t r = props_at t.rel_props r
 
@@ -104,24 +122,24 @@ let rel_prop_extent t = Array.length t.rel_props
 let rel_prop t r key = assoc_prop (rel_props t r) key
 
 let out_rels t n =
-  let lo = Iarr.get t.out_off n in
-  Iarr.sub_to_array t.out_tgt ~pos:lo ~len:(Iarr.get t.out_off (n + 1) - lo)
+  let lo = get t.out_off n in
+  Iarr.sub_to_array t.out_tgt ~pos:lo ~len:(get t.out_off (n + 1) - lo)
 
 let in_rels t n =
-  let lo = Iarr.get t.in_off n in
-  Iarr.sub_to_array t.in_tgt ~pos:lo ~len:(Iarr.get t.in_off (n + 1) - lo)
+  let lo = get t.in_off n in
+  Iarr.sub_to_array t.in_tgt ~pos:lo ~len:(get t.in_off (n + 1) - lo)
 
 let iter_out_rels t n f =
-  let lo = Iarr.get t.out_off n in
-  Iarr.iter_range t.out_tgt ~pos:lo ~len:(Iarr.get t.out_off (n + 1) - lo) f
+  let lo = get t.out_off n in
+  Iarr.iter_range t.out_tgt ~pos:lo ~len:(get t.out_off (n + 1) - lo) f
 
 let iter_in_rels t n f =
-  let lo = Iarr.get t.in_off n in
-  Iarr.iter_range t.in_tgt ~pos:lo ~len:(Iarr.get t.in_off (n + 1) - lo) f
+  let lo = get t.in_off n in
+  Iarr.iter_range t.in_tgt ~pos:lo ~len:(get t.in_off (n + 1) - lo) f
 
-let out_degree t n = Iarr.get t.out_off (n + 1) - Iarr.get t.out_off n
+let out_degree t n = get t.out_off (n + 1) - get t.out_off n
 
-let in_degree t n = Iarr.get t.in_off (n + 1) - Iarr.get t.in_off n
+let in_degree t n = get t.in_off (n + 1) - get t.in_off n
 
 let degree t dir n =
   match (dir : Direction.t) with
@@ -154,94 +172,137 @@ let fold_rels t ~init ~f =
   iter_rels t (fun r -> acc := f !acc r);
   !acc
 
-(* Counting-sort CSR fill: iterating rels in ascending id order keeps each
-   node's slice ascending, matching the per-node adjacency lists the boxed
-   representation used to build — callers observe identical orderings. *)
+let iter_rel_cells t f =
+  for r = 0 to rel_count t - 1 do
+    f
+      (get t.node_set (get t.rel_src r))
+      (get t.rel_type r)
+      (get t.node_set (get t.rel_dst r))
+  done
+
+(* Label sets by content, in first-seen order. Candidates are found by a
+   hash of the ids and compared in place, so a set already known allocates
+   nothing; a new one is copied. *)
+module Label_sets = struct
+  type t = {
+    by_hash : (int, (int array * int) list) Hashtbl.t;  (* -> (set, id) *)
+    mutable sets : int array list;  (* newest first *)
+    mutable count : int;
+  }
+
+  let create () = { by_hash = Hashtbl.create 64; sets = []; count = 0 }
+
+  let rec same a set i = i < 0 || (a.(i) = set.(i) && same a set (i - 1))
+
+  let rec find a len = function
+    | [] -> -1
+    | (set, s) :: rest ->
+        if Array.length set = len && same a set (len - 1) then s
+        else find a len rest
+
+  let intern t a ~len =
+    let h = ref len in
+    for i = 0 to len - 1 do
+      h := (!h * 65599) + a.(i)
+    done;
+    let candidates =
+      match Hashtbl.find t.by_hash !h with c -> c | exception Not_found -> []
+    in
+    match find a len candidates with
+    | -1 ->
+        let s = t.count and set = Array.sub a 0 len in
+        t.sets <- set :: t.sets;
+        t.count <- s + 1;
+        Hashtbl.replace t.by_hash !h ((set, s) :: candidates);
+        s
+    | s -> s
+
+  let to_array t = Array.of_list (List.rev t.sets)
+end
+
+(* CSR from a count per key, in the offsets column itself: [off.(k + 1)]
+   holds key k's count. Prefix-summed, [off.(k)] starts k's slice and serves
+   as k's fill cursor; the fill leaves it at k's slice end, the start of
+   k + 1's, so [shift_back] restores the starts. Filling in ascending entry
+   order keeps every slice ascending: the order the per-node adjacency
+   lists once had, which matcher walk order and so every sampled
+   baseline's draws depend on. *)
+let prefix_sum off =
+  for i = 1 to Iarr.length off - 1 do
+    set off i (get off i + get off (i - 1))
+  done
+
+let shift_back off =
+  for i = Iarr.length off - 1 downto 1 do
+    set off i (get off (i - 1))
+  done;
+  set off 0 0
+
 let build_csr ~n_nodes ~endpoints =
   let m = Iarr.length endpoints in
-  let counts = Array.make (n_nodes + 1) 0 in
-  Iarr.iter endpoints (fun e -> counts.(e + 1) <- counts.(e + 1) + 1);
-  for i = 1 to n_nodes do
-    counts.(i) <- counts.(i) + counts.(i - 1)
-  done;
-  (* counts.(e) is now the start of e's slice (counts.(n_nodes) = m) *)
-  let off = Iarr.of_array ~max_value:m counts in
-  let tgt = Iarr.create ~max_value:(max 0 (m - 1)) m in
-  let cursor = Array.sub counts 0 n_nodes in
+  let off = Iarr.create ~max_value:m (n_nodes + 1) in
   for r = 0 to m - 1 do
-    let e = Iarr.get endpoints r in
-    Iarr.set tgt cursor.(e) r;
-    cursor.(e) <- cursor.(e) + 1
+    let e = get endpoints r + 1 in
+    set off e (get off e + 1)
   done;
+  prefix_sum off;
+  let tgt = Iarr.create ~max_value:(max 0 (m - 1)) m in
+  for r = 0 to m - 1 do
+    let e = get endpoints r in
+    let c = get off e in
+    set tgt c r;
+    set off e (c + 1)
+  done;
+  shift_back off;
   (off, tgt)
 
-let rec slice_equals ids ~pos ~len set i =
-  i >= len
-  || (Ivec.get ids (pos + i) = set.(i) && slice_equals ids ~pos ~len set (i + 1))
-
-let rec find_set ids ~pos ~len = function
-  | [] -> -1
-  | (set, s) :: rest ->
-      if Array.length set = len && slice_equals ids ~pos ~len set 0 then s
-      else find_set ids ~pos ~len rest
-
-(* Hash-cons each node's label slice [label_ids[label_off[n] ..
-   label_off[n+1])] into a set id. Sets are kept exactly as given — order and
-   duplicates included — so [node_labels] returns what the caller supplied.
-   A node whose set is already known allocates no array. *)
-let intern_label_sets ~label_off ~label_ids =
-  let n_nodes = Ivec.length label_off - 1 in
-  let node_set = Iarr.create ~max_value:(max 0 (n_nodes - 1)) n_nodes in
-  let sets = ref [] and n_sets = ref 0 in
-  let by_hash = Hashtbl.create 64 in  (* content hash -> (set, id) list *)
+(* The label index, the same CSR keyed by label: a node is entered once per
+   occurrence of the label in its set, so an [unsafe_make] list that
+   repeats a label enters its node twice. Counts come per set. *)
+let build_label_index ~n_labels ~node_set ~label_sets ~set_sizes =
+  let n_nodes = Iarr.length node_set in
+  let total = ref 0 in
+  Array.iteri
+    (fun s ls -> total := !total + (Array.length ls * set_sizes.(s)))
+    label_sets;
+  let off = Iarr.create ~max_value:!total (n_labels + 1) in
+  Array.iteri
+    (fun s ls ->
+      Array.iter (fun l -> set off (l + 1) (get off (l + 1) + set_sizes.(s)))
+        ls)
+    label_sets;
+  prefix_sum off;
+  let nodes = Iarr.create ~max_value:(max 0 (n_nodes - 1)) !total in
   for n = 0 to n_nodes - 1 do
-    let pos = Ivec.get label_off n in
-    let len = Ivec.get label_off (n + 1) - pos in
-    let h = ref len in
-    for i = pos to pos + len - 1 do
-      h := (!h * 65599) + Ivec.get label_ids i
-    done;
-    let candidates = Option.value ~default:[] (Hashtbl.find_opt by_hash !h) in
-    let s = find_set label_ids ~pos ~len candidates in
-    let s =
-      if s >= 0 then s
-      else begin
-        let set = Ivec.sub_to_array label_ids ~pos ~len and s = !n_sets in
-        sets := set :: !sets;
-        n_sets := s + 1;
-        Hashtbl.replace by_hash !h ((set, s) :: candidates);
-        s
-      end
-    in
-    Iarr.set node_set n s
+    let ls = label_sets.(get node_set n) in
+    for i = 0 to Array.length ls - 1 do
+      let c = get off ls.(i) in
+      set nodes c n;
+      set off ls.(i) (c + 1)
+    done
   done;
-  (node_set, Array.of_list (List.rev !sets))
+  shift_back off;
+  (off, nodes)
 
-let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_off ~label_ids
+let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_sets ~node_set
     ~node_props ~rel_src ~rel_dst ~rel_type ~rel_props =
-  let node_set, label_sets = intern_label_sets ~label_off ~label_ids in
+  let label_sets = Label_sets.to_array label_sets in
   let n_nodes = Iarr.length node_set in
   let out_off, out_tgt = build_csr ~n_nodes ~endpoints:rel_src in
   let in_off, in_tgt = build_csr ~n_nodes ~endpoints:rel_dst in
   let set_sizes = Array.make (Array.length label_sets) 0 in
-  Iarr.iter node_set (fun s -> set_sizes.(s) <- set_sizes.(s) + 1);
-  let label_counts = Array.make (Interner.size labels) 0 in
-  Array.iteri
-    (fun s ls ->
-      Array.iter (fun l -> label_counts.(l) <- label_counts.(l) + set_sizes.(s)) ls)
-    label_sets;
-  let label_index = Array.map (fun c -> Array.make c 0) label_counts in
-  let fill = Array.make (Interner.size labels) 0 in
   for n = 0 to n_nodes - 1 do
-    Array.iter
-      (fun l ->
-        label_index.(l).(fill.(l)) <- n;
-        fill.(l) <- fill.(l) + 1)
-      label_sets.(Iarr.get node_set n)
+    let s = get node_set n in
+    set_sizes.(s) <- set_sizes.(s) + 1
   done;
+  let label_off, label_nodes =
+    build_label_index ~n_labels:(Interner.size labels) ~node_set ~label_sets
+      ~set_sizes
+  in
   let unlabeled = ref 0 in
   Array.iteri
-    (fun s ls -> if Array.length ls = 0 then unlabeled := !unlabeled + set_sizes.(s))
+    (fun s ls ->
+      if Array.length ls = 0 then unlabeled := !unlabeled + set_sizes.(s))
     label_sets;
   let prop_total =
     Array.fold_left (fun acc ps -> acc + Array.length ps) 0 node_props
@@ -262,7 +323,8 @@ let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_off ~label_ids
     out_tgt;
     in_off;
     in_tgt;
-    label_index;
+    label_off;
+    label_nodes;
     unlabeled = !unlabeled;
     prop_total;
   }
@@ -271,29 +333,30 @@ let unsafe_make ~labels ~rel_types ~prop_keys ~node_labels ~node_props ~rel_src
     ~rel_dst ~rel_type ~rel_props =
   let n_nodes = Array.length node_labels in
   let node_max = max 0 (n_nodes - 1) in
-  let label_off = Ivec.create ~capacity:(n_nodes + 1) () in
-  let label_ids = Ivec.create () in
-  Ivec.push label_off 0;
-  Array.iter
-    (fun ls ->
-      Array.iter (Ivec.push label_ids) ls;
-      Ivec.push label_off (Ivec.length label_ids))
+  let label_sets = Label_sets.create () in
+  let node_set = Iarr.create ~max_value:node_max n_nodes in
+  Array.iteri
+    (fun n ls ->
+      set node_set n (Label_sets.intern label_sets ls ~len:(Array.length ls)))
     node_labels;
-  unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_off ~label_ids ~node_props
+  unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_sets ~node_set
+    ~node_props
     ~rel_src:(Iarr.of_array ~max_value:node_max rel_src)
     ~rel_dst:(Iarr.of_array ~max_value:node_max rel_dst)
     ~rel_type:(Iarr.of_array rel_type)
     ~rel_props
 
+let bytes cols = List.fold_left (fun acc c -> acc + Iarr.size_in_bytes c) 0 cols
+
+let rel_columns t = [ t.rel_src; t.rel_dst; t.rel_type ]
+
+let adjacency t = [ t.out_off; t.out_tgt; t.in_off; t.in_tgt ]
+
 let memory_breakdown t =
   [
-    ( "graph.rels",
-      Iarr.size_in_bytes t.rel_src + Iarr.size_in_bytes t.rel_dst
-      + Iarr.size_in_bytes t.rel_type );
-    ( "graph.adjacency",
-      Iarr.size_in_bytes t.out_off + Iarr.size_in_bytes t.out_tgt
-      + Iarr.size_in_bytes t.in_off + Iarr.size_in_bytes t.in_tgt );
+    ("graph.rels", bytes (rel_columns t));
+    ("graph.adjacency", bytes (adjacency t));
+    ("graph.labels", bytes [ t.node_set; t.label_off; t.label_nodes ]);
   ]
 
-let csr_bytes t =
-  List.fold_left (fun acc (_, b) -> acc + b) 0 (memory_breakdown t)
+let csr_bytes t = bytes (rel_columns t @ adjacency t)

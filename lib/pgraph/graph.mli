@@ -4,7 +4,10 @@
     and relationships are dense integer ids; labels, relationship types and
     property keys are interned integers resolvable through the embedded
     {!Interner}s. Adjacency is stored CSR-style per node and per direction,
-    and a per-label node index supports label scans. *)
+    and a per-label node index, CSR-style too, supports label scans. Every
+    per-entity column but the property arrays lives off the OCaml heap: a
+    graph without properties holds a constant number of heap words
+    whatever its size. *)
 
 type t
 
@@ -79,9 +82,15 @@ val assoc_prop : (int * Value.t) array -> int -> Value.t option
 val node_prop : t -> node -> int -> Value.t option
 
 val nodes_with_label : t -> int -> node array
-(** All nodes carrying the given label, ascending; the physical index — do not
-    mutate. Labels interned into the vocabulary after the graph was frozen
-    (e.g. by a query mentioning an unused label) have an empty extent. *)
+(** All nodes carrying the given label, ascending: a freshly allocated copy of
+    the label's index slice, like {!out_rels}. Labels interned into the
+    vocabulary after the graph was frozen (e.g. by a query mentioning an
+    unused label), and negative ids, have an empty extent. *)
+
+val label_node_count : t -> int -> int
+(** [Array.length (nodes_with_label g l)] in O(1), without the copy: the
+    label's node count NC(l) for the catalog, the property statistics and
+    the matcher's rarest-label pick. *)
 
 val unlabeled_node_count : t -> int
 
@@ -139,7 +148,28 @@ val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 
 val fold_rels : t -> init:'a -> f:('a -> rel -> 'a) -> 'a
 
+val iter_rel_cells : t -> (int -> int -> int -> unit) -> unit
+(** [iter_rel_cells g f] calls [f src_set typ dst_set] for each relationship in
+    ascending id order: [node_label_set] of its source, its [rel_type] and
+    [node_label_set] of its target. Every relationship statistic depends
+    only on these three ids; this is the catalog's one relationship scan,
+    reading the columns without a call per field. *)
+
 (** {1 Construction (used by {!Graph_builder})} *)
+
+(** Distinct label sets by content, ids in first-seen order: the one table
+    both {!Graph_builder} (a set per [add_node]) and {!unsafe_make} intern
+    through. *)
+module Label_sets : sig
+  type t
+
+  val create : unit -> t
+
+  val intern : t -> int array -> len:int -> int
+  (** The id of the set held in the array's first [len] slots, taken as
+      given (order and duplicates included). A known set allocates nothing;
+      a new one is copied, so the caller may reuse the array. *)
+end
 
 val unsafe_make :
   labels:Interner.t ->
@@ -163,8 +193,8 @@ val unsafe_make_packed :
   labels:Interner.t ->
   rel_types:Interner.t ->
   prop_keys:Interner.t ->
-  label_off:Lpp_util.Ivec.t ->
-  label_ids:Lpp_util.Ivec.t ->
+  label_sets:Label_sets.t ->
+  node_set:Lpp_util.Iarr.t ->
   node_props:(int * Value.t) array array ->
   rel_src:Lpp_util.Iarr.t ->
   rel_dst:Lpp_util.Iarr.t ->
@@ -172,17 +202,29 @@ val unsafe_make_packed :
   rel_props:(int * Value.t) array array ->
   t
 (** Like {!unsafe_make} but taking every column already packed, so a
-    streaming builder never materialises boxed copies. Node [n]'s labels are
-    [label_ids] at [\[label_off.(n), label_off.(n+1))]; [label_off] has
-    node-count + 1 entries. They are interned straight from the slices. *)
+    streaming builder never materialises boxed copies. The columns become
+    the graph's own, uncopied:
+    - [label_sets] holds every set a node carries, and [node_set] one set id
+      per node (its length is the node count); each label in a set must be
+      below [Interner.size labels].
+    - [rel_src], [rel_dst] and [rel_type] hold one entry per relationship
+      (their common length is the relationship count); endpoints must be
+      node ids.
+    - [node_props] and [rel_props] are as for {!unsafe_make}.
+
+    The CSR sides and the label index are built here, in their own offset
+    columns, with no temporary per node or per relationship. *)
 
 (** {1 Memory accounting} *)
 
 val memory_breakdown : t -> (string * int) list
 (** Physical bytes of the Bigarray-backed components: the relationship
-    columns and the CSR adjacency (labelled ["graph.rels"] and
-    ["graph.adjacency"]). Boxed per-entity data (labels, properties) is not
-    included. *)
+    columns (["graph.rels"]), the CSR adjacency (["graph.adjacency"]) and
+    the label columns (["graph.labels"]: the node-to-set column and the
+    label index). The shared label sets and the boxed property arrays are
+    not included. *)
 
 val csr_bytes : t -> int
-(** Total over {!memory_breakdown}. *)
+(** Bytes of the relationship columns plus the CSR adjacency: the
+    ["graph.rels"] and ["graph.adjacency"] rows of {!memory_breakdown}, not
+    the label columns. *)

@@ -1,13 +1,15 @@
 module Ivec = Lpp_util.Ivec
 
-(* Streaming construction: relationship columns and per-node label slices go
-   straight into growable Bigarray vectors, 32 bits wide while ids fit, and
-   property arrays into growable arrays indexed by entity id that end at the
-   last entity carrying one (a large-tier graph has none).
-   At freeze the relationship vectors become the graph's columns as they
-   are. Peak RSS while building is the final flat layout plus doubling
-   slack — no per-node records, no reversed lists, no second copy at freeze
-   time.
+(* Streaming construction: relationship columns and each node's label-set
+   id go straight into growable Bigarray vectors, 32 bits wide while ids
+   fit, and property arrays into growable arrays indexed by entity id that
+   end at the last entity carrying one (a large-tier graph has none).
+   [add_node] interns its label set as it arrives, so a node costs one
+   4-byte slot. At freeze these vectors become the graph's columns as they
+   are, and the graph builds its CSR sides and label index in their own
+   offset columns. Peak RSS while building is the final flat layout plus
+   doubling slack — no per-node records, no reversed lists, no second copy
+   and no per-entity temporary at freeze time.
 
    An entity gets no table of its own: label ids are sorted and
    deduplicated in the array they arrive in, and a property list becomes
@@ -28,8 +30,8 @@ type t = {
   type_names : Interner.t;
   key_names : Interner.t;
   mutable n_nodes : int;
-  lab_off : Ivec.t; (* n_nodes + 1 slice offsets into lab_ids *)
-  lab_ids : Ivec.t;
+  label_sets : Graph.Label_sets.t;
+  node_set : Ivec.t; (* node -> label-set id *)
   node_props : props;
   mutable n_rels : int;
   src : Ivec.t;
@@ -45,15 +47,13 @@ let g_ingest_rate = Lpp_obs.Metrics.gauge "build.edges_per_sec"
 let g_graph_bytes = Lpp_obs.Metrics.gauge "build.graph_bytes"
 
 let create () =
-  let lab_off = Ivec.create () in
-  Ivec.push lab_off 0;
   {
     label_names = Interner.create ();
     type_names = Interner.create ();
     key_names = Interner.create ();
     n_nodes = 0;
-    lab_off;
-    lab_ids = Ivec.create ();
+    label_sets = Graph.Label_sets.create ();
+    node_set = Ivec.create ();
     node_props = { arr = [||]; len = 0 };
     n_rels = 0;
     src = Ivec.create ();
@@ -142,11 +142,8 @@ let prop_key_count t = Interner.size t.key_names
 
 (* [labels] is the builder's own array: sorted and deduplicated in place. *)
 let push_node t labels =
-  let n = sort_dedup labels Fun.id in
-  for i = 0 to n - 1 do
-    Ivec.push t.lab_ids labels.(i)
-  done;
-  Ivec.push t.lab_off (Ivec.length t.lab_ids);
+  let len = sort_dedup labels Fun.id in
+  Ivec.push t.node_set (Graph.Label_sets.intern t.label_sets labels ~len);
   let id = t.n_nodes in
   t.n_nodes <- id + 1;
   id
@@ -255,7 +252,8 @@ let freeze t =
     @@ fun () ->
     let g =
       Graph.unsafe_make_packed ~labels:t.label_names ~rel_types:t.type_names
-        ~prop_keys:t.key_names ~label_off:t.lab_off ~label_ids:t.lab_ids
+        ~prop_keys:t.key_names ~label_sets:t.label_sets
+        ~node_set:(Ivec.to_iarr t.node_set)
         ~node_props:(props_freeze t.node_props)
         ~rel_src:(Ivec.to_iarr t.src) ~rel_dst:(Ivec.to_iarr t.dst)
         ~rel_type:(Ivec.to_iarr t.typ)

@@ -1,11 +1,13 @@
 (** Mutable construction of a property graph, frozen into a {!Graph.t}.
 
-    Construction is streaming: labels and relationship endpoints accumulate
-    in flat growable Bigarray vectors (32 bits wide while ids fit) and
-    properties in sparse per-entity tables. {!freeze} hands the relationship
-    vectors to the graph as its columns, so peak memory while loading a
-    10⁷–10⁸-edge graph is the final packed layout plus doubling slack —
-    never a second copy.
+    Construction is streaming: each node's label set is interned as the
+    node arrives, and its set id and the relationship endpoints and types
+    accumulate in flat growable Bigarray vectors (32 bits wide while ids
+    fit); properties go to sparse per-entity tables. {!freeze} hands these
+    vectors to the graph as its columns and builds the CSR sides and the
+    label index in their own offset columns, so peak memory while loading
+    a 10⁷–10⁸-edge graph is the final packed layout plus doubling slack —
+    never a second copy, and no per-entity temporary on the OCaml heap.
 
     {[
       let b = Graph_builder.create () in

@@ -374,14 +374,8 @@ module Builder = struct
   let count_rels g =
     let n_sets = Graph.label_set_count g and n_types = Graph.rel_type_count g in
     let cells = Itbl.create 64 in
-    for r = 0 to Graph.rel_count g - 1 do
-      bump cells
-        ((((Graph.node_label_set g (Graph.rel_src g r) * n_types)
-          + Graph.rel_type g r)
-         * n_sets)
-        + Graph.node_label_set g (Graph.rel_dst g r))
-        1
-    done;
+    Graph.iter_rel_cells g (fun s1 typ s2 ->
+        bump cells ((((s1 * n_types) + typ) * n_sets) + s2) 1);
     cells
 
   (* Expand cells into the label-level counters: a cell's count goes to
@@ -425,10 +419,7 @@ module Builder = struct
           Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.infer_partition"
             (fun () -> Label_partition.infer g)
     in
-    let nc =
-      Array.init (Graph.label_count g) (fun l ->
-          Array.length (Graph.nodes_with_label g l))
-    in
+    let nc = Array.init (Graph.label_count g) (Graph.label_node_count g) in
     let cells =
       Lpp_obs.Trace.with_span ~cat:"catalog" "catalog.count"
         ~args:(fun () -> [| ("rels", float_of_int (Graph.rel_count g)) |])

@@ -260,7 +260,7 @@ let note_kind out kind =
 
 (* Nodes: [Any_node] over every carrier, then each label over the label
    sets that hold it — once per occurrence, as a label repeated in an
-   [unsafe_make] list counts its node twice in [nodes_with_label] too. *)
+   [unsafe_make] list counts its node twice in [label_node_count] too. *)
 let count_nodes g ~n_keys out =
   let n_sets = Graph.label_set_count g in
   let kind =
@@ -281,7 +281,7 @@ let count_nodes g ~n_keys out =
     Array.iteri
       (fun l sets ->
         List.iter (add_class sc) sets;
-        close sc out ~row:(1 + l) ~total:(Array.length (Graph.nodes_with_label g l)))
+        close sc out ~row:(1 + l) ~total:(Graph.label_node_count g l))
       sets_of
   end
 

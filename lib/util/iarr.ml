@@ -27,11 +27,6 @@ let get t i =
   | I32 a -> Int32.to_int (Bigarray.Array1.get a i)
   | I64 a -> Bigarray.Array1.get a i
 
-let set t i v =
-  match t with
-  | I32 a -> Bigarray.Array1.set a i (Int32.of_int v)
-  | I64 a -> Bigarray.Array1.set a i v
-
 let max_element arr =
   Array.fold_left (fun acc v -> if v > acc then v else acc) 0 arr
 
@@ -70,8 +65,6 @@ let iter_range t ~pos ~len f =
       for i = pos to pos + len - 1 do
         f (Bigarray.Array1.get a i)
       done
-
-let iter t f = iter_range t ~pos:0 ~len:(length t) f
 
 let size_in_bytes = function
   | I32 a -> Bigarray.Array1.size_in_bytes a

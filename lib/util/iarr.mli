@@ -5,8 +5,11 @@
     non-negative machine integers. Keeping them in a Bigarray instead of an
     [int array] takes them off the OCaml heap entirely: the GC neither scans
     nor moves them, and when every value fits in 31 bits the [Int32] kind
-    halves the footprint. The variant is matched once per bulk operation
-    ({!iter_range}), so hot loops do not re-dispatch per element.
+    halves the footprint. Bulk operations ({!iter_range}, {!sub_to_array})
+    match the variant once per call; {!get} matches it per element. Dune's
+    default profile compiles modules opaque, so {!get} from another module
+    is a call per element: a hot per-element loop matches the variant in
+    place instead.
 
     Values must be non-negative; {!create} picks the 32-bit representation
     exactly when [max_value] fits in an [int32]. *)
@@ -29,10 +32,6 @@ val bits : t -> int
 
 val get : t -> int -> int
 
-val set : t -> int -> int -> unit
-(** The value must fit the representation chosen at creation; out-of-range
-    values in an [I32] array are silently truncated (caller's invariant). *)
-
 val of_array : ?max_value:int -> int array -> t
 (** Pack a plain array; [max_value] defaults to the array's maximum element
     (one extra pass). *)
@@ -41,8 +40,6 @@ val to_array : t -> int array
 
 val sub_to_array : t -> pos:int -> len:int -> int array
 (** Fresh boxed copy of a slice. *)
-
-val iter : t -> (int -> unit) -> unit
 
 val iter_range : t -> pos:int -> len:int -> (int -> unit) -> unit
 (** Apply [f] to each element of [\[pos, pos+len)] in order; the

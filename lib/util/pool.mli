@@ -17,24 +17,20 @@
     state with other chunks; each chunk should accumulate into its own local
     state and let the caller merge. *)
 
-val default_jobs : unit -> int
-(** The [LPP_JOBS] environment variable if set to a positive integer, else a
-    value set via {!set_default_jobs}, else [Domain.recommended_domain_count]. *)
-
 val set_default_jobs : int -> unit
 (** Process-wide override (clamped to ≥ 1) taking precedence over [LPP_JOBS];
     used by command-line [--jobs] flags. *)
-
-val resolve_jobs : int option -> int
-(** [resolve_jobs (Some j)] is [max 1 j]; [resolve_jobs None] is
-    {!default_jobs}[ ()]. The idiom for [?jobs] parameters. *)
 
 val parallel_chunks :
   ?jobs:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a list
 (** [parallel_chunks ~jobs ~n f] evaluates [f ~lo ~hi] over a partition of
     [\[0, n)] into [min jobs n] contiguous chunks and returns the results in
     ascending chunk order. Returns [[]] for [n = 0]. If any chunk raises, the
-    first exception observed is re-raised after all chunks finished. *)
+    first exception observed is re-raised after all chunks finished.
+
+    [jobs] below 1 counts as 1. Without [jobs], it is the
+    {!set_default_jobs} override, else the [LPP_JOBS] environment variable
+    if set to a positive integer, else [Domain.recommended_domain_count]. *)
 
 val parallel_map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map: [parallel_map_array f a] equals
@@ -49,7 +45,3 @@ val set_monitor :
     dequeue. Used by the observability layer ([Lpp_obs.Obs.enable]) for
     per-domain task spans and steal/queue-depth metrics; the [None] default
     costs one load and branch per task. *)
-
-val shutdown : unit -> unit
-(** Stop and join all worker domains (the pool restarts lazily on the next
-    parallel call). Registered with [at_exit]; rarely needed directly. *)

@@ -69,9 +69,9 @@ val generate :
     generation order.
 
     Sampling consumes [rng] sequentially; only the per-candidate ground-truth
-    counts are spread across [jobs] domains (default
-    {!Lpp_util.Pool.default_jobs}) in fixed-size batches, so the generated
-    query set is the same for every [jobs] value. *)
+    counts are spread across [jobs] domains (default [--jobs], else
+    [LPP_JOBS], else the recommended domain count) in fixed-size batches,
+    so the generated query set is the same for every [jobs] value. *)
 
 val size_bucket : int -> string
 (** Buckets used by Figure 7: "2-4", "5-6", "7-8", "9+". *)

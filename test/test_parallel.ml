@@ -10,11 +10,15 @@ let jobs_values = [ 1; 2; 4 ]
 
 (* ---------------- Pool primitives ---------------- *)
 
+(* How [?jobs] resolves, read as the chunk count of a 10-element range. *)
 let test_resolve_jobs () =
-  Alcotest.(check int) "Some j passes through" 5 (Pool.resolve_jobs (Some 5));
-  Alcotest.(check int) "Some 0 clamps to 1" 1 (Pool.resolve_jobs (Some 0));
-  Alcotest.(check int) "Some -3 clamps to 1" 1 (Pool.resolve_jobs (Some (-3)));
-  Alcotest.(check bool) "default is positive" true (Pool.resolve_jobs None >= 1)
+  let chunks ?jobs () =
+    List.length (Pool.parallel_chunks ?jobs ~n:10 (fun ~lo ~hi -> (lo, hi)))
+  in
+  Alcotest.(check int) "jobs 5 passes through" 5 (chunks ~jobs:5 ());
+  Alcotest.(check int) "jobs 0 clamps to 1" 1 (chunks ~jobs:0 ());
+  Alcotest.(check int) "jobs -3 clamps to 1" 1 (chunks ~jobs:(-3) ());
+  Alcotest.(check bool) "default is positive" true (chunks () >= 1)
 
 let test_chunks_partition () =
   List.iter

@@ -213,6 +213,31 @@ let test_graph_fold () =
   Alcotest.(check int) "fold_rels counts" (Graph.rel_count g)
     (Graph.fold_rels g ~init:0 ~f:(fun acc _ -> acc + 1))
 
+(* A property-free graph keeps every per-entity column off the OCaml heap,
+   so it reaches the same number of heap words at 10k, 20k and 40k nodes (2
+   labels, 2 types, 2n relationships). A boxed per-node or per-relationship
+   array, such as a label index of node ids, grows with n. *)
+let test_graph_heap_words_constant () =
+  let heap_words n =
+    let b = Graph_builder.create () in
+    for i = 0 to n - 1 do
+      ignore
+        (Graph_builder.add_node b
+           ~labels:(List.filteri (fun j _ -> (i lsr j) land 1 = 1) [ "A"; "B" ])
+           ~props:[])
+    done;
+    for r = 0 to (2 * n) - 1 do
+      ignore
+        (Graph_builder.add_rel b ~src:(r mod n) ~dst:(r * 7919 mod n)
+           ~rel_type:(if r land 1 = 0 then "x" else "y")
+           ~props:[])
+    done;
+    Obj.reachable_words (Obj.repr (Graph_builder.freeze b))
+  in
+  let w = heap_words 10_000 in
+  Alcotest.(check int) "20k nodes: heap words as at 10k" w (heap_words 20_000);
+  Alcotest.(check int) "40k nodes: heap words as at 10k" w (heap_words 40_000)
+
 (* qcheck: a randomly built graph has consistent adjacency *)
 let prop_adjacency_consistent =
   QCheck.Test.make ~name:"builder adjacency consistent" ~count:50
@@ -270,5 +295,7 @@ let suite =
     Alcotest.test_case "graph: folds" `Quick test_graph_fold;
     Alcotest.test_case "graph: props past the last carrier" `Quick
       test_props_past_last_carrier;
+    Alcotest.test_case "graph: heap words independent of size" `Quick
+      test_graph_heap_words_constant;
     QCheck_alcotest.to_alcotest prop_adjacency_consistent;
   ]

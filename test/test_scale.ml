@@ -187,6 +187,52 @@ let prop_csr_accessors_agree =
       List.iter (fun (_, v) -> if v < 0 then ok := false) breakdown;
       !ok)
 
+(* The label index and the cell walk against their definitions: each
+   label's extent is the ascending filter of the nodes carrying it, and its
+   count is that extent's length, also for ids outside the vocabulary;
+   every adjacency slice is ascending; [iter_rel_cells] yields each
+   relationship's (source set, type, target set) in id order. *)
+let prop_label_index_and_cells =
+  QCheck.Test.make ~name:"label index and rel cells == their definitions"
+    ~count:80
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g = build_batch (random_graph_spec (Rng.create (seed + 17))) in
+      let ascending a =
+        let ok = ref true in
+        for i = 1 to Array.length a - 1 do
+          if a.(i - 1) >= a.(i) then ok := false
+        done;
+        !ok
+      in
+      let labels_ok =
+        List.for_all
+          (fun l ->
+            let expected =
+              List.filter
+                (fun n -> Array.mem l (Graph.node_labels g n))
+                (List.init (Graph.node_count g) Fun.id)
+            in
+            Array.to_list (Graph.nodes_with_label g l) = expected
+            && Graph.label_node_count g l = List.length expected)
+          (List.init (Graph.label_count g + 4) (fun i -> i - 1))
+      in
+      let slices_ok =
+        List.for_all
+          (fun n ->
+            ascending (Graph.out_rels g n) && ascending (Graph.in_rels g n))
+          (List.init (Graph.node_count g) Fun.id)
+      in
+      let cells = ref [] in
+      Graph.iter_rel_cells g (fun s typ d -> cells := (s, typ, d) :: !cells);
+      let expected_cells =
+        List.init (Graph.rel_count g) (fun r ->
+            ( Graph.node_label_set g (Graph.rel_src g r),
+              Graph.rel_type g r,
+              Graph.node_label_set g (Graph.rel_dst g r) ))
+      in
+      labels_ok && slices_ok && List.rev !cells = expected_cells)
+
 (* The Bigarray catalog must answer every read like the per-relationship
    oracle on the same random graphs (property sprinkle included), also after
    a Builder grows the label and type id space past the graph's. *)
@@ -403,6 +449,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_streaming_equals_batch;
     QCheck_alcotest.to_alcotest prop_csr_accessors_agree;
+    QCheck_alcotest.to_alcotest prop_label_index_and_cells;
     QCheck_alcotest.to_alcotest prop_catalog_reads_match_oracle;
     Alcotest.test_case "scale: props off, same structure" `Quick
       test_props_off_same_structure;
