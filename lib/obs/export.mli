@@ -7,8 +7,8 @@
 val chrome_trace : unit -> Lpp_util.Json.t
 (** The [trace_event] document Chrome's [about:tracing] / Perfetto loads:
     one ["ph": "X"] (complete) event per span with microsecond [ts]/[dur],
-    [tid] = recording domain, plus thread-name metadata events and a
-    [droppedSpans] count. *)
+    [tid] = the recording ring's slot (a span's [dom]: one live domain at
+    a time), plus thread-name metadata events and a [droppedSpans] count. *)
 
 val write_chrome_trace : string -> unit
 

@@ -5,9 +5,14 @@
    Domain.DLS) an array of cells indexed by metric id, so an increment is
    one DLS lookup plus plain int stores — no atomics, no contention. Shards
    register themselves under a mutex on first use; reads ([value],
-   [snapshot]) merge all shards. Word-sized loads cannot tear in OCaml, so
-   reading concurrently with writers yields a momentary but valid view;
-   exact totals require the workload to be quiescent, which is when the CLI
+   [snapshot]) merge all shards. A shard belongs to one live domain at a
+   time: when its domain exits, [Domain.at_exit] puts it on a free list and
+   the next domain that records takes it over, counts included, so pool
+   domains spawned afresh on every call add no shards. A gauge keeps the
+   exited owner's last value as its floor, so the merged gauge stays the
+   max over domains. Word-sized loads cannot tear in OCaml, so reading
+   concurrently with writers yields a momentary but valid view; exact
+   totals require the workload to be quiescent, which is when the CLI
    sinks run.
 
    Registration ([counter] / [gauge] / [histogram]) is idempotent by name
@@ -85,6 +90,7 @@ type cell = {
   mutable v : int;  (* counter total / gauge value / histogram count *)
   mutable sum : float;  (* histograms only *)
   mutable hist : int array;  (* [||] unless the metric is a histogram *)
+  mutable floor : int;  (* gauges only: max last value of earlier owners *)
 }
 
 type shard = { mutable cells : cell option array }
@@ -94,9 +100,25 @@ let shards : shard list ref = ref []
   "shard registry: registration holds [mutex]; merged reads assume \
    quiescence (see module header)"]
 
+let free : shard list ref = ref []
+[@@lpp.domain_safe "shards of exited domains; guarded by [mutex]"]
+
 let make_shard () =
-  let sh = { cells = Array.make 64 None } in
-  Lpp_util.Sync.with_lock mutex (fun () -> shards := sh :: !shards);
+  let sh =
+    Lpp_util.Sync.with_lock mutex (fun () ->
+        match !free with
+        | sh :: rest ->
+            free := rest;
+            sh
+        | [] ->
+            let sh = { cells = Array.make 64 None } in
+            shards := sh :: !shards;
+            sh)
+  in
+  Domain.at_exit (fun () ->
+      Lpp_util.Sync.with_lock mutex (fun () ->
+          Array.iter (Option.iter (fun c -> c.floor <- max c.floor c.v)) sh.cells;
+          free := sh :: !free));
   sh
 
 let shard_key = Domain.DLS.new_key make_shard
@@ -119,6 +141,7 @@ let cell (m : metric) =
             (match m.kind with
             | Histogram -> Array.make bucket_count 0
             | Counter | Gauge -> [||]);
+          floor = 0;
         }
       in
       sh.cells.(m.id) <- Some c;
@@ -156,7 +179,7 @@ let fold_cells (m : metric) ~init ~f =
 let value (m : metric) =
   match m.kind with
   | Counter | Histogram -> fold_cells m ~init:0 ~f:(fun acc c -> acc + c.v)
-  | Gauge -> fold_cells m ~init:0 ~f:(fun acc c -> max acc c.v)
+  | Gauge -> fold_cells m ~init:0 ~f:(fun acc c -> max acc (max c.floor c.v))
 
 let gauge_value = value
 
@@ -219,6 +242,7 @@ let reset () =
               | None -> ()
               | Some c ->
                   c.v <- 0;
+                  c.floor <- 0;
                   c.sum <- 0.0;
                   Array.fill c.hist 0 (Array.length c.hist) 0)
             sh.cells)

@@ -1,5 +1,5 @@
 (* Facade: the global switch plus the wiring that cannot live in the
-   instrumented libraries themselves (the Pool task monitor — Lpp_util must
+   instrumented libraries themselves (the Pool chunk monitor — Lpp_util must
    not depend on Lpp_obs, so the hook is injected from here). *)
 
 let enabled = Flag.enabled
@@ -11,20 +11,13 @@ let enabled = Flag.enabled
    Read-only outside this library: flip it via {!enable} / {!disable}. *)
 let live = Flag.flag
 
-(* Pool instrumentation: per-task spans tagged by who executed them, steal
-   and worker-task counters, and the queue depth observed at each dequeue. *)
+(* Pool instrumentation: one span and one counter increment per chunk that
+   runs on a spawned domain. *)
 let pool_tasks = Metrics.counter "pool.task.worker"
 
-let pool_steals = Metrics.counter "pool.task.steal"
-
-let pool_queue_depth = Metrics.histogram "pool.queue_depth"
-
-let pool_monitor ~helped ~queue_depth task =
-  Metrics.incr (if helped then pool_steals else pool_tasks);
-  Metrics.observe pool_queue_depth (float_of_int queue_depth);
-  Trace.with_span ~cat:"pool"
-    (if helped then "pool.task.steal" else "pool.task")
-    task
+let pool_monitor task =
+  Metrics.incr pool_tasks;
+  Trace.with_span ~cat:"pool" "pool.task" task
 
 let enable () =
   Lpp_util.Pool.set_monitor (Some pool_monitor);

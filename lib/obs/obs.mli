@@ -6,9 +6,9 @@
     system behaves bit-identically to an uninstrumented build. Flip the
     switch only from quiescent points (no parallel work in flight).
 
-    {!enable} also installs the [Lpp_util.Pool] task monitor (per-domain
-    task spans, steal counters, queue-depth histogram); {!disable} removes
-    it. *)
+    {!enable} also installs the [Lpp_util.Pool] chunk monitor (a
+    [pool.task] span and a [pool.task.worker] increment per chunk that runs
+    on a spawned domain); {!disable} removes it. *)
 
 val enabled : unit -> bool
 (** Read by every instrumentation site; [false] by default. *)

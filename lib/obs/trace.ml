@@ -1,12 +1,19 @@
 (* Low-overhead span tracer.
 
-   Every domain owns a private ring buffer of completed spans plus an
+   Every domain that records owns a ring buffer of completed spans plus an
    explicit span stack (begin/end pairs), both reached through one
    [Domain.DLS] lookup — recording a span never takes a lock and never
-   allocates beyond the span record itself. Buffers register themselves in a
+   allocates beyond the span record itself. Rings register themselves in a
    global list on first use so [spans] can merge them; merging and clearing
-   assume the traced workload is quiescent (every [Pool] call returned),
-   which is when the CLI sinks run.
+   assume the traced workload is quiescent (every [Pool] call returned, so
+   every pool domain has exited), which is when the CLI sinks run.
+
+   A ring is a slot that belongs to one live domain at a time: when its
+   domain exits, [Domain.at_exit] puts it on a free list, and the next
+   domain that records takes it over. The released ring keeps its spans
+   (they stay merged) and starts its next owner at depth 0, so a process
+   that spawns fresh pool domains on every call holds as many rings as it
+   ever had domains alive at once.
 
    A span's begin and end always execute on the same domain (the stack lives
    in domain-local storage), so spans cannot cross domains and the per-domain
@@ -20,7 +27,7 @@ type span = {
   cat : string;
   ts : int64;  (* start, ns since [epoch] *)
   dur : int64;  (* ns *)
-  dom : int;  (* dense per-domain slot, 0 = first domain that traced *)
+  dom : int;  (* dense slot id, 0 = the first ring made *)
   depth : int;  (* nesting depth at begin time, outermost = 0 *)
   args : (string * float) array;
 }
@@ -52,27 +59,36 @@ let states : dom_state list ref = ref []
   "ring registry: registration holds [registry_mutex]; merging assumes \
    quiescence (see module header)"]
 
-let next_id = ref 0
-[@@lpp.domain_safe "guarded by [registry_mutex]"]
+let free : dom_state list ref = ref []
+[@@lpp.domain_safe "rings of exited domains; guarded by [registry_mutex]"]
 
 let make_state () =
-  Lpp_util.Sync.with_lock registry_mutex (fun () ->
-      let id = !next_id in
-      incr next_id;
-      let st =
-        {
-          id;
-          buf = Array.make capacity dummy;
-          len = 0;
-          dropped = 0;
-          stack_name = Array.make 64 "";
-          stack_cat = Array.make 64 "";
-          stack_ts = Array.make 64 0L;
-          depth = 0;
-        }
-      in
-      states := st :: !states;
-      st)
+  let st =
+    Lpp_util.Sync.with_lock registry_mutex (fun () ->
+        match !free with
+        | st :: rest ->
+            free := rest;
+            st.depth <- 0;
+            st
+        | [] ->
+            let st =
+              {
+                id = List.length !states;
+                buf = Array.make capacity dummy;
+                len = 0;
+                dropped = 0;
+                stack_name = Array.make 64 "";
+                stack_cat = Array.make 64 "";
+                stack_ts = Array.make 64 0L;
+                depth = 0;
+              }
+            in
+            states := st :: !states;
+            st)
+  in
+  Domain.at_exit (fun () ->
+      Lpp_util.Sync.with_lock registry_mutex (fun () -> free := st :: !free));
+  st
 
 let key = Domain.DLS.new_key make_state
 

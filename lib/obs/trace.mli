@@ -7,16 +7,24 @@
     Every entry point is a no-op (one load, one branch) while the global
     switch ({!Obs.enabled}) is off.
 
+    A ring belongs to one live domain at a time: when its domain exits, the
+    next domain that records takes it over, keeping its spans and starting
+    at depth 0. So pool calls, which spawn fresh domains every time, never
+    hold more rings than domains were ever alive at once.
+
     {!spans}, {!clear} and {!dropped} merge or reset the per-domain buffers
     and must only run while the traced workload is quiescent (every
-    [Lpp_util.Pool] call has returned). *)
+    [Lpp_util.Pool] call has returned, so its domains have exited). *)
 
 type span = {
   name : string;
   cat : string;
   ts : int64;  (** start, ns since the process-wide trace epoch *)
   dur : int64;  (** ns *)
-  dom : int;  (** dense per-domain slot; 0 = first domain that traced *)
+  dom : int;
+      (** dense ring slot; 0 = the first ring made. A slot belongs to one
+          live domain at a time and passes to the next domain that records
+          once its domain exits. *)
   depth : int;  (** nesting depth at begin time, outermost = 0 *)
   args : (string * float) array;
 }

@@ -252,7 +252,7 @@ let check_ident st (txt : Longident.t) (loc : Location.t) =
   | Ldot (Lident "Domain", "spawn") ->
       emit st (rule "LPP-D002") loc
         "Domain.spawn outside the pool/server: submit work through \
-         Lpp_util.Pool so shutdown, determinism and monitoring hold"
+         Lpp_util.Pool so joining, determinism and monitoring hold"
   | Ldot (Lident "Mutex", (("lock" | "unlock" | "try_lock") as f)) ->
       emit st (rule "LPP-D003") loc
         "bare Mutex.%s leaks the lock if the critical section raises: use \

@@ -39,9 +39,9 @@ let all =
       scope = Everywhere;
       title = "Domain.spawn only in the pool and the server";
       rationale =
-        "lib/util/pool.ml (the work-stealing pool) and lib/serve/server.ml \
-         (the serving runtime) own domain lifecycles, including joining \
-         before exit; ad-hoc spawns elsewhere escape shutdown, the \
+        "lib/util/pool.ml (per-call domains, joined before each call \
+         returns) and lib/serve/server.ml (the serving runtime) own domain \
+         lifecycles; ad-hoc spawns elsewhere escape the join, the \
          determinism contract and the obs-layer monitor";
     };
     {

@@ -79,37 +79,32 @@ let of_pairs ~labels pairs =
   of_direct ~labels (fun l ->
       List.filter_map (fun (c, p) -> if c = l then Some p else None) pairs)
 
-let sorted_subset small big =
-  (* both ascending; is [small] ⊆ [big]? *)
-  let n_small = Array.length small and n_big = Array.length big in
-  let rec go i j =
-    if i >= n_small then true
-    else if j >= n_big then false
-    else if small.(i) = big.(j) then go (i + 1) (j + 1)
-    else if small.(i) > big.(j) then go i (j + 1)
-    else false
-  in
-  go 0 0
-
+(* ℓa ⊑ ℓb iff every node holds ℓb at least as often as ℓa. Nodes share
+   interned label sets, so it is enough to walk the sets that hold ℓa (as
+   [Label_partition.infer] walks them); the extents are then equal iff the
+   node counts are. *)
 let infer g =
   let labels = Graph.label_count g in
-  let extents = Array.init labels (Graph.nodes_with_label g) in
-  let supers = Array.make labels [] in
-  for a = 0 to labels - 1 do
-    for b = 0 to labels - 1 do
-      if a <> b && Array.length extents.(a) > 0 then begin
-        let subset = sorted_subset extents.(a) extents.(b) in
-        if subset then begin
-          let equal_extents =
-            Array.length extents.(a) = Array.length extents.(b)
-          in
-          (* alias extents: orient by id to keep the relation antisymmetric *)
-          if (not equal_extents) || a < b then supers.(a) <- b :: supers.(a)
-        end
-      end
-    done
+  let sets_with = Array.make labels [] in
+  for s = Graph.label_set_count g - 1 downto 0 do
+    let ls = Graph.label_set g s in
+    Array.iter (fun l -> sets_with.(l) <- ls :: sets_with.(l)) ls
   done;
-  of_direct ~labels (fun l -> supers.(l))
+  let count l ls = Array.fold_left (fun n x -> if x = l then n + 1 else n) 0 ls in
+  let supers a =
+    match sets_with.(a) with
+    | [] -> []
+    | first :: _ as sets ->
+        let nc = Graph.label_node_count g in
+        List.filter
+          (fun b ->
+            b <> a
+            && List.for_all (fun ls -> count b ls >= count a ls) sets
+            (* alias extents: orient by id to keep the relation antisymmetric *)
+            && (nc a <> nc b || a < b))
+          (List.sort_uniq Int.compare (Array.to_list first))
+  in
+  of_direct ~labels supers
 
 let height t =
   let n = label_count t in

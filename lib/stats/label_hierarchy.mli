@@ -23,7 +23,9 @@ val unsafe_of_supers : int array array -> t
 val infer : Lpp_pgraph.Graph.t -> t
 (** Schema inference: ℓᵢ ⊑ ℓⱼ iff extent(ℓᵢ) ⊆ extent(ℓⱼ) in the data and
     extent(ℓᵢ) is non-empty. Labels with identical extents are ordered by id to
-    keep the relation antisymmetric. *)
+    keep the relation antisymmetric. Decided from the interned label sets
+    (a node that lists a label twice counts twice), without copying any
+    extent. *)
 
 val label_count : t -> int
 

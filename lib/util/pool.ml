@@ -1,21 +1,17 @@
-(* Fixed-size domain pool over stdlib Domain/Mutex/Condition.
+(* Per-call domains over stdlib Domain.
 
-   One global pool of worker domains is grown lazily to the largest [jobs]
-   ever requested; callers submit contiguous index chunks and block until
-   their chunks complete. While blocked, a caller *helps*: it drains tasks
-   from the shared queue (possibly tasks of other, nested calls), which makes
-   nested [parallel_chunks] invocations deadlock-free — a waiting domain can
-   never sit idle while runnable work exists.
+   A call with k > 1 chunks spawns k − 1 domains, computes chunk 0 on the
+   caller's domain and joins every domain before it returns or raises, so no
+   domain outlives its call and none sits idle between calls (an idle domain
+   still takes part in every stop-the-world minor collection). A call made
+   from inside a chunk runs its chunks in order on that chunk's domain: at
+   most jobs − 1 pool domains are ever alive, and no call waits on another.
 
    Determinism contract: chunk boundaries depend only on [(jobs, n)], results
-   are stored by chunk index and returned in chunk order, so any
-   order-sensitive reduction performed by the caller sees the exact sequence
-   the sequential ([jobs = 1]) path produces.
-
-   Locking: every critical section goes through [Sync.with_lock], so a
-   raising body (a monitor callback, a chunk function) can never leave
-   [mutex] held. [Condition.wait] is called inside the critical section —
-   it releases and reacquires the mutex itself. *)
+   are returned in chunk order, and the first raising chunk in chunk order
+   decides the exception, so any order-sensitive reduction performed by the
+   caller sees the exact sequence the sequential ([jobs = 1]) path
+   produces. *)
 
 let clamp_jobs j = if j < 1 then 1 else j
 
@@ -46,177 +42,64 @@ let resolve_jobs = function
   | Some j -> clamp_jobs j
   | None -> default_jobs ()
 
-(* ---- observability hook --------------------------------------------- *)
-
-(* Optional task monitor, installed by the observability layer when tracing
-   is on; the callback wraps every queue-drawn task and must run it exactly
-   once. [helped] marks tasks a blocked caller drained while waiting for its
-   own chunks (the pool's equivalent of work stealing); [queue_depth] is the
-   queue length right after the dequeue. The [None] default costs one load
-   and branch per task. *)
-let monitor :
-    (helped:bool -> queue_depth:int -> (unit -> unit) -> unit) option Atomic.t =
-  Atomic.make None
-[@@lpp.domain_safe "one Atomic holding the obs-layer task monitor"]
+(* Optional chunk monitor, installed by the observability layer when tracing
+   is on; it wraps every chunk that runs on a spawned domain and must run it
+   exactly once. The [None] default costs one load and branch per chunk. *)
+let monitor : ((unit -> unit) -> unit) option Atomic.t = Atomic.make None
+[@@lpp.domain_safe "one Atomic holding the obs-layer chunk monitor"]
 
 let set_monitor m = Atomic.set monitor m
 
-let run_task ~helped ~queue_depth t =
+(* Set while the domain computes a chunk; a call that finds it set runs
+   inline. *)
+let in_chunk = Domain.DLS.new_key (fun () -> false)
+
+let attempt f = match f () with v -> Ok v | exception e -> Error e
+
+(* A monitor that raises, or returns without running its chunk, becomes the
+   chunk's outcome. *)
+let monitored f =
   match Atomic.get monitor with
-  | None -> t ()
-  | Some m -> m ~helped ~queue_depth t
+  | None -> attempt f
+  | Some m -> (
+      let outcome = ref None in
+      match m (fun () -> outcome := Some (attempt f)) with
+      | exception e -> Error e
+      | () ->
+          Option.value !outcome
+            ~default:(Error (Failure "Pool: monitor dropped its task")))
 
-(* ---- the shared scheduler ------------------------------------------- *)
-
-let mutex = Mutex.create ()
-
-(* Signalled on task arrival, task completion and shutdown; workers and
-   waiting callers share it and re-check their own predicate on wakeup. *)
-let cond = Condition.create ()
-
-(* Queued tasks receive how they were drawn (helped / queue depth) so the
-   monitor can be applied around the computation *inside* the task, before
-   the task publishes its completion — a caller that has seen all its chunks
-   complete must also see every monitor fully unwound (spans recorded). *)
-let queue : (helped:bool -> queue_depth:int -> unit) Queue.t = Queue.create ()
-[@@lpp.domain_safe "shared task queue; every access holds [mutex]"]
-
-let stopping = ref false
-[@@lpp.domain_safe "guarded by [mutex]"]
-
-let workers : unit Domain.t list ref = ref []
-[@@lpp.domain_safe "worker registry; mutated under [mutex] or at-exit only"]
-
-let worker_count = ref 0
-[@@lpp.domain_safe "guarded by [mutex]"]
-
-(* Tasks are pre-wrapped and never raise (run_chunk catches everything). *)
-let rec worker_loop () =
-  let task =
-    Sync.with_lock mutex (fun () ->
-        let rec next () =
-          if !stopping then None
-          else
-            match Queue.take_opt queue with
-            | Some t -> Some (t, Queue.length queue)
-            | None ->
-                Condition.wait cond mutex;
-                next ()
-        in
-        next ())
-  in
-  match task with
-  | None -> ()
-  | Some (t, depth) ->
-      t ~helped:false ~queue_depth:depth;
-      worker_loop ()
-
-let ensure_workers n =
-  Sync.with_lock mutex (fun () ->
-      let missing = n - !worker_count in
-      if missing > 0 then begin
-        worker_count := n;
-        for _ = 1 to missing do
-          workers := Domain.spawn worker_loop :: !workers
-        done
-      end)
-
-(* Wake the workers and join them so process exit never races a domain that
-   is still blocked on [cond]. *)
-let shutdown () =
-  Sync.with_lock mutex (fun () ->
-      stopping := true;
-      Condition.broadcast cond);
-  List.iter Domain.join !workers;
-  workers := [];
-  worker_count := 0;
-  Sync.with_lock mutex (fun () -> stopping := false)
-
-let () = at_exit shutdown
-
-(* ---- parallel primitives -------------------------------------------- *)
+let join d = match Domain.join d with o -> o | exception e -> Error e
 
 let parallel_chunks ?jobs ~n f =
   if n < 0 then invalid_arg "Pool.parallel_chunks: negative n";
-  let jobs = resolve_jobs jobs in
-  let k = clamp_jobs (min jobs n) in
+  let k = clamp_jobs (min (resolve_jobs jobs) n) in
+  let chunk i () = f ~lo:(i * n / k) ~hi:((i + 1) * n / k) in
   if n = 0 then []
-  else if k = 1 then [ f ~lo:0 ~hi:n ]
+  else if k = 1 || Domain.DLS.get in_chunk then List.init k (fun i -> chunk i ())
   else begin
-    ensure_workers (k - 1);
-    let bound i = i * n / k in
-    let results = Array.make k None in
-    let pending = ref k in
-    let first_exn = ref None in
-    let compute i () =
-      match f ~lo:(bound i) ~hi:(bound (i + 1)) with
-      | v -> Ok v
-      | exception e -> Error e
+    let on_domain i () =
+      Domain.DLS.set in_chunk true;
+      monitored (chunk i)
     in
-    let finish i outcome =
-      Sync.with_lock mutex (fun () ->
-          (match outcome with
-          | Ok v -> results.(i) <- Some v
-          | Error e -> if !first_exn = None then first_exn := Some e);
-          decr pending;
-          Condition.broadcast cond)
+    (* Spawned in chunk order; if a spawn fails, the domains already running
+       are joined before its exception propagates. *)
+    let rec spawn i acc =
+      if i = k then List.rev acc
+      else
+        match Domain.spawn (on_domain i) with
+        | d -> spawn (i + 1) (d :: acc)
+        | exception e ->
+            List.iter (fun d -> ignore (join d)) acc;
+            raise e
     in
-    (* Monitor around the computation only: completion must be published
-       after the monitor has fully unwound, or a caller could merge spans
-       while a worker is still recording its last one. A monitor that raises
-       (or fails to run its task) is reported to the caller as the chunk's
-       outcome instead of killing the worker domain that drew the task. *)
-    let run_chunk i ~helped ~queue_depth =
-      let outcome = ref None in
-      let monitor_exn =
-        match
-          run_task ~helped ~queue_depth (fun () -> outcome := Some (compute i ()))
-        with
-        | () -> None
-        | exception e -> Some e
-      in
-      finish i
-        (match (!outcome, monitor_exn) with
-        | Some o, None -> o
-        | _, Some e -> Error e
-        | None, None -> Error (Failure "Pool: monitor dropped its task"))
-    in
-    Sync.with_lock mutex (fun () ->
-        for i = 1 to k - 1 do
-          Queue.add (run_chunk i) queue
-        done;
-        Condition.broadcast cond);
-    (* The caller computes chunk 0 itself (inline, unmonitored), then helps
-       drain the queue until its own chunks are done. *)
-    finish 0 (compute 0 ());
-    let rec help () =
-      let action =
-        Sync.with_lock mutex (fun () ->
-            if !pending = 0 then `Done
-            else
-              match Queue.take_opt queue with
-              | Some t -> `Run (t, Queue.length queue)
-              | None ->
-                  Condition.wait cond mutex;
-                  `Again)
-      in
-      match action with
-      | `Done -> ()
-      | `Again -> help ()
-      | `Run (t, depth) ->
-          t ~helped:true ~queue_depth:depth;
-          help ()
-    in
-    help ();
-    match !first_exn with
-    | Some e -> raise e
-    | None ->
-        Array.to_list
-          (Array.map
-             (function
-               | Some v -> v
-               | None -> assert false (* pending = 0 and no exception *))
-             results)
+    let domains = spawn 1 [] in
+    Domain.DLS.set in_chunk true;
+    let first = attempt (chunk 0) in
+    Domain.DLS.set in_chunk false;
+    let outcomes = first :: List.map join domains in
+    List.iter (function Error e -> raise e | Ok _ -> ()) outcomes;
+    List.map Result.get_ok outcomes
   end
 
 let parallel_map_array ?jobs f arr =

@@ -155,6 +155,32 @@ let test_spans_across_domains () =
      in
      ok spans)
 
+(* Every pool call spawns fresh domains; the ring and the shard of each
+   exited domain pass to the next one that records, with their spans and
+   counts kept. *)
+let test_slots_reused_across_calls () =
+  let c = Lpp_obs.Metrics.counter "test.slot_reuse" in
+  with_obs @@ fun () ->
+  for _ = 1 to 50 do
+    ignore
+      (Pool.parallel_chunks ~jobs:4 ~n:4 (fun ~lo:_ ~hi:_ ->
+           Lpp_obs.Trace.with_span ~cat:"test" "reuse" (fun () ->
+               Lpp_obs.Metrics.incr c)))
+  done;
+  let spans = Lpp_obs.Trace.spans () in
+  let doms =
+    List.sort_uniq Int.compare
+      (List.map (fun (s : Lpp_obs.Trace.span) -> s.dom) spans)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 4 dom slots (%d)" (List.length doms))
+    true
+    (List.length doms <= 4);
+  Alcotest.(check int) "every span kept" 200
+    (List.length
+       (List.filter (fun (s : Lpp_obs.Trace.span) -> s.name = "reuse") spans));
+  Alcotest.(check int) "counter exact" 200 (Lpp_obs.Metrics.value c)
+
 (* ---- metrics --------------------------------------------------------- *)
 
 let test_metrics_disabled_noop () =
@@ -866,6 +892,8 @@ let suite =
       test_span_unbalanced_end;
     Alcotest.test_case "trace: spans across domains" `Quick
       test_spans_across_domains;
+    Alcotest.test_case "trace: slots reused across pool calls" `Quick
+      test_slots_reused_across_calls;
     Alcotest.test_case "metrics: disabled writes are no-ops" `Quick
       test_metrics_disabled_noop;
     Alcotest.test_case "metrics: registration idempotent" `Quick

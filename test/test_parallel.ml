@@ -76,8 +76,8 @@ let test_exception_propagates () =
     jobs_values
 
 let test_nested_calls () =
-  (* a caller waiting on its chunks helps drain the queue, so nesting with
-     more tasks than workers must not deadlock *)
+  (* a call made from inside a chunk runs its chunks inline on that chunk's
+     domain, so nesting never waits on another call *)
   let sum ~n f =
     List.fold_left ( + ) 0
       (Pool.parallel_chunks ~jobs:4 ~n (fun ~lo ~hi ->
@@ -91,6 +91,52 @@ let test_nested_calls () =
     for j = 0 to 9 do expect := !expect + (i * 10) + j done
   done;
   Alcotest.(check int) "nested sums" !expect total
+
+(* Every spawned domain is joined before the call returns: the at_exit
+   hooks of the three non-main chunks have all run by then. *)
+let test_no_domain_outlives_call () =
+  let exited = Atomic.make 0 in
+  ignore
+    (Pool.parallel_chunks ~jobs:4 ~n:8 (fun ~lo ~hi ->
+         if not (Domain.is_main_domain ()) then
+           Domain.at_exit (fun () -> Atomic.incr exited);
+         hi - lo));
+  Alcotest.(check int) "domains exited on return" 3 (Atomic.get exited)
+
+let test_nested_call_inline () =
+  let outer =
+    Pool.parallel_chunks ~jobs:4 ~n:4 (fun ~lo:_ ~hi:_ ->
+        let self = Domain.self () in
+        Pool.parallel_chunks ~jobs:4 ~n:10 (fun ~lo ~hi ->
+            (lo, hi, Domain.self () = self)))
+  in
+  List.iter
+    (fun inner ->
+      Alcotest.(check int) "min(jobs, n) chunks" 4 (List.length inner);
+      let next = ref 0 in
+      List.iter
+        (fun (lo, hi, same) ->
+          Alcotest.(check int) "contiguous" !next lo;
+          Alcotest.(check bool) "on the enclosing chunk's domain" true same;
+          next := hi)
+        inner;
+      Alcotest.(check int) "covers range" 10 !next)
+    outer
+
+(* Chunk 3 raises at once, chunk 1 only after a sleep; the caller must still
+   see chunk 1's exception, whatever order the chunks finish in. *)
+let test_first_raising_chunk_wins () =
+  for _ = 1 to 3 do
+    Alcotest.check_raises "chunk 1's exception" (Failure "chunk 1") (fun () ->
+        ignore
+          (Pool.parallel_chunks ~jobs:4 ~n:4 (fun ~lo ~hi:_ ->
+               match lo with
+               | 1 ->
+                   Unix.sleepf 0.05;
+                   failwith "chunk 1"
+               | 3 -> failwith "chunk 3"
+               | _ -> ())))
+  done
 
 (* ---------------- Matcher parity ---------------- *)
 
@@ -330,6 +376,12 @@ let suite =
     Alcotest.test_case "pool: map == Array.map" `Quick test_map_matches_sequential;
     Alcotest.test_case "pool: exception propagation" `Quick test_exception_propagates;
     Alcotest.test_case "pool: nested calls" `Quick test_nested_calls;
+    Alcotest.test_case "pool: no domain outlives its call" `Quick
+      test_no_domain_outlives_call;
+    Alcotest.test_case "pool: nested call runs inline" `Quick
+      test_nested_call_inline;
+    Alcotest.test_case "pool: first raising chunk wins" `Quick
+      test_first_raising_chunk_wins;
     Alcotest.test_case "matcher: parity on fixtures" `Quick test_matcher_parity_fixtures;
     Alcotest.test_case "matcher: parity on SNB workload" `Quick test_matcher_parity_snb;
     Alcotest.test_case "matcher: exact budget boundary" `Quick test_matcher_budget_parity;

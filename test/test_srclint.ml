@@ -375,7 +375,7 @@ let test_pool_survives_raising_monitor () =
     ~finally:(fun () -> Lpp_util.Pool.set_monitor None)
     (fun () ->
       Lpp_util.Pool.set_monitor
-        (Some (fun ~helped:_ ~queue_depth:_ _thunk -> raise Exit));
+        (Some (fun _thunk -> raise Exit));
       match
         Lpp_util.Pool.parallel_map_array ~jobs:2 Fun.id (Array.init 16 Fun.id)
       with
@@ -392,7 +392,7 @@ let test_pool_monitor_dropping_task () =
     ~finally:(fun () -> Lpp_util.Pool.set_monitor None)
     (fun () ->
       Lpp_util.Pool.set_monitor
-        (Some (fun ~helped:_ ~queue_depth:_ _thunk -> ()));
+        (Some (fun _thunk -> ()));
       match
         Lpp_util.Pool.parallel_map_array ~jobs:2 Fun.id (Array.init 4 Fun.id)
       with

@@ -440,7 +440,7 @@ let test_catalog_build_no_pool_task () =
   in
   Lpp_util.Pool.set_monitor
     (Some
-       (fun ~helped:_ ~queue_depth:_ run ->
+       (fun run ->
          Atomic.incr tasks;
          run ()));
   Fun.protect ~finally:(fun () -> Lpp_util.Pool.set_monitor None) @@ fun () ->
@@ -455,6 +455,55 @@ let test_catalog_rel_type_totals () =
   Alcotest.(check int) "attends ×4" 4 (Catalog.rel_type_total c (typ f.graph "attends"));
   Alcotest.(check int) "teaches ×2" 2 (Catalog.rel_type_total c (typ f.graph "teaches"));
   Alcotest.(check int) "total rels" 9 (Catalog.rel_total c)
+
+(* The definition [Label_hierarchy.infer] replaced: ℓa ⊑ ℓb iff ℓa's
+   non-empty extent is a sub-multiset of ℓb's, identical extents oriented by
+   id. *)
+let extent_hierarchy g =
+  let labels = Graph.label_count g in
+  let extents = Array.init labels (Graph.nodes_with_label g) in
+  let sorted_subset small big =
+    let rec go i j =
+      if i >= Array.length small then true
+      else if j >= Array.length big then false
+      else if small.(i) = big.(j) then go (i + 1) (j + 1)
+      else if small.(i) > big.(j) then go i (j + 1)
+      else false
+    in
+    go 0 0
+  in
+  let pairs = ref [] in
+  for a = 0 to labels - 1 do
+    for b = 0 to labels - 1 do
+      if a <> b && Array.length extents.(a) > 0
+         && sorted_subset extents.(a) extents.(b)
+         && (Array.length extents.(a) <> Array.length extents.(b) || a < b)
+      then pairs := (a, b) :: !pairs
+    done
+  done;
+  Label_hierarchy.of_pairs ~labels !pairs
+
+let prop_hierarchy_matches_extents =
+  QCheck.Test.make ~name:"hierarchy: infer == extent oracle" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Lpp_util.Rng.create (seed + 1) in
+      let g =
+        match seed mod 3 with
+        | 0 -> Test_properties.random_graph rng
+        | 1 -> Test_properties.random_graph ~rich:true rng
+        | _ -> snd (random_raw_graph rng)
+      in
+      let h = Label_hierarchy.infer g and o = extent_hierarchy g in
+      let n = Graph.label_count g in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              Label_hierarchy.is_strict_sublabel h a b
+              = Label_hierarchy.is_strict_sublabel o a b)
+            (List.init n Fun.id))
+        (List.init n Fun.id))
 
 let suite =
   [
@@ -494,4 +543,5 @@ let suite =
     Alcotest.test_case "catalog: build queues no pool task" `Quick
       test_catalog_build_no_pool_task;
     QCheck_alcotest.to_alcotest prop_catalog_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_hierarchy_matches_extents;
   ]
