@@ -18,7 +18,7 @@ let span_event (s : Trace.span) =
       ("ts", Json.Float (ns_to_us s.ts));
       ("dur", Json.Float (ns_to_us s.dur));
       ("pid", Json.Int 1);
-      ("tid", Json.Int s.dom);
+      ("tid", Json.Int s.domain);
     ]
   in
   let args =
@@ -33,26 +33,31 @@ let span_event (s : Trace.span) =
   in
   Json.Obj (base @ args)
 
-let thread_meta dom =
+(* One track per recording domain, named by its [Domain.self] id; the ring
+   slot a domain wrote into ([Trace.span.dom]) may have served others. *)
+let thread_meta domain =
   Json.Obj
     [
       ("name", Json.String "thread_name");
       ("ph", Json.String "M");
       ("pid", Json.Int 1);
-      ("tid", Json.Int dom);
-      ("args", Json.Obj [ ("name", Json.String (Printf.sprintf "domain-%d" dom)) ]);
+      ("tid", Json.Int domain);
+      ( "args",
+        Json.Obj [ ("name", Json.String (Printf.sprintf "domain-%d" domain)) ]
+      );
     ]
 
 let chrome_trace () =
   let spans = Trace.spans () in
-  let doms =
-    List.sort_uniq Int.compare (List.map (fun (s : Trace.span) -> s.dom) spans)
+  let domains =
+    List.sort_uniq Int.compare
+      (List.map (fun (s : Trace.span) -> s.domain) spans)
   in
   Json.Obj
     [
       ( "traceEvents",
         Json.List
-          (List.map thread_meta doms @ List.map span_event spans) );
+          (List.map thread_meta domains @ List.map span_event spans) );
       ("displayTimeUnit", Json.String "ms");
       ("droppedSpans", Json.Int (Trace.dropped ()));
     ]

@@ -13,7 +13,9 @@
    domain that records takes it over. The released ring keeps its spans
    (they stay merged) and starts its next owner at depth 0, so a process
    that spawns fresh pool domains on every call holds as many rings as it
-   ever had domains alive at once.
+   ever had domains alive at once. Each span carries the id of the domain
+   that recorded it as well as its ring slot, so successive owners of one
+   ring stay apart in the trace.
 
    A span's begin and end always execute on the same domain (the stack lives
    in domain-local storage), so spans cannot cross domains and the per-domain
@@ -28,6 +30,7 @@ type span = {
   ts : int64;  (* start, ns since [epoch] *)
   dur : int64;  (* ns *)
   dom : int;  (* dense slot id, 0 = the first ring made *)
+  domain : int;  (* [Domain.self ()] of the recording domain *)
   depth : int;  (* nesting depth at begin time, outermost = 0 *)
   args : (string * float) array;
 }
@@ -39,10 +42,20 @@ let epoch = Lpp_util.Clock.now_ns ()
 let capacity = 1 lsl 16
 
 let dummy =
-  { name = ""; cat = ""; ts = 0L; dur = 0L; dom = 0; depth = 0; args = [||] }
+  {
+    name = "";
+    cat = "";
+    ts = 0L;
+    dur = 0L;
+    dom = 0;
+    domain = 0;
+    depth = 0;
+    args = [||];
+  }
 
 type dom_state = {
   id : int;
+  mutable owner : int;  (* [Domain.self ()] of the domain holding the ring *)
   buf : span array;
   mutable len : int;
   mutable dropped : int;
@@ -63,17 +76,20 @@ let free : dom_state list ref = ref []
 [@@lpp.domain_safe "rings of exited domains; guarded by [registry_mutex]"]
 
 let make_state () =
+  let owner = (Domain.self () :> int) in
   let st =
     Lpp_util.Sync.with_lock registry_mutex (fun () ->
         match !free with
         | st :: rest ->
             free := rest;
+            st.owner <- owner;
             st.depth <- 0;
             st
         | [] ->
             let st =
               {
                 id = List.length !states;
+                owner;
                 buf = Array.make capacity dummy;
                 len = 0;
                 dropped = 0;
@@ -132,6 +148,7 @@ let end_span ?(args = [||]) () =
             ts = Lpp_util.Clock.diff_ns ~since:epoch t0;
             dur = Lpp_util.Clock.diff_ns ~since:t0 (Lpp_util.Clock.now_ns ());
             dom = st.id;
+            domain = st.owner;
             depth = d;
             args;
           };

@@ -25,6 +25,9 @@ type span = {
       (** dense ring slot; 0 = the first ring made. A slot belongs to one
           live domain at a time and passes to the next domain that records
           once its domain exits. *)
+  domain : int;
+      (** [Domain.self ()] of the domain that recorded the span: successive
+          domains sharing one ring slot keep distinct ids *)
   depth : int;  (** nesting depth at begin time, outermost = 0 *)
   args : (string * float) array;
 }

@@ -6,14 +6,16 @@ type node = int
 type rel = int
 
 (* Relationship columns and adjacency are CSR over Bigarrays ({!Iarr}): the
-   GC never scans them, and ids narrow to 32 bits when they fit — the
-   difference between a 10⁸-edge graph fitting in memory or not. Nodes
-   carry label sets by id: real graphs have a handful of distinct sets (SNB
-   has 11 over millions of nodes), so each node costs one narrow column slot
-   and the sets themselves are shared arrays. The label index is one more
-   CSR, keyed by label. Property lists stay boxed and the per-entity arrays
-   end at the last id that carries one: a graph without properties keeps
-   nothing per entity on the OCaml heap. *)
+   GC never scans them, and each column stores its ids in the fewest of 1,
+   2, 3, 4 or 8 bytes that hold them (15 relationship types in a byte, node
+   ids below 2^24 in three) — the difference between a 10⁸-edge graph
+   fitting in memory or not. Nodes carry label sets by id: real graphs have
+   a handful of distinct sets (SNB has 11 over millions of nodes), so each
+   node costs one narrow column slot and the sets themselves are shared
+   arrays. The label index is one more CSR, keyed by label. Property lists
+   stay boxed and the per-entity arrays end at the last id that carries
+   one: a graph without properties keeps nothing per entity on the OCaml
+   heap. *)
 type t = {
   labels : Interner.t;
   rel_types : Interner.t;
@@ -35,15 +37,31 @@ type t = {
   prop_total : int;
 }
 
-(* Element access with the representation matched in place. The library is
-   compiled opaque in dune's default profile, so [Iarr.get] is a call per
-   element; per-element loops here (the CSR fills, the cell walk) and the
-   accessors below read through these instead. *)
+(* Element access, inlined. The library is compiled opaque in dune's default
+   profile, so [Iarr.get] is a call per element; per-element loops here (the
+   CSR fills, the cell walk) and the accessors below read and write through
+   these copies of [Iarr.get] and [Iarr.set] instead: one masked 64-bit
+   load, and a store of exactly the column's width. *)
 let[@inline] get (a : Iarr.t) i =
-  match a with I32 b -> Int32.to_int (A1.get b i) | I64 b -> A1.get b i
+  if i < 0 || i >= a.length then invalid_arg "index out of bounds";
+  let x = Iarr.get64u a.data (i * a.width) in
+  Int64.to_int (if Sys.big_endian then Iarr.swap64 x else x) land a.mask
 
 let[@inline] set (a : Iarr.t) i v =
-  match a with I32 b -> A1.set b i (Int32.of_int v) | I64 b -> A1.set b i v
+  if i < 0 || i >= a.length then invalid_arg "index out of bounds";
+  let b = a.data and o = i * a.width in
+  match a.width with
+  | 1 -> A1.unsafe_set b o (Char.unsafe_chr v)
+  | 2 -> Iarr.set16u b o (if Sys.big_endian then Iarr.swap16 v else v)
+  | 3 ->
+      Iarr.set16u b o (if Sys.big_endian then Iarr.swap16 v else v);
+      A1.unsafe_set b (o + 2) (Char.unsafe_chr (v lsr 16))
+  | 4 ->
+      let x = Int32.of_int v in
+      Iarr.set32u b o (if Sys.big_endian then Iarr.swap32 x else x)
+  | _ ->
+      let x = Int64.of_int v in
+      Iarr.set64u b o (if Sys.big_endian then Iarr.swap64 x else x)
 
 let node_count t = Iarr.length t.node_set
 
@@ -226,17 +244,23 @@ end
    k + 1's, so [shift_back] restores the starts. Filling in ascending entry
    order keeps every slice ascending: the order the per-node adjacency
    lists once had, which matcher walk order and so every sampled
-   baseline's draws depend on. *)
+   baseline's draws depend on. Both passes run upward and carry the last
+   value in a register: reading back a slot just written would stall its
+   8-byte load on the narrower store still in flight. *)
 let prefix_sum off =
-  for i = 1 to Iarr.length off - 1 do
-    set off i (get off i + get off (i - 1))
+  let sum = ref 0 in
+  for i = 0 to Iarr.length off - 1 do
+    sum := !sum + get off i;
+    set off i !sum
   done
 
 let shift_back off =
-  for i = Iarr.length off - 1 downto 1 do
-    set off i (get off (i - 1))
-  done;
-  set off 0 0
+  let prev = ref 0 in
+  for i = 0 to Iarr.length off - 1 do
+    let v = get off i in
+    set off i !prev;
+    prev := v
+  done
 
 let build_csr ~n_nodes ~endpoints =
   let m = Iarr.length endpoints in
@@ -258,7 +282,10 @@ let build_csr ~n_nodes ~endpoints =
 
 (* The label index, the same CSR keyed by label: a node is entered once per
    occurrence of the label in its set, so an [unsafe_make] list that
-   repeats a label enters its node twice. Counts come per set. *)
+   repeats a label enters its node twice. Counts come per set, and the
+   fill's cursors sit in a per-label array: a handful of labels take every
+   node, so a cursor kept in [off] would be read back right after each
+   write, the stall [prefix_sum] avoids. *)
 let build_label_index ~n_labels ~node_set ~label_sets ~set_sizes =
   let n_nodes = Iarr.length node_set in
   let total = ref 0 in
@@ -273,15 +300,15 @@ let build_label_index ~n_labels ~node_set ~label_sets ~set_sizes =
     label_sets;
   prefix_sum off;
   let nodes = Iarr.create ~max_value:(max 0 (n_nodes - 1)) !total in
+  let cursor = Array.init n_labels (get off) in
   for n = 0 to n_nodes - 1 do
     let ls = label_sets.(get node_set n) in
     for i = 0 to Array.length ls - 1 do
-      let c = get off ls.(i) in
+      let c = cursor.(ls.(i)) in
       set nodes c n;
-      set off ls.(i) (c + 1)
+      cursor.(ls.(i)) <- c + 1
     done
   done;
-  shift_back off;
   (off, nodes)
 
 let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_sets ~node_set

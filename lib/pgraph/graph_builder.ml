@@ -1,15 +1,17 @@
 module Ivec = Lpp_util.Ivec
 
 (* Streaming construction: relationship columns and each node's label-set
-   id go straight into growable Bigarray vectors, 32 bits wide while ids
-   fit, and property arrays into growable arrays indexed by entity id that
-   end at the last entity carrying one (a large-tier graph has none).
-   [add_node] interns its label set as it arrives, so a node costs one
-   4-byte slot. At freeze these vectors become the graph's columns as they
-   are, and the graph builds its CSR sides and label index in their own
-   offset columns. Peak RSS while building is the final flat layout plus
-   doubling slack — no per-node records, no reversed lists, no second copy
-   and no per-entity temporary at freeze time.
+   id go straight into growable Bigarray vectors, each as wide as the
+   largest id pushed so far needs (1, 2, 3, 4 or 8 bytes), and property
+   arrays into growable arrays indexed by entity id that end at the last
+   entity carrying one (a large-tier graph has none). [add_node] interns
+   its label set as it arrives, so a node costs one slot of the set ids'
+   width, a byte for a graph with at most 256 label sets. At freeze these
+   vectors become the graph's columns as they are, and the graph builds its
+   CSR sides and label index in their own offset columns. Peak RSS while
+   building is the final flat layout plus doubling slack — no per-node
+   records, no reversed lists, no second copy and no per-entity temporary
+   at freeze time.
 
    An entity gets no table of its own: label ids are sorted and
    deduplicated in the array they arrive in, and a property list becomes

@@ -2,8 +2,9 @@
 
     Construction is streaming: each node's label set is interned as the
     node arrives, and its set id and the relationship endpoints and types
-    accumulate in flat growable Bigarray vectors (32 bits wide while ids
-    fit); properties go to sparse per-entity tables. {!freeze} hands these
+    accumulate in flat growable Bigarray vectors (each in the fewest of 1,
+    2, 3, 4 or 8 bytes that hold its largest id); properties go to sparse
+    per-entity tables. {!freeze} hands these
     vectors to the graph as its columns and builds the CSR sides and the
     label index in their own offset columns, so peak memory while loading
     a 10⁷–10⁸-edge graph is the final packed layout plus doubling slack —

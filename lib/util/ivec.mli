@@ -2,10 +2,11 @@
 
     The streaming {!Graph_builder} path appends tens of millions of
     relationship endpoints before the final width is known; this vector keeps
-    them off the OCaml heap while growing (amortised doubling). Elements are
-    stored in 32 bits while every pushed value fits an [int32] (the test
-    {!Iarr.create} applies); the first value that does not fit widens the
-    vector once to native ints, copying the live prefix. {!to_iarr} then
+    them off the OCaml heap while growing (amortised doubling). It starts at
+    one byte per element, the {!Iarr} layout, and the first value too wide
+    for the current width re-packs the live prefix once at the width that
+    value needs ({!Iarr.width_for}). A push is one 8-byte store into the
+    vector's own unwritten tail, which is never zero-filled. {!to_iarr} then
     hands the buffer over as the final column without a copy. *)
 
 type t
@@ -20,15 +21,12 @@ val get : t -> int -> int
 val push : t -> int -> unit
 
 val to_iarr : t -> Iarr.t
-(** The live prefix as an {!Iarr} view of the vector's own buffer: 32 bits
-    exactly when every pushed value fits an [int32], and no copy. Call it
-    after the last push: a later push that grows or widens the vector moves
-    it to a fresh buffer while the view keeps the old one alive. *)
+(** The live prefix as an {!Iarr} over the vector's own buffer, at the width
+    its largest value needs, and no copy. Call it after the last push: a
+    later push that grows or widens the vector moves it to a fresh buffer
+    while the view keeps the old one alive. *)
 
 val to_array : t -> int array
 
 val sub_to_array : t -> pos:int -> len:int -> int array
 (** @raise Invalid_argument if the slice exceeds the live prefix. *)
-
-val size_in_bytes : t -> int
-(** Bytes of the backing store (capacity, not length). *)

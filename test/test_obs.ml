@@ -181,6 +181,50 @@ let test_slots_reused_across_calls () =
        (List.filter (fun (s : Lpp_obs.Trace.span) -> s.name = "reuse") spans));
   Alcotest.(check int) "counter exact" 200 (Lpp_obs.Metrics.value c)
 
+(* Chrome trace tracks follow domains, not ring slots. The monitor below
+   (the span [Obs.enable]'s monitor opens, behind a turnstile) runs the
+   three spawned domains of one jobs-4 call one after another: each waits
+   until the one before has exited and released its ring, so all three
+   record into one slot, and their pool.task spans must still land on three
+   tracks. *)
+let test_chrome_tracks_by_domain () =
+  with_obs @@ fun () ->
+  let started = Atomic.make 0 and exited = Atomic.make 0 in
+  Pool.set_monitor
+    (Some
+       (fun task ->
+         let turn = Atomic.fetch_and_add started 1 in
+         while Atomic.get exited < turn do
+           Domain.cpu_relax ()
+         done;
+         (* registered before the ring is taken, so it runs after the
+            ring's release: exit callbacks run newest first *)
+         Domain.at_exit (fun () -> Atomic.incr exited);
+         Lpp_obs.Trace.with_span ~cat:"pool" "pool.task" task));
+  ignore (Pool.parallel_chunks ~jobs:4 ~n:4 (fun ~lo ~hi:_ -> lo));
+  let tasks =
+    List.filter
+      (fun (s : Lpp_obs.Trace.span) -> s.name = "pool.task")
+      (Lpp_obs.Trace.spans ())
+  in
+  let distinct f = List.length (List.sort_uniq Int.compare (List.map f tasks)) in
+  Alcotest.(check int) "three spawned domains traced" 3 (List.length tasks);
+  Alcotest.(check int) "one ring slot between them" 1
+    (distinct (fun (s : Lpp_obs.Trace.span) -> s.dom));
+  let tids =
+    match Json.member "traceEvents" (Lpp_obs.Export.chrome_trace ()) with
+    | Some (Json.List events) ->
+        List.filter_map
+          (fun e ->
+            match (Json.member "name" e, Json.member "tid" e) with
+            | Some (Json.String "pool.task"), Some (Json.Int tid) -> Some tid
+            | _ -> None)
+          events
+    | _ -> Alcotest.fail "traceEvents missing"
+  in
+  Alcotest.(check int) "three tids" 3
+    (List.length (List.sort_uniq Int.compare tids))
+
 (* ---- metrics --------------------------------------------------------- *)
 
 let test_metrics_disabled_noop () =
@@ -915,6 +959,8 @@ let suite =
     Alcotest.test_case "dataset: start-up spans" `Quick test_startup_spans;
     Alcotest.test_case "export: chrome trace round-trip" `Quick
       test_chrome_trace_roundtrip;
+    Alcotest.test_case "chrome trace: one track per domain" `Quick
+      test_chrome_tracks_by_domain;
     Alcotest.test_case "export: metrics json shape" `Quick
       test_metrics_json_shape;
     Alcotest.test_case "export: text summary" `Quick test_summary_renders;

@@ -238,6 +238,37 @@ let test_graph_heap_words_constant () =
   Alcotest.(check int) "20k nodes: heap words as at 10k" w (heap_words 20_000);
   Alcotest.(check int) "40k nodes: heap words as at 10k" w (heap_words 40_000)
 
+(* Each column stores its ids in the fewest of 1, 2, 3, 4 or 8 bytes that
+   hold them. 70,000 nodes over 2 labels (every subset, so 4 label sets and
+   70,000 label entries) and 140,000 relationships of 3 types: endpoints and
+   relationship ids take 3 bytes, types and label-set ids 1. *)
+let test_graph_column_widths () =
+  let n = 70_000 and m = 140_000 in
+  let b = Graph_builder.create () in
+  for i = 0 to n - 1 do
+    ignore
+      (Graph_builder.add_node b
+         ~labels:(List.filteri (fun j _ -> (i lsr j) land 1 = 1) [ "A"; "B" ])
+         ~props:[])
+  done;
+  for r = 0 to m - 1 do
+    ignore
+      (Graph_builder.add_rel b ~src:(r mod n) ~dst:(r * 7919 mod n)
+         ~rel_type:(List.nth [ "x"; "y"; "z" ] (r mod 3))
+         ~props:[])
+  done;
+  let g = Graph_builder.freeze b in
+  let row name = List.assoc name (Graph.memory_breakdown g) in
+  let label_entries = n in
+  Alcotest.(check int) "graph.rels: 3 + 3 + 1 bytes a relationship"
+    (m * (3 + 3 + 1)) (row "graph.rels");
+  Alcotest.(check int) "graph.adjacency: 3-byte offsets and rel ids"
+    (2 * (((n + 1) * 3) + (m * 3)))
+    (row "graph.adjacency");
+  Alcotest.(check int) "graph.labels: node_set at 1 byte a node"
+    ((n * 1) + (3 * 3) + (label_entries * 3))
+    (row "graph.labels")
+
 (* qcheck: a randomly built graph has consistent adjacency *)
 let prop_adjacency_consistent =
   QCheck.Test.make ~name:"builder adjacency consistent" ~count:50
@@ -297,5 +328,7 @@ let suite =
       test_props_past_last_carrier;
     Alcotest.test_case "graph: heap words independent of size" `Quick
       test_graph_heap_words_constant;
+    Alcotest.test_case "graph: columns at their value width" `Quick
+      test_graph_column_widths;
     QCheck_alcotest.to_alcotest prop_adjacency_consistent;
   ]

@@ -1,4 +1,4 @@
-(* Tests for Lpp_util: Rng, Quantiles, Ascii_table, Mem_size, Ivec. *)
+(* Tests for Lpp_util: Rng, Quantiles, Ascii_table, Mem_size, Iarr, Ivec. *)
 
 open Lpp_util
 
@@ -307,21 +307,96 @@ let test_mem_size_render () =
   Alcotest.(check string) "kilobytes" "3.1 kB" (Mem_size.to_string 3174);
   Alcotest.(check string) "megabytes" "1.4 MB" (Mem_size.to_string 1_468_006)
 
-(* ---------------- Ivec ---------------- *)
+(* ---------------- Iarr and Ivec ---------------- *)
 
-let int32_max = Int32.to_int Int32.max_int
+(* The width rule, stated apart from [Iarr.width_for]: the fewest of 1, 2,
+   3, 4 or 8 bytes that hold [v]. *)
+let bytes_for v =
+  if v < 1 lsl 8 then 1
+  else if v < 1 lsl 16 then 2
+  else if v < 1 lsl 24 then 3
+  else if v < 1 lsl 32 then 4
+  else 8
+
+(* A value at each side of every width boundary, with the width it needs. *)
+let width_boundaries =
+  [
+    (0, 1); (255, 1); (256, 2); (65_535, 2); (65_536, 3);
+    ((1 lsl 24) - 1, 3); (1 lsl 24, 4); ((1 lsl 32) - 1, 4); (1 lsl 32, 8);
+    (max_int, 8);
+  ]
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* qcheck: at every width, slots written in random order read back through
+   every accessor, no write changes a neighbour, and [get] rejects -1 and
+   [length] *)
+let prop_iarr_widths =
+  let print (len, seed) = Printf.sprintf "length %d, seed %d" len seed in
+  QCheck.Test.make ~name:"Iarr at every width" ~count:100
+    QCheck.(make ~print Gen.(pair (int_bound 200) int))
+    (fun (len, seed) ->
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun (max_value, width) ->
+          let a = Iarr.create ~max_value len in
+          let model = Array.make len 0 in
+          let draw () =
+            match Random.State.int st 4 with
+            | 0 -> max_value
+            | 1 -> 0
+            | _ -> Random.State.full_int st (max max_value 1)
+          in
+          let order = Array.init len Fun.id in
+          for i = len - 1 downto 1 do
+            let j = Random.State.int st (i + 1) in
+            let t = order.(i) in
+            order.(i) <- order.(j);
+            order.(j) <- t
+          done;
+          let neighbours_kept i =
+            (i = 0 || Iarr.get a (i - 1) = model.(i - 1))
+            && (i = len - 1 || Iarr.get a (i + 1) = model.(i + 1))
+          in
+          let writes_ok =
+            Array.for_all
+              (fun i ->
+                let v = draw () in
+                Iarr.set a i v;
+                model.(i) <- v;
+                Iarr.get a i = v && neighbours_kept i)
+              order
+          in
+          let pos = if len = 0 then 0 else Random.State.int st len in
+          let sub = Random.State.int st (len - pos + 1) in
+          let seen = ref [] in
+          Iarr.iter_range a ~pos ~len:sub (fun v -> seen := v :: !seen);
+          Iarr.bits a = 8 * width
+          && Iarr.length a = len
+          && Iarr.size_in_bytes a = width * len
+          && writes_ok
+          && Iarr.to_array a = model
+          && Iarr.sub_to_array a ~pos ~len:sub = Array.sub model pos sub
+          && List.rev !seen = Array.to_list (Array.sub model pos sub)
+          && raises_invalid (fun () -> Iarr.get a (-1))
+          && raises_invalid (fun () -> Iarr.get a len))
+        width_boundaries)
 
 (* qcheck: an Ivec reads back as the list of values pushed into it, and
-   hands over a 32-bit Iarr exactly when every value fits an int32 — also
-   when the first wide value comes after many narrow pushes *)
+   hands over an Iarr 8 × the bytes its largest value needs wide — also
+   when the widening values come after many narrow pushes, and when an
+   ascending tail crosses 1 → 2 → 3 → 4 → 8 bytes mid-stream *)
 let prop_ivec_model =
   let value =
     QCheck.Gen.(
       frequency
         [
           (6, int_bound 1000);
-          (1, oneofl [ 0; int32_max; int32_max + 1; max_int ]);
-          (1, int_range (int32_max + 1) max_int);
+          (2, oneofl (List.map fst width_boundaries));
+          (1, int_bound ((1 lsl 24) - 1));
+          (1, int_bound ((1 lsl 32) - 1));
+          (1, int_range ((1 lsl 32) + 1) max_int);
         ])
   in
   let case =
@@ -329,7 +404,13 @@ let prop_ivec_model =
       frequency
         [
           (1, return (0, 0, []));
-          (9, triple (int_bound 4) (int_bound 300) (list_size (int_bound 40) value));
+          ( 9,
+            triple (int_bound 4) (int_bound 300)
+              (map2
+                 (fun ascending l ->
+                   if ascending then List.sort compare l else l)
+                 bool
+                 (list_size (int_bound 40) value)) );
         ])
   in
   let print (capacity, narrow, tail) =
@@ -349,14 +430,14 @@ let prop_ivec_model =
         | exception Invalid_argument _ -> true
       in
       let iarr = Ivec.to_iarr v in
-      let narrow_only = Array.for_all (fun x -> x <= int32_max) model in
+      let largest = Array.fold_left max 0 model in
       Ivec.length v = n
       && Array.for_all Fun.id (Array.init n (fun i -> Ivec.get v i = model.(i)))
       && Ivec.to_array v = model
       && Ivec.sub_to_array v ~pos:(n / 3) ~len:(n / 2)
          = Array.sub model (n / 3) (n / 2)
       && Iarr.to_array iarr = model
-      && Iarr.bits iarr = (if narrow_only then 32 else 64)
+      && Iarr.bits iarr = 8 * bytes_for largest
       && out_of_bounds n && out_of_bounds (-1))
 
 let suite =
@@ -390,5 +471,6 @@ let suite =
     Alcotest.test_case "table: separator" `Quick test_table_separator;
     Alcotest.test_case "mem: strings" `Quick test_mem_size_strings;
     Alcotest.test_case "mem: render" `Quick test_mem_size_render;
+    QCheck_alcotest.to_alcotest prop_iarr_widths;
     QCheck_alcotest.to_alcotest prop_ivec_model;
   ]
