@@ -22,14 +22,23 @@ let bytes_cell b =
   else string_of_int b
 
 (* Per-component resident bytes of the packed graph and the compiled
-   catalog, as measured by Mem_size / Bigarray.Array1.size_in_bytes. *)
+   catalog, as measured by Mem_size / Bigarray.Array1.size_in_bytes. A
+   graph no traversal has walked holds no adjacency and no label node
+   column; the rows say so. *)
 let print_memory_table (ds : Dataset.t) =
   let t = Table.create [ "component"; "bytes" ] in
   let rows =
     Lpp_pgraph.Graph.memory_breakdown ds.graph
     @ Lpp_stats.Catalog.memory_breakdown ds.catalog
   in
-  List.iter (fun (k, v) -> Table.add_row t [ k; bytes_cell v ]) rows;
+  let note =
+    if Lpp_pgraph.Graph.adjacency_built ds.graph then fun _ -> ""
+    else function
+      | "graph.adjacency" -> ", not built"
+      | "graph.labels" -> ", node column not built"
+      | _ -> ""
+  in
+  List.iter (fun (k, v) -> Table.add_row t [ k; bytes_cell v ^ note k ]) rows;
   Table.add_row t
     [ "total"; bytes_cell (List.fold_left (fun a (_, v) -> a + v) 0 rows) ];
   Table.print ~title:"Memory" t
@@ -913,9 +922,12 @@ let cmd_stats =
            `P "Builds the data set at the requested $(b,--scale) tier and \
                compiles its statistics catalog into packed Bigarrays, then \
                prints the Table-1 summary plus per-component resident bytes \
-               (CSR adjacency, relationship columns, NC/RC catalog arrays). \
-               Use $(b,--scale large) to exercise the ≥10⁷-relationship \
-               tier." ])
+               (relationship columns, label columns, NC/RC catalog arrays; \
+               the CSR adjacency and the label node column are built on a \
+               graph's first traversal, which this command never makes, so \
+               their rows read \"not built\"). The peak RSS is the \
+               estimation path's. Use $(b,--scale large) to exercise the \
+               ≥10⁷-relationship tier." ])
     Term.(const run $ C.data)
 
 let () =

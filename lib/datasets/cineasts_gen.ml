@@ -28,43 +28,49 @@ let generate ?(movies = 2200) ?(props = true) ~seed () =
   let person_acts = Array.make n_people false in
   let person_directs = Array.make n_people false in
   let person_user = Array.make n_people false in
-  let person_ids =
-    Array.init n_people (fun i ->
-        let acts = Rng.coin rng 0.62 in
-        let directs = Rng.coin rng (if acts then 0.06 else 0.22) in
-        let is_user = (not acts) && (not directs) || Rng.coin rng 0.08 in
-        person_acts.(i) <- acts;
-        person_directs.(i) <- directs;
-        person_user.(i) <- is_user;
-        let labels =
-          [ "Person" ]
-          @ (if acts then [ "Actor" ] else [])
-          @ (if directs then [ "Director" ] else [])
-          @ if is_user then [ "User" ] else []
-        in
-        let birthyear = 1930 + Rng.int rng 75 in
-        let birthplace =
-          if Rng.coin rng 0.7 then Some (Rng.pick rng countries) else None
+  (* A person's label list by its profession flags, numbered acts·4 +
+     directs·2 + user, each resolved at its first use ({!Kind}). The
+     builder is empty here, so person i is node i. *)
+  let person_kind =
+    Array.init 8 (fun k ->
+        Kind.node b
+          ([ "Person" ]
+          @ (if k land 4 <> 0 then [ "Actor" ] else [])
+          @ (if k land 2 <> 0 then [ "Director" ] else [])
+          @ if k land 1 <> 0 then [ "User" ] else []))
+  and flag f bit = if f then bit else 0 in
+  for i = 0 to n_people - 1 do
+    let acts = Rng.coin rng 0.62 in
+    let directs = Rng.coin rng (if acts then 0.06 else 0.22) in
+    let is_user = (not acts) && (not directs) || Rng.coin rng 0.08 in
+    person_acts.(i) <- acts;
+    person_directs.(i) <- directs;
+    person_user.(i) <- is_user;
+    let birthyear = 1930 + Rng.int rng 75 in
+    let birthplace =
+      if Rng.coin rng 0.7 then Some (Rng.pick rng countries) else None
+    in
+    let props =
+      if not with_props then []
+      else begin
+        let props =
+          [ ("name", str (Printf.sprintf "Person%d" i));
+            ("birthyear", int birthyear) ]
         in
         let props =
-          if not with_props then []
-          else begin
-            let props =
-              [ ("name", str (Printf.sprintf "Person%d" i));
-                ("birthyear", int birthyear) ]
-            in
-            let props =
-              if is_user then
-                ("login", str (Printf.sprintf "user%d" i)) :: props
-              else props
-            in
-            match birthplace with
-            | Some c -> ("birthplace", str c) :: props
-            | None -> props
-          end
+          if is_user then ("login", str (Printf.sprintf "user%d" i)) :: props
+          else props
         in
-        Graph_builder.add_node b ~labels ~props)
-  in
+        match birthplace with
+        | Some c -> ("birthplace", str c) :: props
+        | None -> props
+      end
+    in
+    ignore
+      (Kind.add_node
+         person_kind.(flag acts 4 + flag directs 2 + flag is_user 1)
+         ~props)
+  done;
   let selected flags =
     let n = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 flags in
     let out = Array.make (max n 1) 0 in
@@ -72,7 +78,7 @@ let generate ?(movies = 2200) ?(props = true) ~seed () =
     Array.iteri
       (fun i f ->
         if f then begin
-          out.(!j) <- person_ids.(i);
+          out.(!j) <- i;
           incr j
         end)
       flags;
@@ -86,60 +92,61 @@ let generate ?(movies = 2200) ?(props = true) ~seed () =
   and director_zipf = Rng.Zipf.make ~n:(Array.length directors) ~s:0.6
   and user_zipf = Rng.Zipf.make ~n:(Array.length users) ~s:0.5
   and movie_zipf = Rng.Zipf.make ~n:movies ~s:0.8 in
-  let movie_ids =
-    Array.init movies (fun i ->
-        let year = 1950 + Rng.int rng 72 in
-        let genre = Rng.pick rng genres in
-        let runtime = 60 + Rng.int rng 120 in
-        let language =
-          if Rng.coin rng 0.5 then
-            Some (Rng.pick rng [| "en"; "fr"; "de"; "ja"; "hi" |])
-          else None
-        in
+  (* movies take the next block of node ids: movie i is [movie_base + i] *)
+  let movie = Kind.node b [ "Movie" ] in
+  let movie_base = Graph_builder.node_count b in
+  for i = 0 to movies - 1 do
+    let year = 1950 + Rng.int rng 72 in
+    let genre = Rng.pick rng genres in
+    let runtime = 60 + Rng.int rng 120 in
+    let language =
+      if Rng.coin rng 0.5 then
+        Some (Rng.pick rng [| "en"; "fr"; "de"; "ja"; "hi" |])
+      else None
+    in
+    let props =
+      if not with_props then []
+      else begin
         let props =
-          if not with_props then []
-          else begin
-            let props =
-              [ ("title", str (Printf.sprintf "Movie%d" i));
-                ("year", int year);
-                ("genre", str genre);
-                ("runtime", int runtime) ]
-            in
-            match language with
-            | Some l -> ("language", str l) :: props
-            | None -> props
-          end
+          [ ("title", str (Printf.sprintf "Movie%d" i));
+            ("year", int year);
+            ("genre", str genre);
+            ("runtime", int runtime) ]
         in
-        Graph_builder.add_node b ~labels:[ "Movie" ] ~props)
-  in
-  Array.iter
-    (fun m ->
-      (* cast: Zipf over actors so a few stars appear in many movies *)
-      let cast_size = 3 + Rng.geometric rng ~p:0.35 in
-      for _ = 1 to min cast_size 12 do
-        let a = actors.(Rng.Zipf.draw rng actor_zipf) in
-        let role = Rng.int rng 500 in
-        ignore
-          (Graph_builder.add_rel b ~src:a ~dst:m ~rel_type:"ACTS_IN"
-             ~props:
-               (if with_props then
-                  [ ("role", str (Printf.sprintf "Role%d" role)) ]
-                else []))
-      done;
-      let d = directors.(Rng.Zipf.draw rng director_zipf) in
-      ignore (Graph_builder.add_rel b ~src:d ~dst:m ~rel_type:"DIRECTED" ~props:[]);
-      if Rng.coin rng 0.15 then begin
-        let d2 = directors.(Rng.Zipf.draw rng director_zipf) in
-        if d2 <> d then
-          ignore
-            (Graph_builder.add_rel b ~src:d2 ~dst:m ~rel_type:"DIRECTED" ~props:[])
-      end)
-    movie_ids;
+        match language with
+        | Some l -> ("language", str l) :: props
+        | None -> props
+      end
+    in
+    ignore (Kind.add_node movie ~props)
+  done;
+  let acts_in = Kind.rel b "ACTS_IN" and directed = Kind.rel b "DIRECTED" in
+  for i = 0 to movies - 1 do
+    let m = movie_base + i in
+    (* cast: Zipf over actors so a few stars appear in many movies *)
+    let cast_size = 3 + Rng.geometric rng ~p:0.35 in
+    for _ = 1 to min cast_size 12 do
+      let a = actors.(Rng.Zipf.draw rng actor_zipf) in
+      let role = Rng.int rng 500 in
+      ignore
+        (Kind.add_rel acts_in ~src:a ~dst:m
+           ~props:
+             (if with_props then [ ("role", str (Printf.sprintf "Role%d" role)) ]
+              else []))
+    done;
+    let d = directors.(Rng.Zipf.draw rng director_zipf) in
+    ignore (Kind.add_rel directed ~src:d ~dst:m ~props:[]);
+    if Rng.coin rng 0.15 then begin
+      let d2 = directors.(Rng.Zipf.draw rng director_zipf) in
+      if d2 <> d then ignore (Kind.add_rel directed ~src:d2 ~dst:m ~props:[])
+    end
+  done;
   (* ratings by users *)
   let n_ratings = Array.length users * 8 in
+  let rated = Kind.rel b "RATED" in
   for _ = 1 to n_ratings do
     let u = users.(Rng.Zipf.draw rng user_zipf) in
-    let m = movie_ids.(Rng.Zipf.draw rng movie_zipf) in
+    let m = movie_base + Rng.Zipf.draw rng movie_zipf in
     let stars = 1 + Rng.int rng 5 in
     let commented = Rng.coin rng 0.3 in
     let props =
@@ -147,16 +154,15 @@ let generate ?(movies = 2200) ?(props = true) ~seed () =
       else if commented then [ ("comment", str "nice one"); ("stars", int stars) ]
       else [ ("stars", int stars) ]
     in
-    ignore (Graph_builder.add_rel b ~src:u ~dst:m ~rel_type:"RATED" ~props)
+    ignore (Kind.add_rel rated ~src:u ~dst:m ~props)
   done;
   (* sparse friendship network among users: almost triangle-free *)
   let n_users = Array.length users in
+  let friend = Kind.rel b "FRIEND" in
   for i = 1 to n_users - 1 do
     if Rng.coin rng 0.8 then begin
       let j = Rng.int rng i in
-      ignore
-        (Graph_builder.add_rel b ~src:users.(i) ~dst:users.(j)
-           ~rel_type:"FRIEND" ~props:[])
+      ignore (Kind.add_rel friend ~src:users.(i) ~dst:users.(j) ~props:[])
     end
   done;
   Dataset.make ~hierarchy_pairs ~name:"Cineasts" (Graph_builder.freeze b)

@@ -57,37 +57,40 @@ let generate ?(entities = 24_000) ?(classes = 140) ?(rel_kinds = 90)
   let class_zipf = Rng.Zipf.make ~n:classes ~s:0.7
   and int_zipf = Rng.Zipf.make ~n:50 ~s:1.1
   and pool_zipf = Rng.Zipf.make ~n:(Array.length value_pool) ~s:0.9 in
-  let entity_class = Array.make entities 0 in
-  let entity_ids =
-    Array.init entities (fun i ->
-        (* skewed class popularity; avoid the bare root for most entities *)
-        let c =
-          let c = Rng.Zipf.draw rng class_zipf in
-          if c = 0 && Rng.coin rng 0.9 then 1 + Rng.int rng (classes - 1) else c
-        in
-        entity_class.(i) <- c;
-        let labels = List.map class_name (ancestors c) in
-        let props =
-          ref
-            (if with_props then
-               [ (key_name 0, str (Printf.sprintf "Entity%d" i)) ]
-             else [])
-        in
-        List.iter
-          (fun cls ->
-            Array.iter
-              (fun k ->
-                if k <> 0 && Rng.coin rng 0.8 then begin
-                  let v =
-                    if k mod 3 = 0 then int (Rng.Zipf.draw rng int_zipf)
-                    else str value_pool.(Rng.Zipf.draw rng pool_zipf)
-                  in
-                  if with_props then props := (key_name k, v) :: !props
-                end)
-              class_keys.(cls))
-          (ancestors c);
-        Graph_builder.add_node b ~labels ~props:!props)
+  (* Each class's ancestor chain, and its label list resolved at its first
+     use ({!Kind}). The builder is empty here, so entity i is node i. *)
+  let chains = Array.init classes ancestors in
+  let class_kind =
+    Array.map (fun chain -> Kind.node b (List.map class_name chain)) chains
   in
+  let entity_class = Array.make entities 0 in
+  for i = 0 to entities - 1 do
+    (* skewed class popularity; avoid the bare root for most entities *)
+    let c =
+      let c = Rng.Zipf.draw rng class_zipf in
+      if c = 0 && Rng.coin rng 0.9 then 1 + Rng.int rng (classes - 1) else c
+    in
+    entity_class.(i) <- c;
+    let props =
+      ref
+        (if with_props then [ (key_name 0, str (Printf.sprintf "Entity%d" i)) ]
+         else [])
+    in
+    List.iter
+      (fun cls ->
+        Array.iter
+          (fun k ->
+            if k <> 0 && Rng.coin rng 0.8 then begin
+              let v =
+                if k mod 3 = 0 then int (Rng.Zipf.draw rng int_zipf)
+                else str value_pool.(Rng.Zipf.draw rng pool_zipf)
+              in
+              if with_props then props := (key_name k, v) :: !props
+            end)
+          class_keys.(cls))
+      chains.(c);
+    ignore (Kind.add_node class_kind.(c) ~props:!props)
+  done;
   (* extents: entities per class subtree, for domain/range sampling.
      Counting sort into flat arrays — no intermediate per-class lists. The
      fill runs over ascending entity ids writing each slot from the back, so
@@ -95,8 +98,7 @@ let generate ?(entities = 24_000) ?(classes = 140) ?(rel_kinds = 90)
      cons-onto-accumulator order this used to produce. *)
   let ext_count = Array.make classes 0 in
   Array.iter
-    (fun c ->
-      List.iter (fun a -> ext_count.(a) <- ext_count.(a) + 1) (ancestors c))
+    (fun c -> List.iter (fun a -> ext_count.(a) <- ext_count.(a) + 1) chains.(c))
     entity_class;
   let extents = Array.map (fun n -> Array.make n 0) ext_count in
   let cursor = Array.copy ext_count in
@@ -106,7 +108,7 @@ let generate ?(entities = 24_000) ?(classes = 140) ?(rel_kinds = 90)
         (fun a ->
           cursor.(a) <- cursor.(a) - 1;
           extents.(a).(cursor.(a)) <- i)
-        (ancestors c))
+        chains.(c))
     entity_class;
   (* ---- relationship type schema: domain and range classes ------------ *)
   let type_domain = Array.make rel_kinds 0 in
@@ -119,7 +121,9 @@ let generate ?(entities = 24_000) ?(classes = 140) ?(rel_kinds = 90)
     type_domain.(t) <- nonempty ();
     type_range.(t) <- nonempty ()
   done;
-  let rel_names = Array.init rel_kinds (fun t -> Printf.sprintf "rel%d" t) in
+  let rel_kind =
+    Array.init rel_kinds (fun t -> Kind.rel b (Printf.sprintf "rel%d" t))
+  in
   (* one sampler per extent used as a domain or range, by type *)
   let extent_zipf c = Rng.Zipf.make ~n:(Array.length extents.(c)) ~s:0.4 in
   let type_zipf = Rng.Zipf.make ~n:rel_kinds ~s:0.8
@@ -130,14 +134,14 @@ let generate ?(entities = 24_000) ?(classes = 140) ?(rel_kinds = 90)
     let t = Rng.Zipf.draw rng type_zipf in
     let dom = extents.(type_domain.(t)) in
     let rng_ext = extents.(type_range.(t)) in
-    let src = entity_ids.(dom.(Rng.Zipf.draw rng domain_zipf.(t))) in
-    let dst = entity_ids.(rng_ext.(Rng.Zipf.draw rng range_zipf.(t))) in
+    let src = dom.(Rng.Zipf.draw rng domain_zipf.(t)) in
+    let dst = rng_ext.(Rng.Zipf.draw rng range_zipf.(t)) in
     if src <> dst then begin
       let since =
         if Rng.coin rng 0.1 then Some (1900 + Rng.int rng 120) else None
       in
       ignore
-        (Graph_builder.add_rel b ~src ~dst ~rel_type:rel_names.(t)
+        (Kind.add_rel rel_kind.(t) ~src ~dst
            ~props:
              (match since with
              | Some y when with_props -> [ ("since", int y) ]

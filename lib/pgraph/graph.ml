@@ -15,7 +15,21 @@ type rel = int
    arrays. The label index is one more CSR, keyed by label. Property lists
    stay boxed and the per-entity arrays end at the last id that carries
    one: a graph without properties keeps nothing per entity on the OCaml
-   heap. *)
+   heap.
+
+   Freeze keeps the columns estimation reads: the relationship columns,
+   the label-set ids and the label index's offsets, so NC(l) is O(1). The
+   columns only a traversal reads (both CSR sides and the label index's
+   node column) are built on the first call that walks them, once per
+   graph; see [adjacency]. *)
+type adjacency = {
+  out_off : Iarr.t;  (* node_count + 1 slots *)
+  out_tgt : Iarr.t;  (* rel ids, ascending within each node's slice *)
+  in_off : Iarr.t;
+  in_tgt : Iarr.t;
+  label_nodes : Iarr.t;  (* node ids, ascending within each label's slice *)
+}
+
 type t = {
   labels : Interner.t;
   rel_types : Interner.t;
@@ -27,12 +41,9 @@ type t = {
   rel_dst : Iarr.t;
   rel_type : Iarr.t;
   rel_props : (int * Value.t) array array;  (* up to the last carrier *)
-  out_off : Iarr.t;  (* node_count + 1 slots *)
-  out_tgt : Iarr.t;  (* rel ids, ascending within each node's slice *)
-  in_off : Iarr.t;
-  in_tgt : Iarr.t;
   label_off : Iarr.t;  (* label count at freeze + 1 slots *)
-  label_nodes : Iarr.t;  (* node ids, ascending within each label's slice *)
+  adjacency : adjacency option Atomic.t;  (* [None] until the first walk *)
+  adjacency_lock : Mutex.t;  (* held by the one build *)
   unlabeled : int;
   prop_total : int;
 }
@@ -62,6 +73,123 @@ let[@inline] set (a : Iarr.t) i v =
   | _ ->
       let x = Int64.of_int v in
       Iarr.set64u b o (if Sys.big_endian then Iarr.swap64 x else x)
+
+(* CSR from a count per key, in the offsets column itself: [off.(k + 1)]
+   holds key k's count. Prefix-summed, [off.(k)] starts k's slice and serves
+   as k's fill cursor; the fill leaves it at k's slice end, the start of
+   k + 1's, so [shift_back] restores the starts. Filling in ascending entry
+   order keeps every slice ascending: the order the per-node adjacency
+   lists once had, which matcher walk order and so every sampled
+   baseline's draws depend on. Both passes run upward and carry the last
+   value in a register: reading back a slot just written would stall its
+   8-byte load on the narrower store still in flight. *)
+let prefix_sum off =
+  let sum = ref 0 in
+  for i = 0 to Iarr.length off - 1 do
+    sum := !sum + get off i;
+    set off i !sum
+  done
+
+let shift_back off =
+  let prev = ref 0 in
+  for i = 0 to Iarr.length off - 1 do
+    let v = get off i in
+    set off i !prev;
+    prev := v
+  done
+
+(* The fill writes every slot of [tgt] once, so it is allocated unfilled;
+   [off] accumulates counts and starts at zero. *)
+let build_csr ~n_nodes ~endpoints =
+  let m = Iarr.length endpoints in
+  let off = Iarr.create ~max_value:m (n_nodes + 1) in
+  for r = 0 to m - 1 do
+    let e = get endpoints r + 1 in
+    set off e (get off e + 1)
+  done;
+  prefix_sum off;
+  let tgt = Iarr.create_unfilled ~max_value:(max 0 (m - 1)) m in
+  for r = 0 to m - 1 do
+    let e = get endpoints r in
+    let c = get off e in
+    set tgt c r;
+    set off e (c + 1)
+  done;
+  shift_back off;
+  (off, tgt)
+
+(* The label index, the same CSR keyed by label: a node is entered once per
+   occurrence of the label in its set, so an [unsafe_make] list that
+   repeats a label enters its node twice. Freeze counts per set into the
+   offsets; the node column is filled on the first walk, every slot once,
+   with its cursors in a per-label array: a handful of labels take every
+   node, so a cursor kept in [off] would be read back right after each
+   write, the stall [prefix_sum] avoids. The label count is the one at
+   freeze, [label_off]'s, not the vocabulary's, which may have grown
+   since. *)
+let label_offsets ~n_labels ~label_sets ~set_sizes =
+  let total = ref 0 in
+  Array.iteri
+    (fun s ls -> total := !total + (Array.length ls * set_sizes.(s)))
+    label_sets;
+  let off = Iarr.create ~max_value:!total (n_labels + 1) in
+  Array.iteri
+    (fun s ls ->
+      Array.iter (fun l -> set off (l + 1) (get off (l + 1) + set_sizes.(s)))
+        ls)
+    label_sets;
+  prefix_sum off;
+  off
+
+let fill_label_nodes t =
+  let n_nodes = Iarr.length t.node_set in
+  let n_labels = Iarr.length t.label_off - 1 in
+  let nodes =
+    Iarr.create_unfilled ~max_value:(max 0 (n_nodes - 1))
+      (get t.label_off n_labels)
+  in
+  let cursor = Array.init n_labels (get t.label_off) in
+  for n = 0 to n_nodes - 1 do
+    let ls = t.label_sets.(get t.node_set n) in
+    for i = 0 to Array.length ls - 1 do
+      let c = cursor.(ls.(i)) in
+      set nodes c n;
+      cursor.(ls.(i)) <- c + 1
+    done
+  done;
+  nodes
+
+let build_adjacency t =
+  let n_nodes = Iarr.length t.node_set in
+  Lpp_obs.Trace.with_span ~cat:"graph" "graph.adjacency"
+    ~args:(fun () ->
+      [|
+        ("nodes", float_of_int n_nodes);
+        ("rels", float_of_int (Iarr.length t.rel_src));
+      |])
+  @@ fun () ->
+  let out_off, out_tgt = build_csr ~n_nodes ~endpoints:t.rel_src in
+  let in_off, in_tgt = build_csr ~n_nodes ~endpoints:t.rel_dst in
+  { out_off; out_tgt; in_off; in_tgt; label_nodes = fill_label_nodes t }
+
+(* Built once per graph, from whichever domain walks it first: once built,
+   a call costs one load; before, callers queue on the lock and the first
+   of them builds, reading only columns fixed at freeze. *)
+let build_adjacency_once t =
+  Lpp_util.Sync.with_lock t.adjacency_lock (fun () ->
+      match Atomic.get t.adjacency with
+      | Some a -> a
+      | None ->
+          let a = build_adjacency t in
+          Atomic.set t.adjacency (Some a);
+          a)
+
+let[@inline] adjacency t =
+  match Atomic.get t.adjacency with
+  | Some a -> a
+  | None -> build_adjacency_once t
+
+let adjacency_built t = Option.is_some (Atomic.get t.adjacency)
 
 let node_count t = Iarr.length t.node_set
 
@@ -121,9 +249,10 @@ let label_node_count t l =
   else get t.label_off (l + 1) - get t.label_off l
 
 let nodes_with_label t l =
+  let a = adjacency t in
   match label_node_count t l with
   | 0 -> [||]
-  | len -> Iarr.sub_to_array t.label_nodes ~pos:(get t.label_off l) ~len
+  | len -> Iarr.sub_to_array a.label_nodes ~pos:(get t.label_off l) ~len
 
 let unlabeled_node_count t = t.unlabeled
 
@@ -140,24 +269,32 @@ let rel_prop_extent t = Array.length t.rel_props
 let rel_prop t r key = assoc_prop (rel_props t r) key
 
 let out_rels t n =
-  let lo = get t.out_off n in
-  Iarr.sub_to_array t.out_tgt ~pos:lo ~len:(get t.out_off (n + 1) - lo)
+  let a = adjacency t in
+  let lo = get a.out_off n in
+  Iarr.sub_to_array a.out_tgt ~pos:lo ~len:(get a.out_off (n + 1) - lo)
 
 let in_rels t n =
-  let lo = get t.in_off n in
-  Iarr.sub_to_array t.in_tgt ~pos:lo ~len:(get t.in_off (n + 1) - lo)
+  let a = adjacency t in
+  let lo = get a.in_off n in
+  Iarr.sub_to_array a.in_tgt ~pos:lo ~len:(get a.in_off (n + 1) - lo)
 
 let iter_out_rels t n f =
-  let lo = get t.out_off n in
-  Iarr.iter_range t.out_tgt ~pos:lo ~len:(get t.out_off (n + 1) - lo) f
+  let a = adjacency t in
+  let lo = get a.out_off n in
+  Iarr.iter_range a.out_tgt ~pos:lo ~len:(get a.out_off (n + 1) - lo) f
 
 let iter_in_rels t n f =
-  let lo = get t.in_off n in
-  Iarr.iter_range t.in_tgt ~pos:lo ~len:(get t.in_off (n + 1) - lo) f
+  let a = adjacency t in
+  let lo = get a.in_off n in
+  Iarr.iter_range a.in_tgt ~pos:lo ~len:(get a.in_off (n + 1) - lo) f
 
-let out_degree t n = get t.out_off (n + 1) - get t.out_off n
+let out_degree t n =
+  let a = adjacency t in
+  get a.out_off (n + 1) - get a.out_off n
 
-let in_degree t n = get t.in_off (n + 1) - get t.in_off n
+let in_degree t n =
+  let a = adjacency t in
+  get a.in_off (n + 1) - get a.in_off n
 
 let degree t dir n =
   match (dir : Direction.t) with
@@ -238,94 +375,14 @@ module Label_sets = struct
   let to_array t = Array.of_list (List.rev t.sets)
 end
 
-(* CSR from a count per key, in the offsets column itself: [off.(k + 1)]
-   holds key k's count. Prefix-summed, [off.(k)] starts k's slice and serves
-   as k's fill cursor; the fill leaves it at k's slice end, the start of
-   k + 1's, so [shift_back] restores the starts. Filling in ascending entry
-   order keeps every slice ascending: the order the per-node adjacency
-   lists once had, which matcher walk order and so every sampled
-   baseline's draws depend on. Both passes run upward and carry the last
-   value in a register: reading back a slot just written would stall its
-   8-byte load on the narrower store still in flight. *)
-let prefix_sum off =
-  let sum = ref 0 in
-  for i = 0 to Iarr.length off - 1 do
-    sum := !sum + get off i;
-    set off i !sum
-  done
-
-let shift_back off =
-  let prev = ref 0 in
-  for i = 0 to Iarr.length off - 1 do
-    let v = get off i in
-    set off i !prev;
-    prev := v
-  done
-
-let build_csr ~n_nodes ~endpoints =
-  let m = Iarr.length endpoints in
-  let off = Iarr.create ~max_value:m (n_nodes + 1) in
-  for r = 0 to m - 1 do
-    let e = get endpoints r + 1 in
-    set off e (get off e + 1)
-  done;
-  prefix_sum off;
-  let tgt = Iarr.create ~max_value:(max 0 (m - 1)) m in
-  for r = 0 to m - 1 do
-    let e = get endpoints r in
-    let c = get off e in
-    set tgt c r;
-    set off e (c + 1)
-  done;
-  shift_back off;
-  (off, tgt)
-
-(* The label index, the same CSR keyed by label: a node is entered once per
-   occurrence of the label in its set, so an [unsafe_make] list that
-   repeats a label enters its node twice. Counts come per set, and the
-   fill's cursors sit in a per-label array: a handful of labels take every
-   node, so a cursor kept in [off] would be read back right after each
-   write, the stall [prefix_sum] avoids. *)
-let build_label_index ~n_labels ~node_set ~label_sets ~set_sizes =
-  let n_nodes = Iarr.length node_set in
-  let total = ref 0 in
-  Array.iteri
-    (fun s ls -> total := !total + (Array.length ls * set_sizes.(s)))
-    label_sets;
-  let off = Iarr.create ~max_value:!total (n_labels + 1) in
-  Array.iteri
-    (fun s ls ->
-      Array.iter (fun l -> set off (l + 1) (get off (l + 1) + set_sizes.(s)))
-        ls)
-    label_sets;
-  prefix_sum off;
-  let nodes = Iarr.create ~max_value:(max 0 (n_nodes - 1)) !total in
-  let cursor = Array.init n_labels (get off) in
-  for n = 0 to n_nodes - 1 do
-    let ls = label_sets.(get node_set n) in
-    for i = 0 to Array.length ls - 1 do
-      let c = cursor.(ls.(i)) in
-      set nodes c n;
-      cursor.(ls.(i)) <- c + 1
-    done
-  done;
-  (off, nodes)
-
 let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_sets ~node_set
     ~node_props ~rel_src ~rel_dst ~rel_type ~rel_props =
   let label_sets = Label_sets.to_array label_sets in
-  let n_nodes = Iarr.length node_set in
-  let out_off, out_tgt = build_csr ~n_nodes ~endpoints:rel_src in
-  let in_off, in_tgt = build_csr ~n_nodes ~endpoints:rel_dst in
   let set_sizes = Array.make (Array.length label_sets) 0 in
-  for n = 0 to n_nodes - 1 do
+  for n = 0 to Iarr.length node_set - 1 do
     let s = get node_set n in
     set_sizes.(s) <- set_sizes.(s) + 1
   done;
-  let label_off, label_nodes =
-    build_label_index ~n_labels:(Interner.size labels) ~node_set ~label_sets
-      ~set_sizes
-  in
   let unlabeled = ref 0 in
   Array.iteri
     (fun s ls ->
@@ -346,12 +403,10 @@ let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_sets ~node_set
     rel_dst;
     rel_type;
     rel_props;
-    out_off;
-    out_tgt;
-    in_off;
-    in_tgt;
-    label_off;
-    label_nodes;
+    label_off =
+      label_offsets ~n_labels:(Interner.size labels) ~label_sets ~set_sizes;
+    adjacency = Atomic.make None;
+    adjacency_lock = Mutex.create ();
     unlabeled = !unlabeled;
     prop_total;
   }
@@ -375,15 +430,22 @@ let unsafe_make ~labels ~rel_types ~prop_keys ~node_labels ~node_props ~rel_src
 
 let bytes cols = List.fold_left (fun acc c -> acc + Iarr.size_in_bytes c) 0 cols
 
-let rel_columns t = [ t.rel_src; t.rel_dst; t.rel_type ]
+(* Resident bytes only: accounting never builds the adjacency. *)
+let rel_bytes t = bytes [ t.rel_src; t.rel_dst; t.rel_type ]
 
-let adjacency t = [ t.out_off; t.out_tgt; t.in_off; t.in_tgt ]
+let adjacency_bytes t =
+  match Atomic.get t.adjacency with
+  | Some a -> bytes [ a.out_off; a.out_tgt; a.in_off; a.in_tgt ]
+  | None -> 0
 
 let memory_breakdown t =
+  let label_nodes =
+    match Atomic.get t.adjacency with Some a -> [ a.label_nodes ] | None -> []
+  in
   [
-    ("graph.rels", bytes (rel_columns t));
-    ("graph.adjacency", bytes (adjacency t));
-    ("graph.labels", bytes [ t.node_set; t.label_off; t.label_nodes ]);
+    ("graph.rels", rel_bytes t);
+    ("graph.adjacency", adjacency_bytes t);
+    ("graph.labels", bytes (t.node_set :: t.label_off :: label_nodes));
   ]
 
-let csr_bytes t = bytes (rel_columns t @ adjacency t)
+let csr_bytes t = rel_bytes t + adjacency_bytes t

@@ -7,7 +7,17 @@
     and a per-label node index, CSR-style too, supports label scans. Every
     per-entity column but the property arrays lives off the OCaml heap: a
     graph without properties holds a constant number of heap words
-    whatever its size. *)
+    whatever its size.
+
+    A frozen graph holds what estimation reads: the relationship columns,
+    each node's label-set id and the label index's offsets. The columns
+    only a traversal reads (the out- and in-CSR and the label index's node
+    column) are built together on the first call to {!out_rels},
+    {!in_rels}, {!iter_out_rels}, {!iter_in_rels}, {!out_degree},
+    {!in_degree}, {!degree} or {!nodes_with_label}. That build runs once
+    per graph, under a lock, whichever domain calls first; every later call
+    costs one atomic load. The catalog, the estimator and a serving process
+    never call them, so they never hold these columns. *)
 
 type t
 
@@ -85,12 +95,14 @@ val nodes_with_label : t -> int -> node array
 (** All nodes carrying the given label, ascending: a freshly allocated copy of
     the label's index slice, like {!out_rels}. Labels interned into the
     vocabulary after the graph was frozen (e.g. by a query mentioning an
-    unused label), and negative ids, have an empty extent. *)
+    unused label), and negative ids, have an empty extent. Builds the
+    adjacency on the graph's first traversal. *)
 
 val label_node_count : t -> int -> int
-(** [Array.length (nodes_with_label g l)] in O(1), without the copy: the
-    label's node count NC(l) for the catalog, the property statistics and
-    the matcher's rarest-label pick. *)
+(** [Array.length (nodes_with_label g l)] in O(1), without the copy and
+    without building the adjacency: the label's node count NC(l) for the
+    catalog, the property statistics and the matcher's rarest-label
+    pick. *)
 
 val unlabeled_node_count : t -> int
 
@@ -114,7 +126,9 @@ val rel_prop : t -> rel -> int -> Value.t option
 val out_rels : t -> node -> rel array
 (** Relationship ids whose source is the node, ascending. A freshly allocated
     copy of the CSR slice — callers may keep it, but hot paths should use
-    {!iter_out_rels} instead, which allocates nothing. *)
+    {!iter_out_rels} instead, which allocates nothing. This and every
+    accessor down to {!degree} build the adjacency on the graph's first
+    traversal. *)
 
 val in_rels : t -> node -> rel array
 
@@ -212,19 +226,28 @@ val unsafe_make_packed :
       node ids.
     - [node_props] and [rel_props] are as for {!unsafe_make}.
 
-    The CSR sides and the label index are built here, in their own offset
-    columns, with no temporary per node or per relationship. *)
+    The label index's offsets are counted here; the CSR sides and the
+    label index's node column are left to the first traversal, which
+    builds them in their own offset columns with no temporary per node or
+    per relationship. *)
 
 (** {1 Memory accounting} *)
 
 val memory_breakdown : t -> (string * int) list
-(** Physical bytes of the Bigarray-backed components: the relationship
+(** Resident bytes of the Bigarray-backed components: the relationship
     columns (["graph.rels"]), the CSR adjacency (["graph.adjacency"]) and
     the label columns (["graph.labels"]: the node-to-set column and the
-    label index). The shared label sets and the boxed property arrays are
-    not included. *)
+    label index). Before the first traversal the adjacency row is 0 and the
+    label row leaves out the index's node column, which are not built yet
+    ({!adjacency_built}); reading them never builds them. The shared label
+    sets and the boxed property arrays are not included. *)
 
 val csr_bytes : t -> int
-(** Bytes of the relationship columns plus the CSR adjacency: the
+(** Resident bytes of the relationship columns plus the CSR adjacency: the
     ["graph.rels"] and ["graph.adjacency"] rows of {!memory_breakdown}, not
-    the label columns. *)
+    the label columns. Before the first traversal, the relationship columns
+    alone. *)
+
+val adjacency_built : t -> bool
+(** Whether a traversal has built the adjacency and the label index's node
+    column. Never builds them. *)

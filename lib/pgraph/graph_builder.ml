@@ -7,11 +7,12 @@ module Ivec = Lpp_util.Ivec
    entity carrying one (a large-tier graph has none). [add_node] interns
    its label set as it arrives, so a node costs one slot of the set ids'
    width, a byte for a graph with at most 256 label sets. At freeze these
-   vectors become the graph's columns as they are, and the graph builds its
-   CSR sides and label index in their own offset columns. Peak RSS while
-   building is the final flat layout plus doubling slack — no per-node
-   records, no reversed lists, no second copy and no per-entity temporary
-   at freeze time.
+   vectors become the graph's columns as they are, and the graph counts
+   its label index's offsets; its CSR sides and the label index's node
+   column wait for the first traversal. Peak RSS while building is the
+   final flat layout plus doubling slack — no per-node records, no
+   reversed lists, no second copy and no per-entity temporary at freeze
+   time.
 
    An entity gets no table of its own: label ids are sorted and
    deduplicated in the array they arrive in, and a property list becomes

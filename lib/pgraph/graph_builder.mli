@@ -5,9 +5,10 @@
     accumulate in flat growable Bigarray vectors (each in the fewest of 1,
     2, 3, 4 or 8 bytes that hold its largest id); properties go to sparse
     per-entity tables. {!freeze} hands these
-    vectors to the graph as its columns and builds the CSR sides and the
-    label index in their own offset columns, so peak memory while loading
-    a 10⁷–10⁸-edge graph is the final packed layout plus doubling slack —
+    vectors to the graph as its columns and counts the label index's
+    offsets; the CSR sides and the label index's node column are built on
+    the graph's first traversal ({!Graph}). So peak memory while loading a
+    10⁷–10⁸-edge graph is the final packed layout plus doubling slack —
     never a second copy, and no per-entity temporary on the OCaml heap.
 
     {[
@@ -78,4 +79,6 @@ val rel_count : t -> int
 val freeze : t -> Graph.t
 (** The builder must not be used after [freeze]. Records the
     [build.edges_per_sec] ingest-rate and [build.graph_bytes] gauges when
-    observability is enabled. *)
+    observability is enabled; the latter is {!Graph.csr_bytes} at freeze,
+    the relationship columns alone, as no traversal has built the
+    adjacency yet. *)

@@ -35,8 +35,10 @@ let alloc ~width length =
     mask = (if width = 8 then -1 else (1 lsl (8 * width)) - 1);
   }
 
+let create_unfilled ~max_value length = alloc ~width:(width_for max_value) length
+
 let create ~max_value length =
-  let a = alloc ~width:(width_for max_value) length in
+  let a = create_unfilled ~max_value length in
   A1.fill a.data '\000';
   a
 

@@ -40,6 +40,12 @@ val create : max_value:int -> int -> t
 (** [create ~max_value len] is a zero-filled array of [len] slots, each
     [width_for max_value] bytes wide. *)
 
+val create_unfilled : max_value:int -> int -> t
+(** As {!create}, but the buffer is not filled: a slot holds whatever the
+    allocator left there until it is first written. Every slot must be
+    written before any read. It suits a column whose fill writes each slot
+    once, and it saves the pass over the whole buffer that zeroing costs. *)
+
 val length : t -> int
 
 val bits : t -> int

@@ -242,6 +242,16 @@ let test_generator_fingerprints () =
       ("dbpedia", Smoke, false, "f177d8335a8c7972");
     ]
 
+(* The large tier pinned the same way, for SNB alone: it is the graph the
+   benchmark's build-large-snb workload serves, and the quick pins above
+   reach only the smoke and default tiers. About 6 s. *)
+let test_large_snb_fingerprint () =
+  let tier = Lpp_datasets.Scale.Large in
+  Alcotest.(check string) "snb at large tier, seed 42: graph fingerprint"
+    "951d2f696af60a7f"
+    (graph_fingerprint
+       (generate tier ~props:(Lpp_datasets.Scale.props tier) "snb").graph)
+
 let suite =
   [
     Alcotest.test_case "snb: shape" `Quick test_snb_shape;
@@ -259,4 +269,6 @@ let suite =
       test_inferred_hierarchy_subsumes_curated;
     Alcotest.test_case "generators: output fingerprints" `Quick
       test_generator_fingerprints;
+    Alcotest.test_case "generators: large SNB fingerprint" `Slow
+      test_large_snb_fingerprint;
   ]

@@ -357,6 +357,56 @@ let prop_matcher_parallel_random =
               = Matcher.count ~jobs:1 ~budget g p)
             [ 2; 3; 4 ])
 
+(* ---------------- Deferred adjacency ---------------- *)
+
+(* Four domains make the first traversal of one fresh graph at once, each
+   released by the last to arrive: the adjacency is built exactly once, and
+   every domain reads the same slices. *)
+let test_first_traversal_from_many_domains () =
+  let g =
+    (Lpp_datasets.Snb_gen.generate ~persons:2000 ~props:false ~seed:4 ()).graph
+  in
+  let arrived = Atomic.make 0 in
+  let walk () =
+    let out =
+      List.init (Lpp_pgraph.Graph.node_count g) (fun n ->
+          let rels = ref [] in
+          Lpp_pgraph.Graph.iter_out_rels g n (fun r -> rels := r :: !rels);
+          !rels)
+    in
+    let extents =
+      List.init (Lpp_pgraph.Graph.label_count g)
+        (Lpp_pgraph.Graph.nodes_with_label g)
+    in
+    (out, extents)
+  in
+  Lpp_obs.Obs.enable ();
+  Lpp_obs.Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Lpp_obs.Obs.disable ();
+      Lpp_obs.Obs.reset ())
+    (fun () ->
+      let chunk ~lo:_ ~hi:_ =
+        Atomic.incr arrived;
+        while Atomic.get arrived < 4 do
+          Domain.cpu_relax ()
+        done;
+        walk ()
+      in
+      let seen = Pool.parallel_chunks ~jobs:4 ~n:4 chunk in
+      Alcotest.(check int) "four chunks" 4 (List.length seen);
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) "same slices in every chunk" true
+            (s = List.hd seen))
+        seen;
+      Alcotest.(check int) "one graph.adjacency span" 1
+        (List.length
+           (List.filter
+              (fun (s : Lpp_obs.Trace.span) -> s.name = "graph.adjacency")
+              (Lpp_obs.Trace.spans ()))))
+
 (* ---------------- Clock ---------------- *)
 
 let test_clock_monotonic () =
@@ -391,5 +441,7 @@ let suite =
     Alcotest.test_case "runner: parity" `Quick test_runner_parity;
     Alcotest.test_case "query_gen: parity" `Quick test_query_gen_parity;
     QCheck_alcotest.to_alcotest prop_matcher_parallel_random;
+    Alcotest.test_case "graph: first traversal from many domains" `Quick
+      test_first_traversal_from_many_domains;
     Alcotest.test_case "clock: monotonic" `Quick test_clock_monotonic;
   ]

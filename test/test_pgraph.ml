@@ -258,6 +258,8 @@ let test_graph_column_widths () =
          ~props:[])
   done;
   let g = Graph_builder.freeze b in
+  (* the first walk builds the adjacency and the label node column *)
+  Graph.iter_out_rels g 0 ignore;
   let row name = List.assoc name (Graph.memory_breakdown g) in
   let label_entries = n in
   Alcotest.(check int) "graph.rels: 3 + 3 + 1 bytes a relationship"
@@ -268,6 +270,48 @@ let test_graph_column_widths () =
   Alcotest.(check int) "graph.labels: node_set at 1 byte a node"
     ((n * 1) + (3 * 3) + (label_entries * 3))
     (row "graph.labels")
+
+(* Estimation reads no adjacency: building a data set, its catalog and an
+   A-LHD session's estimates leaves the CSR sides and the label node column
+   unbuilt. The first walk builds them, and they equal those of the same
+   graph built at once. *)
+let test_estimation_builds_no_adjacency () =
+  let build () =
+    Option.get (Lpp_datasets.Scale.build Lpp_datasets.Scale.Smoke ~name:"snb" ~seed:5)
+  in
+  let ds = build () in
+  let g = ds.graph in
+  let session = Lpp_core.Estimator.make Lpp_core.Config.a_lhd ds.catalog in
+  List.iter
+    (fun text ->
+      match Lpp_pattern.Parse.parse g text with
+      | Ok { pattern; _ } ->
+          ignore (Lpp_core.Estimator.session_estimate_pattern session pattern : float)
+      | Error msg -> Alcotest.failf "%s: %s" text msg)
+    [
+      "(a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person)-[:KNOWS]->(a)";
+      "(p:Person)-[:IS_LOCATED_IN]->(c:City)";
+      "(m:Message)-[:HAS_CREATOR]->(p:Person)<-[:HAS_MEMBER]-(f:Forum)";
+      "(p:Person {gender: \"male\"})-[:LIKES]->(m:Post)";
+    ];
+  Alcotest.(check bool) "not built after freeze, catalog and estimates" false
+    (Graph.adjacency_built g);
+  Alcotest.(check int) "no adjacency bytes" 0
+    (List.assoc "graph.adjacency" (Graph.memory_breakdown g));
+  ignore (Graph.out_degree g 0 : int);
+  Alcotest.(check bool) "built by the first out_degree" true
+    (Graph.adjacency_built g);
+  let at_once = (build ()).graph in
+  ignore (Graph.out_degree at_once 0 : int);
+  for n = 0 to Graph.node_count g - 1 do
+    if Graph.out_rels g n <> Graph.out_rels at_once n
+       || Graph.in_rels g n <> Graph.in_rels at_once n
+    then Alcotest.failf "node %d: slices differ" n
+  done;
+  for l = 0 to Graph.label_count g - 1 do
+    Alcotest.(check (array int)) "label extent"
+      (Graph.nodes_with_label at_once l) (Graph.nodes_with_label g l)
+  done
 
 (* qcheck: a randomly built graph has consistent adjacency *)
 let prop_adjacency_consistent =
@@ -330,5 +374,7 @@ let suite =
       test_graph_heap_words_constant;
     Alcotest.test_case "graph: columns at their value width" `Quick
       test_graph_column_widths;
+    Alcotest.test_case "graph: estimation builds no adjacency" `Quick
+      test_estimation_builds_no_adjacency;
     QCheck_alcotest.to_alcotest prop_adjacency_consistent;
   ]
