@@ -23,20 +23,17 @@ let bytes_cell b =
 
 (* Per-component resident bytes of the packed graph and the compiled
    catalog, as measured by Mem_size / Bigarray.Array1.size_in_bytes. A
-   graph no traversal has walked holds no adjacency and no label node
-   column; the rows say so. *)
+   graph no traversal has walked holds no adjacency; its row says so. *)
 let print_memory_table (ds : Dataset.t) =
   let t = Table.create [ "component"; "bytes" ] in
   let rows =
     Lpp_pgraph.Graph.memory_breakdown ds.graph
     @ Lpp_stats.Catalog.memory_breakdown ds.catalog
   in
-  let note =
-    if Lpp_pgraph.Graph.adjacency_built ds.graph then fun _ -> ""
-    else function
-      | "graph.adjacency" -> ", not built"
-      | "graph.labels" -> ", node column not built"
-      | _ -> ""
+  let note k =
+    if k = "graph.adjacency" && not (Lpp_pgraph.Graph.adjacency_built ds.graph)
+    then ", not built"
+    else ""
   in
   List.iter (fun (k, v) -> Table.add_row t [ k; bytes_cell v ^ note k ]) rows;
   Table.add_row t
@@ -922,10 +919,10 @@ let cmd_stats =
            `P "Builds the data set at the requested $(b,--scale) tier and \
                compiles its statistics catalog into packed Bigarrays, then \
                prints the Table-1 summary plus per-component resident bytes \
-               (relationship columns, label columns, NC/RC catalog arrays; \
-               the CSR adjacency and the label node column are built on a \
-               graph's first traversal, which this command never makes, so \
-               their rows read \"not built\"). The peak RSS is the \
+               (relationship columns, label-set column, NC/RC catalog \
+               arrays; the CSR adjacency is built on a graph's first \
+               traversal, which this command never makes, so its row reads \
+               \"not built\"). The peak RSS is the \
                estimation path's. Use $(b,--scale large) to exercise the \
                ≥10⁷-relationship tier." ])
     Term.(const run $ C.data)

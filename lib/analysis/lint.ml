@@ -17,7 +17,3 @@ let report_diagnostics r =
   @ match r.soundness with
     | Some s -> s.Soundness.diagnostics
     | None -> []
-
-let provably_zero ~catalog alg =
-  let seq = Seq_lint.run ~catalog alg in
-  seq.Seq_lint.well_formed && seq.Seq_lint.provably_zero

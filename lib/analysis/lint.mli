@@ -15,11 +15,3 @@ val check_sequence :
 
 val report_diagnostics : sequence_report -> Diagnostic.t list
 (** Lint and soundness diagnostics of a report, in pass order. *)
-
-val provably_zero : catalog:Lpp_stats.Catalog.t -> Lpp_pattern.Algebra.t -> bool
-(** True when the sequence is structurally well-formed and some prefix is
-    provably empty (see {!Seq_lint}) — the contract behind the opt-in
-    zero-short-circuit in [Lpp_harness.Technique.ours]: the {e true}
-    cardinality of such a sequence is exactly 0. Malformed sequences are
-    never short-circuited (the estimator's behaviour on them, typically an
-    exception, is preserved). *)

@@ -21,7 +21,6 @@ type deg_entry = {
 
 type session = {
   config : Config.t;
-  checks : bool;
   catalog : Catalog.t;
   hierarchy : Label_hierarchy.t;  (* trivial when H_L is switched off *)
   partition : Label_partition.t;  (* trivial when D_L is switched off *)
@@ -57,12 +56,11 @@ type session = {
    adversarial type-set diversity cannot grow the list without limit. *)
 let max_deg_entries = 64
 
-let make ?(checks = false) config catalog =
+let make config catalog =
   let labels = Catalog.label_count catalog in
   let n = max labels 1 in
   {
     config;
-    checks;
     catalog;
     hierarchy =
       (if config.Config.use_hierarchy then Catalog.hierarchy catalog
@@ -652,51 +650,24 @@ let apply_op st (op : Algebra.op) =
       else apply_merge_on st ~keep ~merge);
   if st.card < 0.0 then st.card <- 0.0
 
-(* Runtime assertion mode (opt-in, [make ~checks:true]): after every operator
-   the invariants the soundness verifier proves statically — cardinality
-   finite and ≥ 0, every live probability in [0, 1] — are re-checked against
-   the actual state, failing loudly instead of propagating garbage. *)
-let assert_sound st i op =
-  let bad fmt = Format.kasprintf failwith fmt in
-  if Float.is_nan st.card || st.card = Float.infinity || st.card < 0.0 then
-    bad "estimator soundness violated after op %d (%a): cardinality %h" i
-      Algebra.pp_op op st.card;
-  List.iter
-    (fun var ->
-      for label = 0 to Label_probs.label_count st.probs - 1 do
-        let p = Label_probs.get st.probs ~var ~label in
-        if Float.is_nan p || p < 0.0 || p > 1.0 then
-          bad "estimator soundness violated after op %d (%a): P(v%d:L%d) = %h"
-            i Algebra.pp_op op var label p
-      done)
-    (Label_probs.live_vars st.probs)
-
 (* The one walk over an operator sequence (Algorithm 1's loop). What happens
-   at each operator — plain, checked, spanned or recording — is a [step]
+   at each operator — plain ([apply_op]), spanned or recording — is a [step]
    chosen once per estimate, so the loop itself never branches on modes. *)
 let walk st (alg : Algebra.t) step =
   for i = 0 to Array.length alg.ops - 1 do
-    step st i alg.ops.(i)
+    step st alg.ops.(i)
   done
-
-let plain_step st _ op = apply_op st op
-
-let checked_step st i op =
-  apply_op st op;
-  assert_sound st i op
 
 (* Traced step, reached only when the global switch is on: one span per
    operator, nested in the enclosing "estimate" span, carrying input/output
    cardinality and the live variable count of the label probability matrix.
    The other steps never touch Lpp_obs, so disabled estimates are
    bit-identical. *)
-let spanned_step st i op =
+let spanned_step st op =
   let card_in = st.card in
   Lpp_obs.Metrics.incr (op_counter op);
   Lpp_obs.Trace.begin_span ~cat:"estimator" (op_name op);
-  (try
-     apply_op st op;
-     if st.checks then assert_sound st i op
+  (try apply_op st op
    with e ->
      Lpp_obs.Trace.end_span ();
      raise e);
@@ -719,7 +690,7 @@ let session_estimate st (alg : Algebra.t) =
     Lpp_obs.Trace.end_span
       ~args:[| ("ops", fi (Array.length alg.ops)); ("card", st.card) |] ()
   end
-  else walk st alg (if st.checks then checked_step else plain_step);
+  else walk st alg apply_op;
   st.card
 
 let session_estimate_pattern st pattern =
@@ -735,7 +706,7 @@ let trace config catalog (alg : Algebra.t) =
   let st = make config catalog in
   begin_estimate st alg;
   let steps = ref [] in
-  walk st alg (fun st _ op ->
+  walk st alg (fun st op ->
       apply_op st op;
       steps := (op, st.card) :: !steps);
   List.rev !steps

@@ -34,18 +34,11 @@
 
 type session
 
-val make : ?checks:bool -> Config.t -> Lpp_stats.Catalog.t -> session
+val make : Config.t -> Lpp_stats.Catalog.t -> session
 (** Resolve the configuration against the catalog once and preallocate all
     scratch state. The session is bound to this one immutable snapshot; to
     estimate over updated statistics, take a new snapshot
-    ({!Lpp_stats.Catalog.Builder.snapshot}) and make a session on it.
-
-    [checks] (default [false]) enables the runtime assertion mode: after
-    every operator the session verifies the invariants
-    [Lpp_analysis.Soundness] proves statically — cardinality finite and
-    ≥ 0, every live label probability in [0, 1] — and raises [Failure]
-    naming the offending operator otherwise. Estimates are bit-identical
-    with checks on or off. *)
+    ({!Lpp_stats.Catalog.Builder.snapshot}) and make a session on it. *)
 
 val session_estimate : session -> Lpp_pattern.Algebra.t -> float
 (** Like {!estimate}, reusing the session's state. *)

@@ -128,8 +128,9 @@ let make_searcher ?(semantics = Semantics.Cypher) g (p : Pattern.t) ~tick
   let node_of = Array.make n (-1) in
   let rel_of = Array.make m (-1) in
   (* global edge-isomorphism marks, shared by single relationships and every
-     hop of variable-length paths *)
-  let used = Array.make (max (Graph.rel_count g) 1) false in
+     hop of variable-length paths: a byte per relationship, which the GC
+     never scans *)
+  let used = Bytes.make (max (Graph.rel_count g) 1) '\000' in
   let edge_iso = Semantics.equal semantics Cypher in
   let rec go i =
     if i >= Array.length steps then on_match node_of rel_of
@@ -152,13 +153,14 @@ let make_searcher ?(semantics = Semantics.Cypher) g (p : Pattern.t) ~tick
       | None ->
           iter_candidate_rels g rp ~from_src u (fun r other ->
               tick ();
-              if ((not edge_iso) || not used.(r)) && rel_props_match g rp r
+              if ((not edge_iso) || Bytes.get used r = '\000')
+                 && rel_props_match g rp r
               then begin
-                used.(r) <- true;
+                Bytes.set used r '\001';
                 rel_of.(prel) <- r;
                 arrive other (fun () -> go (i + 1));
                 rel_of.(prel) <- -1;
-                used.(r) <- false
+                Bytes.set used r '\000'
               end)
       | Some (lo, hi) ->
           (* enumerate paths of lo..hi qualifying hops; every hop respects
@@ -169,11 +171,12 @@ let make_searcher ?(semantics = Semantics.Cypher) g (p : Pattern.t) ~tick
             if depth < hi then
               iter_candidate_rels g rp ~from_src node (fun r other ->
                   tick ();
-                  if ((not edge_iso) || not used.(r)) && rel_props_match g rp r
+                  if ((not edge_iso) || Bytes.get used r = '\000')
+                     && rel_props_match g rp r
                   then begin
-                    used.(r) <- true;
+                    Bytes.set used r '\001';
                     walk (depth + 1) other;
-                    used.(r) <- false
+                    Bytes.set used r '\000'
                   end)
           in
           walk 0 u

@@ -8,7 +8,7 @@ type t = {
   memory_bytes : int;
 }
 
-let ours ?(lint_zero = false) config catalog =
+let ours config catalog =
   (* One estimator session per domain: Runner.run fans queries out across a
      domain pool, and sessions hold scratch state that must not be shared.
      Estimates are pure in (config, catalog, pattern), so which domain's
@@ -16,24 +16,13 @@ let ours ?(lint_zero = false) config catalog =
   let session_key =
     Domain.DLS.new_key (fun () -> Lpp_core.Estimator.make config catalog)
   in
-  let session_estimate alg =
-    Lpp_core.Estimator.session_estimate (Domain.DLS.get session_key) alg
-  in
-  let estimate =
-    if lint_zero then fun p ->
-      (* Opt-in: a sequence the lint proves empty (contradictory labels,
-         a label or type the data never uses) has true cardinality 0 — answer
-         it exactly instead of running Algorithm 1. Off by default so the
-         configurations stay bit-identical to the paper's behaviour. *)
-      let alg = Lpp_pattern.Planner.plan p in
-      if Lpp_analysis.Lint.provably_zero ~catalog alg then 0.0
-      else session_estimate alg
-    else fun p -> session_estimate (Lpp_pattern.Planner.plan p)
-  in
   {
     name = Lpp_core.Config.name config;
     supports = (fun _ -> true);
-    estimate;
+    estimate =
+      (fun p ->
+        Lpp_core.Estimator.session_estimate_pattern
+          (Domain.DLS.get session_key) p);
     seeded_estimate = None;
     memory_bytes = Lpp_core.Estimator.memory_bytes config catalog;
   }
@@ -88,8 +77,8 @@ let sumrdf ?target_buckets ?budget (ds : Lpp_datasets.Dataset.t) =
     memory_bytes = Sumrdf.memory_bytes est;
   }
 
-let our_configurations ?lint_zero (ds : Lpp_datasets.Dataset.t) =
-  List.map (fun c -> ours ?lint_zero c ds.catalog) Lpp_core.Config.all
+let our_configurations (ds : Lpp_datasets.Dataset.t) =
+  List.map (fun c -> ours c ds.catalog) Lpp_core.Config.all
   @ [ neo4j ds.catalog ]
 
 let state_of_the_art ~seed (ds : Lpp_datasets.Dataset.t) =

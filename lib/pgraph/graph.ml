@@ -12,22 +12,21 @@ type rel = int
    fitting in memory or not. Nodes carry label sets by id: real graphs have
    a handful of distinct sets (SNB has 11 over millions of nodes), so each
    node costs one narrow column slot and the sets themselves are shared
-   arrays. The label index is one more CSR, keyed by label. Property lists
-   stay boxed and the per-entity arrays end at the last id that carries
-   one: a graph without properties keeps nothing per entity on the OCaml
-   heap.
+   arrays. Every label question is answered from the sets: freeze counts
+   each label's nodes, and a label's extent is one pass over the set
+   column. Property lists stay boxed and the per-entity arrays end at the
+   last id that carries one: a graph without properties keeps nothing per
+   entity on the OCaml heap.
 
-   Freeze keeps the columns estimation reads: the relationship columns,
-   the label-set ids and the label index's offsets, so NC(l) is O(1). The
-   columns only a traversal reads (both CSR sides and the label index's
-   node column) are built on the first call that walks them, once per
-   graph; see [adjacency]. *)
+   Freeze keeps the columns estimation reads: the relationship columns and
+   the label-set ids. Both CSR sides, which only a traversal reads, are
+   built on the first call that walks them, once per graph; see
+   [adjacency]. *)
 type adjacency = {
   out_off : Iarr.t;  (* node_count + 1 slots *)
   out_tgt : Iarr.t;  (* rel ids, ascending within each node's slice *)
   in_off : Iarr.t;
   in_tgt : Iarr.t;
-  label_nodes : Iarr.t;  (* node ids, ascending within each label's slice *)
 }
 
 type t = {
@@ -41,7 +40,7 @@ type t = {
   rel_dst : Iarr.t;
   rel_type : Iarr.t;
   rel_props : (int * Value.t) array array;  (* up to the last carrier *)
-  label_off : Iarr.t;  (* label count at freeze + 1 slots *)
+  label_nc : int array;  (* label -> node count, label count at freeze *)
   adjacency : adjacency option Atomic.t;  (* [None] until the first walk *)
   adjacency_lock : Mutex.t;  (* held by the one build *)
   unlabeled : int;
@@ -50,9 +49,9 @@ type t = {
 
 (* Element access, inlined. The library is compiled opaque in dune's default
    profile, so [Iarr.get] is a call per element; per-element loops here (the
-   CSR fills, the cell walk) and the accessors below read and write through
-   these copies of [Iarr.get] and [Iarr.set] instead: one masked 64-bit
-   load, and a store of exactly the column's width. *)
+   CSR fills, the extent scan, the cell walk) and the accessors below read
+   and write through these copies of [Iarr.get] and [Iarr.set] instead: one
+   masked 64-bit load, and a store of exactly the column's width. *)
 let[@inline] get (a : Iarr.t) i =
   if i < 0 || i >= a.length then invalid_arg "index out of bounds";
   let x = Iarr.get64u a.data (i * a.width) in
@@ -118,47 +117,6 @@ let build_csr ~n_nodes ~endpoints =
   shift_back off;
   (off, tgt)
 
-(* The label index, the same CSR keyed by label: a node is entered once per
-   occurrence of the label in its set, so an [unsafe_make] list that
-   repeats a label enters its node twice. Freeze counts per set into the
-   offsets; the node column is filled on the first walk, every slot once,
-   with its cursors in a per-label array: a handful of labels take every
-   node, so a cursor kept in [off] would be read back right after each
-   write, the stall [prefix_sum] avoids. The label count is the one at
-   freeze, [label_off]'s, not the vocabulary's, which may have grown
-   since. *)
-let label_offsets ~n_labels ~label_sets ~set_sizes =
-  let total = ref 0 in
-  Array.iteri
-    (fun s ls -> total := !total + (Array.length ls * set_sizes.(s)))
-    label_sets;
-  let off = Iarr.create ~max_value:!total (n_labels + 1) in
-  Array.iteri
-    (fun s ls ->
-      Array.iter (fun l -> set off (l + 1) (get off (l + 1) + set_sizes.(s)))
-        ls)
-    label_sets;
-  prefix_sum off;
-  off
-
-let fill_label_nodes t =
-  let n_nodes = Iarr.length t.node_set in
-  let n_labels = Iarr.length t.label_off - 1 in
-  let nodes =
-    Iarr.create_unfilled ~max_value:(max 0 (n_nodes - 1))
-      (get t.label_off n_labels)
-  in
-  let cursor = Array.init n_labels (get t.label_off) in
-  for n = 0 to n_nodes - 1 do
-    let ls = t.label_sets.(get t.node_set n) in
-    for i = 0 to Array.length ls - 1 do
-      let c = cursor.(ls.(i)) in
-      set nodes c n;
-      cursor.(ls.(i)) <- c + 1
-    done
-  done;
-  nodes
-
 let build_adjacency t =
   let n_nodes = Iarr.length t.node_set in
   Lpp_obs.Trace.with_span ~cat:"graph" "graph.adjacency"
@@ -170,7 +128,7 @@ let build_adjacency t =
   @@ fun () ->
   let out_off, out_tgt = build_csr ~n_nodes ~endpoints:t.rel_src in
   let in_off, in_tgt = build_csr ~n_nodes ~endpoints:t.rel_dst in
-  { out_off; out_tgt; in_off; in_tgt; label_nodes = fill_label_nodes t }
+  { out_off; out_tgt; in_off; in_tgt }
 
 (* Built once per graph, from whichever domain walks it first: once built,
    a call costs one load; before, callers queue on the lock and the first
@@ -245,14 +203,28 @@ let label_node_count t l =
   (* an id at or past the label count has an empty extent; an unknown query
      label is one, as names are resolved against the vocabulary, never
      written into it, and a missing one maps to the label count *)
-  if l < 0 || l + 1 >= Iarr.length t.label_off then 0
-  else get t.label_off (l + 1) - get t.label_off l
+  if l < 0 || l >= Array.length t.label_nc then 0 else t.label_nc.(l)
 
+(* One pass over the set column: a node is listed once per occurrence of
+   the label in its set, so an [unsafe_make] list that repeats a label lists
+   its node twice, as [label_node_count] counts it. *)
 let nodes_with_label t l =
-  let a = adjacency t in
   match label_node_count t l with
   | 0 -> [||]
-  | len -> Iarr.sub_to_array a.label_nodes ~pos:(get t.label_off l) ~len
+  | len ->
+      let occurs =
+        Array.map
+          (Array.fold_left (fun c l' -> if l' = l then c + 1 else c) 0)
+          t.label_sets
+      in
+      let nodes = Array.make len 0 and k = ref 0 in
+      for n = 0 to Iarr.length t.node_set - 1 do
+        for _ = 1 to occurs.(get t.node_set n) do
+          nodes.(!k) <- n;
+          incr k
+        done
+      done;
+      nodes
 
 let unlabeled_node_count t = t.unlabeled
 
@@ -383,10 +355,11 @@ let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_sets ~node_set
     let s = get node_set n in
     set_sizes.(s) <- set_sizes.(s) + 1
   done;
-  let unlabeled = ref 0 in
+  let unlabeled = ref 0 and label_nc = Array.make (Interner.size labels) 0 in
   Array.iteri
     (fun s ls ->
-      if Array.length ls = 0 then unlabeled := !unlabeled + set_sizes.(s))
+      if Array.length ls = 0 then unlabeled := !unlabeled + set_sizes.(s);
+      Array.iter (fun l -> label_nc.(l) <- label_nc.(l) + set_sizes.(s)) ls)
     label_sets;
   let prop_total =
     Array.fold_left (fun acc ps -> acc + Array.length ps) 0 node_props
@@ -403,8 +376,7 @@ let unsafe_make_packed ~labels ~rel_types ~prop_keys ~label_sets ~node_set
     rel_dst;
     rel_type;
     rel_props;
-    label_off =
-      label_offsets ~n_labels:(Interner.size labels) ~label_sets ~set_sizes;
+    label_nc;
     adjacency = Atomic.make None;
     adjacency_lock = Mutex.create ();
     unlabeled = !unlabeled;
@@ -439,13 +411,10 @@ let adjacency_bytes t =
   | None -> 0
 
 let memory_breakdown t =
-  let label_nodes =
-    match Atomic.get t.adjacency with Some a -> [ a.label_nodes ] | None -> []
-  in
   [
     ("graph.rels", rel_bytes t);
     ("graph.adjacency", adjacency_bytes t);
-    ("graph.labels", bytes (t.node_set :: t.label_off :: label_nodes));
+    ("graph.labels", Iarr.size_in_bytes t.node_set);
   ]
 
 let csr_bytes t = rel_bytes t + adjacency_bytes t

@@ -3,21 +3,22 @@
     A graph is built once through {!Graph_builder} and then immutable. Nodes
     and relationships are dense integer ids; labels, relationship types and
     property keys are interned integers resolvable through the embedded
-    {!Interner}s. Adjacency is stored CSR-style per node and per direction,
-    and a per-label node index, CSR-style too, supports label scans. Every
-    per-entity column but the property arrays lives off the OCaml heap: a
-    graph without properties holds a constant number of heap words
-    whatever its size.
+    {!Interner}s. Adjacency is stored CSR-style per node and per direction.
+    Each node carries a label-set id, and every label question is answered
+    from the sets: a per-label node count fixed at freeze, and a label's
+    extent scanned from the set column. Every per-entity column but the
+    property arrays lives off the OCaml heap: a graph without properties
+    holds a constant number of heap words whatever its size.
 
-    A frozen graph holds what estimation reads: the relationship columns,
-    each node's label-set id and the label index's offsets. The columns
-    only a traversal reads (the out- and in-CSR and the label index's node
-    column) are built together on the first call to {!out_rels},
+    A frozen graph holds what estimation reads: the relationship columns
+    and each node's label-set id. The columns only a traversal reads (the
+    out- and in-CSR) are built together on the first call to {!out_rels},
     {!in_rels}, {!iter_out_rels}, {!iter_in_rels}, {!out_degree},
-    {!in_degree}, {!degree} or {!nodes_with_label}. That build runs once
-    per graph, under a lock, whichever domain calls first; every later call
-    costs one atomic load. The catalog, the estimator and a serving process
-    never call them, so they never hold these columns. *)
+    {!in_degree} or {!degree}. That build runs once per graph, under a
+    lock, whichever domain calls first; every later call costs one atomic
+    load. The catalog, the estimator and a serving process never call
+    them, so they never hold these columns; {!nodes_with_label} and
+    {!label_node_count} never build them either. *)
 
 type t
 
@@ -92,17 +93,18 @@ val assoc_prop : (int * Value.t) array -> int -> Value.t option
 val node_prop : t -> node -> int -> Value.t option
 
 val nodes_with_label : t -> int -> node array
-(** All nodes carrying the given label, ascending: a freshly allocated copy of
-    the label's index slice, like {!out_rels}. Labels interned into the
+(** All nodes carrying the given label, ascending, freshly allocated like
+    {!out_rels}: one pass over the node-to-set column, listing a node once
+    per occurrence of the label in its set (an {!unsafe_make} list that
+    repeats a label lists its node twice). Labels interned into the
     vocabulary after the graph was frozen (e.g. by a query mentioning an
-    unused label), and negative ids, have an empty extent. Builds the
-    adjacency on the graph's first traversal. *)
+    unused label), and negative ids, have an empty extent. Builds nothing:
+    the adjacency stays as it was. *)
 
 val label_node_count : t -> int -> int
-(** [Array.length (nodes_with_label g l)] in O(1), without the copy and
-    without building the adjacency: the label's node count NC(l) for the
-    catalog, the property statistics and the matcher's rarest-label
-    pick. *)
+(** [Array.length (nodes_with_label g l)] in O(1), from a per-label count
+    fixed at freeze: the label's node count NC(l) for the catalog, the
+    property statistics and the matcher's rarest-label pick. *)
 
 val unlabeled_node_count : t -> int
 
@@ -226,28 +228,25 @@ val unsafe_make_packed :
       node ids.
     - [node_props] and [rel_props] are as for {!unsafe_make}.
 
-    The label index's offsets are counted here; the CSR sides and the
-    label index's node column are left to the first traversal, which
-    builds them in their own offset columns with no temporary per node or
-    per relationship. *)
+    Each label's node count is taken here, from the sets; the CSR sides are
+    left to the first traversal, which builds them in their own offset
+    columns with no temporary per node or per relationship. *)
 
 (** {1 Memory accounting} *)
 
 val memory_breakdown : t -> (string * int) list
 (** Resident bytes of the Bigarray-backed components: the relationship
     columns (["graph.rels"]), the CSR adjacency (["graph.adjacency"]) and
-    the label columns (["graph.labels"]: the node-to-set column and the
-    label index). Before the first traversal the adjacency row is 0 and the
-    label row leaves out the index's node column, which are not built yet
-    ({!adjacency_built}); reading them never builds them. The shared label
-    sets and the boxed property arrays are not included. *)
+    the node-to-set column (["graph.labels"]). Before the first traversal
+    the adjacency row is 0, as it is not built yet ({!adjacency_built});
+    reading it never builds it. The shared label sets, the per-label counts
+    and the boxed property arrays are not included. *)
 
 val csr_bytes : t -> int
 (** Resident bytes of the relationship columns plus the CSR adjacency: the
     ["graph.rels"] and ["graph.adjacency"] rows of {!memory_breakdown}, not
-    the label columns. Before the first traversal, the relationship columns
+    the label column. Before the first traversal, the relationship columns
     alone. *)
 
 val adjacency_built : t -> bool
-(** Whether a traversal has built the adjacency and the label index's node
-    column. Never builds them. *)
+(** Whether a traversal has built the adjacency. Never builds it. *)

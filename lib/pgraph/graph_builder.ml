@@ -8,8 +8,8 @@ module Ivec = Lpp_util.Ivec
    its label set as it arrives, so a node costs one slot of the set ids'
    width, a byte for a graph with at most 256 label sets. At freeze these
    vectors become the graph's columns as they are, and the graph counts
-   its label index's offsets; its CSR sides and the label index's node
-   column wait for the first traversal. Peak RSS while building is the
+   each label's nodes from the sets; its CSR sides wait for the first
+   traversal. Peak RSS while building is the
    final flat layout plus doubling slack — no per-node records, no
    reversed lists, no second copy and no per-entity temporary at freeze
    time.

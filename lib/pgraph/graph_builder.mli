@@ -5,9 +5,9 @@
     accumulate in flat growable Bigarray vectors (each in the fewest of 1,
     2, 3, 4 or 8 bytes that hold its largest id); properties go to sparse
     per-entity tables. {!freeze} hands these
-    vectors to the graph as its columns and counts the label index's
-    offsets; the CSR sides and the label index's node column are built on
-    the graph's first traversal ({!Graph}). So peak memory while loading a
+    vectors to the graph as its columns and counts each label's nodes from
+    the sets; the CSR sides are built on the graph's first traversal
+    ({!Graph}). So peak memory while loading a
     10⁷–10⁸-edge graph is the final packed layout plus doubling slack —
     never a second copy, and no per-entity temporary on the OCaml heap.
 

@@ -2,8 +2,8 @@
     the width its values need.
 
     The memory-dominant graph structures (CSR offsets and targets, the
-    relationship endpoint and type columns, the node-to-label-set column and
-    the label index) store plain non-negative machine integers. Keeping them
+    relationship endpoint and type columns and the node-to-label-set
+    column) store plain non-negative machine integers. Keeping them
     in a Bigarray takes them off the OCaml heap entirely: the GC neither
     scans nor moves them. Each array stores its elements in [width] bytes,
     the fewest of 1, 2, 3, 4 or 8 that hold its largest value

@@ -301,8 +301,8 @@ let prop_soundness_random =
           true)
 
 (* Provable zero is a semantic statement about the data, not the estimator:
-   whenever the lint proves a prefix empty, the reference evaluator must
-   find exactly 0 result mappings. *)
+   whenever the lint proves a prefix of a well-formed sequence empty, the
+   reference evaluator must find exactly 0 result mappings. *)
 let prop_provably_zero_is_zero =
   QCheck.Test.make ~name:"provably-zero sequences evaluate to 0" ~count:120
     QCheck.(int_bound 1_000_000)
@@ -314,7 +314,8 @@ let prop_provably_zero_is_zero =
       | exception Invalid_argument _ -> true
       | p ->
           let a = Planner.plan p in
-          if Lint.provably_zero ~catalog:cat a then
+          let seq = Seq_lint.run ~catalog:cat a in
+          if seq.well_formed && seq.provably_zero then
             match Lpp_exec.Reference.count g a with
             | Some n -> n = 0
             | None -> true (* budget exceeded; nothing to check *)
@@ -333,56 +334,6 @@ let prop_planner_cycle_metadata_consistent =
       | p ->
           let check a = not (has_code "LPP-A120" (Seq_lint.run a).diagnostics) in
           check (Planner.plan p) && check (Planner.random_order rng p))
-
-(* ---------------- estimator integration ---------------- *)
-
-let test_checks_mode_bit_identical () =
-  let f, cat = Lazy.force campus in
-  let patterns =
-    [ Pattern.of_spec f.graph [ Pattern.node_spec ~labels:[ "Person" ] () ] [];
-      triangle_pattern f.graph;
-      Pattern.of_spec f.graph
-        [ Pattern.node_spec ~labels:[ "Student" ] (); Pattern.node_spec () ]
-        [ Pattern.rel_spec ~types:[ "attends" ] ~src:0 ~dst:1 () ] ]
-  in
-  List.iter
-    (fun config ->
-      let plain = Lpp_core.Estimator.make config cat in
-      let checked = Lpp_core.Estimator.make ~checks:true config cat in
-      List.iter
-        (fun p ->
-          let a = Planner.plan p in
-          Alcotest.(check (float 0.0))
-            "checked session bit-identical"
-            (Lpp_core.Estimator.session_estimate plain a)
-            (Lpp_core.Estimator.session_estimate checked a))
-        patterns)
-    soundness_configs
-
-let test_lint_zero_short_circuit () =
-  let f, cat = Lazy.force campus in
-  let p =
-    Pattern.of_spec f.graph
-      [ Pattern.node_spec ~labels:[ "Student"; "Course" ] () ] []
-  in
-  (* A-L has no partition: plain estimation gives 3 × 2/6 = 1, but the lint
-     proves the conjunction empty and the short-circuit returns 0 *)
-  let plain = Lpp_harness.Technique.ours Lpp_core.Config.a_l cat in
-  let sc = Lpp_harness.Technique.ours ~lint_zero:true Lpp_core.Config.a_l cat in
-  Alcotest.(check (float 1e-9)) "default estimate" 1.0
-    (plain.Lpp_harness.Technique.estimate p);
-  Alcotest.(check (float 0.0)) "short-circuited" 0.0
-    (sc.Lpp_harness.Technique.estimate p);
-  (match Lpp_exec.Matcher.count f.graph p with
-  | Lpp_exec.Matcher.Count n -> Alcotest.(check int) "truly empty" 0 n
-  | Budget_exceeded -> Alcotest.fail "budget exceeded on 6 nodes");
-  (* a satisfiable pattern is not short-circuited *)
-  let q =
-    Pattern.of_spec f.graph [ Pattern.node_spec ~labels:[ "Student" ] () ] []
-  in
-  Alcotest.(check (float 1e-9)) "satisfiable pattern untouched"
-    (plain.Lpp_harness.Technique.estimate q)
-    (sc.Lpp_harness.Technique.estimate q)
 
 (* ---------------- diagnostics & JSON ---------------- *)
 
@@ -440,10 +391,6 @@ let suite =
       test_soundness_campus;
     Alcotest.test_case "soundness: malformed sequence (S003)" `Quick
       test_soundness_malformed;
-    Alcotest.test_case "estimator: checks mode bit-identical" `Quick
-      test_checks_mode_bit_identical;
-    Alcotest.test_case "harness: lint_zero short-circuit" `Quick
-      test_lint_zero_short_circuit;
     Alcotest.test_case "diagnostic JSON" `Quick test_diagnostic_json;
     QCheck_alcotest.to_alcotest prop_soundness_random;
     QCheck_alcotest.to_alcotest prop_provably_zero_is_zero;

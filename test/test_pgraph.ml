@@ -258,23 +258,22 @@ let test_graph_column_widths () =
          ~props:[])
   done;
   let g = Graph_builder.freeze b in
-  (* the first walk builds the adjacency and the label node column *)
+  (* the first walk builds the adjacency *)
   Graph.iter_out_rels g 0 ignore;
   let row name = List.assoc name (Graph.memory_breakdown g) in
-  let label_entries = n in
   Alcotest.(check int) "graph.rels: 3 + 3 + 1 bytes a relationship"
     (m * (3 + 3 + 1)) (row "graph.rels");
   Alcotest.(check int) "graph.adjacency: 3-byte offsets and rel ids"
     (2 * (((n + 1) * 3) + (m * 3)))
     (row "graph.adjacency");
-  Alcotest.(check int) "graph.labels: node_set at 1 byte a node"
-    ((n * 1) + (3 * 3) + (label_entries * 3))
+  Alcotest.(check int) "graph.labels: node_set at 1 byte a node" (n * 1)
     (row "graph.labels")
 
 (* Estimation reads no adjacency: building a data set, its catalog and an
-   A-LHD session's estimates leaves the CSR sides and the label node column
-   unbuilt. The first walk builds them, and they equal those of the same
-   graph built at once. *)
+   A-LHD session's estimates leaves the CSR sides unbuilt, and so does a
+   label's extent, which is the filter of the nodes carrying it. The first
+   walk builds the CSR sides, and they equal those of the same graph built
+   at once. *)
 let test_estimation_builds_no_adjacency () =
   let build () =
     Option.get (Lpp_datasets.Scale.build Lpp_datasets.Scale.Smoke ~name:"snb" ~seed:5)
@@ -295,6 +294,14 @@ let test_estimation_builds_no_adjacency () =
       "(p:Person {gender: \"male\"})-[:LIKES]->(m:Post)";
     ];
   Alcotest.(check bool) "not built after freeze, catalog and estimates" false
+    (Graph.adjacency_built g);
+  let person = Option.get (Interner.find_opt (Graph.labels g) "Person") in
+  Alcotest.(check (list int)) "Person extent == filter of node_labels"
+    (List.filter
+       (fun n -> Array.mem person (Graph.node_labels g n))
+       (List.init (Graph.node_count g) Fun.id))
+    (Array.to_list (Graph.nodes_with_label g person));
+  Alcotest.(check bool) "not built by nodes_with_label" false
     (Graph.adjacency_built g);
   Alcotest.(check int) "no adjacency bytes" 0
     (List.assoc "graph.adjacency" (Graph.memory_breakdown g));

@@ -187,7 +187,7 @@ let prop_csr_accessors_agree =
       List.iter (fun (_, v) -> if v < 0 then ok := false) breakdown;
       !ok)
 
-(* The label index and the cell walk against their definitions: each
+(* Label extents and the cell walk against their definitions: each
    label's extent is the ascending filter of the nodes carrying it, and its
    count is that extent's length, also for ids outside the vocabulary;
    every adjacency slice is ascending; [iter_rel_cells] yields each

@@ -419,7 +419,26 @@ let prop_catalog_matches_oracle =
         let sets = List.init (Graph.label_set_count g) (Graph.label_set g) in
         List.length (List.sort_uniq compare sets) = List.length sets
       in
-      interned_as_given && sets_distinct
+      (* each node once per occurrence of the label in its given list, for
+         every id from -1 to L + 2 *)
+      let extents_as_given =
+        List.for_all
+          (fun l ->
+            let expected =
+              List.concat
+                (List.mapi
+                   (fun n ls ->
+                     List.filter_map
+                       (fun l' -> if l' = l then Some n else None)
+                       (Array.to_list ls))
+                   (Array.to_list node_labels))
+            in
+            let extent = Graph.nodes_with_label g l in
+            Array.to_list extent = expected
+            && Array.length extent = Graph.label_node_count g l)
+          (List.init (Graph.label_count g + 4) (fun i -> i - 1))
+      in
+      interned_as_given && sets_distinct && extents_as_given
       && Catalog_oracle.catalog_entries (Catalog.build g)
          = Catalog_oracle.entries g)
 
