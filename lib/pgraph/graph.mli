@@ -17,8 +17,10 @@
     {!in_degree} or {!degree}. That build runs once per graph, under a
     lock, whichever domain calls first; every later call costs one atomic
     load. The catalog, the estimator and a serving process never call
-    them, so they never hold these columns; {!nodes_with_label} and
-    {!label_node_count} never build them either. *)
+    them, so they never hold these columns, with one exception: the
+    [A-LHDT] triangle census ([Catalog.triangles]) walks the CSR on the
+    first 3-cycle estimate that reads it. {!nodes_with_label} and
+    {!label_node_count} never build them. *)
 
 type t
 

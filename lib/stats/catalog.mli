@@ -123,8 +123,11 @@ val partition : t -> Label_partition.t
 val props : t -> Prop_stats.t
 
 val triangles : t -> Triangle_stats.t
-(** Wedge-closure statistics for the triangle-aware extension; computed
-    lazily on first use. *)
+(** Wedge-closure statistics for the triangle-aware extension: the exact
+    census of {!Triangle_stats.build}, run once, on the first call, under
+    the catalog's lock. The census reads the graph's CSR, so that first
+    call builds the graph's adjacency if no traversal has: the one place
+    where the catalog traverses the graph. *)
 
 (** {1 Memory accounting (Table 3)} *)
 

@@ -1,84 +1,55 @@
 open Lpp_pgraph
 
-type t = {
-  wedges : float;
-  rate_directed : float;
-  rate_undirected : float;
-  exact : bool;
-}
+type t = { wedges : float; rate_directed : float; rate_undirected : float }
 
-(* distinct undirected neighbours per node, plus directed adjacency sets *)
-let adjacency g =
+(* N(v): v's distinct neighbours other than v itself *)
+let neighbours g v =
+  let acc = ref [] in
+  let add u = if u <> v then acc := u :: !acc in
+  Graph.iter_out_rels g v (fun r -> add (Graph.rel_dst g r));
+  Graph.iter_in_rels g v (fun r -> add (Graph.rel_src g r));
+  Array.of_list (List.sort_uniq Int.compare !acc)
+
+let build g =
   let n = Graph.node_count g in
-  let out_sets = Array.init n (fun _ -> Hashtbl.create 4) in
-  let neigh = Array.init n (fun _ -> Hashtbl.create 8) in
-  Graph.iter_rels g (fun r ->
-      let s = Graph.rel_src g r and d = Graph.rel_dst g r in
-      if s <> d then begin
-        Hashtbl.replace out_sets.(s) d ();
-        Hashtbl.replace neigh.(s) d ();
-        Hashtbl.replace neigh.(d) s ()
-      end);
-  (out_sets, neigh)
-
-let build ?(max_wedges = 2_000_000) g =
-  let out_sets, neigh = adjacency g in
-  let neighbours =
-    Array.map (fun s -> Array.of_seq (Seq.map fst (Hashtbl.to_seq s))) neigh
-  in
-  let total_wedges =
+  let nbrs = Array.init n (neighbours g) in
+  let wedges =
     Array.fold_left
       (fun acc ns ->
         let d = Array.length ns in
         acc +. (float_of_int d *. float_of_int (d - 1) /. 2.0))
-      0.0 neighbours
+      0.0 nbrs
   in
-  if total_wedges <= 0.0 then
-    { wedges = 0.0; rate_directed = 0.0; rate_undirected = 0.0; exact = true }
-  else begin
-    let exact = total_wedges <= float_of_int max_wedges in
-    let ratio =
-      if exact then 1.0 else float_of_int max_wedges /. total_wedges
-    in
-    let sampled = ref 0.0 and closings = ref 0.0 in
-    (* Per-centre deterministic sampling: every centre contributes all of its
-       wedges, or an evenly strided subset at the global ratio. *)
+  (* A distinct relationship a → b closes the wedge (a, w, b) of each common
+     neighbour w. Each connected pair is counted once, at its endpoint v with
+     the longer list: v marks [out_mark.(w) = v] for v → w and
+     [in_mark.(w) = v] for w → v, then scans the shorter list of each
+     neighbour u ranked below it, and the common neighbours count once per
+     direction between u and v. *)
+  let below u v =
+    let du = Array.length nbrs.(u) and dv = Array.length nbrs.(v) in
+    du < dv || (du = dv && u < v)
+  in
+  let out_mark = Array.make n (-1) and in_mark = Array.make n (-1) in
+  let closings = ref 0 in
+  for v = 0 to n - 1 do
+    Graph.iter_out_rels g v (fun r -> out_mark.(Graph.rel_dst g r) <- v);
+    Graph.iter_in_rels g v (fun r -> in_mark.(Graph.rel_src g r) <- v);
+    let linked w = w <> v && (out_mark.(w) = v || in_mark.(w) = v) in
     Array.iter
-      (fun ns ->
-        let d = Array.length ns in
-        if d >= 2 then begin
-          let all = float_of_int d *. float_of_int (d - 1) /. 2.0 in
-          let want =
-            if exact then int_of_float all
-            else max 1 (int_of_float (Float.round (all *. ratio)))
+      (fun u ->
+        if below u v then begin
+          let common =
+            Array.fold_left (fun c w -> if linked w then c + 1 else c) 0 nbrs.(u)
           in
-          let step = max 1 (int_of_float (all /. float_of_int want)) in
-          let idx = ref 0 and taken = ref 0 in
-          (try
-             for i = 0 to d - 2 do
-               for j = i + 1 to d - 1 do
-                 if !idx mod step = 0 then begin
-                   incr taken;
-                   sampled := !sampled +. 1.0;
-                   if Hashtbl.mem out_sets.(ns.(i)) ns.(j) then
-                     closings := !closings +. 1.0;
-                   if Hashtbl.mem out_sets.(ns.(j)) ns.(i) then
-                     closings := !closings +. 1.0;
-                   if (not exact) && !taken >= want then raise Exit
-                 end;
-                 incr idx
-               done
-             done
-           with Exit -> ())
+          let dirs =
+            Bool.to_int (out_mark.(u) = v) + Bool.to_int (in_mark.(u) = v)
+          in
+          closings := !closings + (dirs * common)
         end)
-      neighbours;
-    let per_wedge = if !sampled <= 0.0 then 0.0 else !closings /. !sampled in
-    {
-      wedges = total_wedges;
-      rate_directed = per_wedge /. 2.0;
-      rate_undirected = per_wedge;
-      exact;
-    }
-  end
-
-let memory_bytes _ = 3 * Lpp_util.Mem_size.float_entry
+      nbrs.(v)
+  done;
+  let per_wedge =
+    if wedges > 0.0 then float_of_int !closings /. wedges else 0.0
+  in
+  { wedges; rate_directed = per_wedge /. 2.0; rate_undirected = per_wedge }

@@ -16,11 +16,21 @@ type t = {
   rate_undirected : float;
       (** per wedge: expected closing matches when direction is free
           (each orientation counts once, as the Expand does) *)
-  exact : bool;  (** whether the census was exhaustive or sampled *)
 }
 
-val build : ?max_wedges:int -> Lpp_pgraph.Graph.t -> t
-(** Exhaustive when the wedge count is at most [max_wedges] (default 2M);
-    otherwise a deterministic stratified sample of that size. *)
+val build : Lpp_pgraph.Graph.t -> t
+(** An exact census at every graph size. Let N(v) be v's distinct
+    neighbours other than v, in either direction: [wedges] is the sum of
+    d(d − 1)/2 over the nodes, d = |N(v)|. Each distinct relationship
+    a → b with a ≠ b (parallel relationships count once, self-loops never)
+    closes |N(a) ∩ N(b)| wedges, one per common neighbour; the closings
+    over [wedges] are [rate_undirected], half of that [rate_directed]. Both
+    counts are exact integers, so the rates do not depend on the order of
+    nodes or relationships.
 
-val memory_bytes : t -> int
+    Cost: N(v) for every node as one boxed array (about a word per
+    relationship end) and two node-indexed stamp arrays, read from the
+    graph's CSR, which this builds if no traversal has. Each connected
+    pair is then counted once, at the endpoint with the longer list, by
+    scanning the shorter list against that endpoint's stamps: time linear
+    in the relationships plus, per pair, its shorter list. *)

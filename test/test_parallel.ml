@@ -359,14 +359,46 @@ let prop_matcher_parallel_random =
 
 (* ---------------- Deferred adjacency ---------------- *)
 
+(* Runs [f] in four pool chunks released together by an atomic turnstile,
+   with tracing on; checks that every chunk returned the same value and
+   returns how many spans of each given name the run recorded. *)
+let from_four_domains f names =
+  let arrived = Atomic.make 0 in
+  Lpp_obs.Obs.enable ();
+  Lpp_obs.Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Lpp_obs.Obs.disable ();
+      Lpp_obs.Obs.reset ())
+    (fun () ->
+      let chunk ~lo:_ ~hi:_ =
+        Atomic.incr arrived;
+        while Atomic.get arrived < 4 do
+          Domain.cpu_relax ()
+        done;
+        f ()
+      in
+      let seen = Pool.parallel_chunks ~jobs:4 ~n:4 chunk in
+      Alcotest.(check int) "four chunks" 4 (List.length seen);
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) "same result in every chunk" true
+            (s = List.hd seen))
+        seen;
+      let spans = Lpp_obs.Trace.spans () in
+      List.map
+        (fun name ->
+          List.length
+            (List.filter (fun (s : Lpp_obs.Trace.span) -> s.name = name) spans))
+        names)
+
+let small_snb () = Lpp_datasets.Snb_gen.generate ~persons:2000 ~props:false ~seed:4 ()
+
 (* Four domains make the first traversal of one fresh graph at once, each
    released by the last to arrive: the adjacency is built exactly once, and
    every domain reads the same slices. *)
 let test_first_traversal_from_many_domains () =
-  let g =
-    (Lpp_datasets.Snb_gen.generate ~persons:2000 ~props:false ~seed:4 ()).graph
-  in
-  let arrived = Atomic.make 0 in
+  let g = (small_snb ()).graph in
   let walk () =
     let out =
       List.init (Lpp_pgraph.Graph.node_count g) (fun n ->
@@ -380,32 +412,19 @@ let test_first_traversal_from_many_domains () =
     in
     (out, extents)
   in
-  Lpp_obs.Obs.enable ();
-  Lpp_obs.Obs.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Lpp_obs.Obs.disable ();
-      Lpp_obs.Obs.reset ())
-    (fun () ->
-      let chunk ~lo:_ ~hi:_ =
-        Atomic.incr arrived;
-        while Atomic.get arrived < 4 do
-          Domain.cpu_relax ()
-        done;
-        walk ()
-      in
-      let seen = Pool.parallel_chunks ~jobs:4 ~n:4 chunk in
-      Alcotest.(check int) "four chunks" 4 (List.length seen);
-      List.iter
-        (fun s ->
-          Alcotest.(check bool) "same slices in every chunk" true
-            (s = List.hd seen))
-        seen;
-      Alcotest.(check int) "one graph.adjacency span" 1
-        (List.length
-           (List.filter
-              (fun (s : Lpp_obs.Trace.span) -> s.name = "graph.adjacency")
-              (Lpp_obs.Trace.spans ()))))
+  Alcotest.(check (list int)) "one graph.adjacency span" [ 1 ]
+    (from_four_domains walk [ "graph.adjacency" ])
+
+(* The census runs inside the catalog's lock and builds the graph's
+   adjacency inside the graph's own once-guard: the first call from four
+   domains at once nests the two and still runs each once. *)
+let test_first_census_from_many_domains () =
+  let cat = (small_snb ()).catalog in
+  Alcotest.(check (list int)) "one catalog.triangles and one graph.adjacency span"
+    [ 1; 1 ]
+    (from_four_domains
+       (fun () -> Lpp_stats.Catalog.triangles cat)
+       [ "catalog.triangles"; "graph.adjacency" ])
 
 (* ---------------- Clock ---------------- *)
 
@@ -443,5 +462,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_matcher_parallel_random;
     Alcotest.test_case "graph: first traversal from many domains" `Quick
       test_first_traversal_from_many_domains;
+    Alcotest.test_case "catalog: first census from many domains" `Quick
+      test_first_census_from_many_domains;
     Alcotest.test_case "clock: monotonic" `Quick test_clock_monotonic;
   ]

@@ -23,8 +23,7 @@ let test_stats_on_triangle_graph () =
      10 ordered endpoint pairs. *)
   Alcotest.(check (float 1e-9)) "wedges" 5.0 ts.wedges;
   Alcotest.(check (float 1e-9)) "directed rate" 0.3 ts.rate_directed;
-  Alcotest.(check (float 1e-9)) "undirected rate" 0.6 ts.rate_undirected;
-  Alcotest.(check bool) "exact census" true ts.exact
+  Alcotest.(check (float 1e-9)) "undirected rate" 0.6 ts.rate_undirected
 
 let test_stats_on_triangle_free_graph () =
   let g = Fixtures.bipartite ~k_left:5 ~k_right:5 ~deg:2 in
@@ -32,19 +31,77 @@ let test_stats_on_triangle_free_graph () =
   Alcotest.(check (float 1e-9)) "bipartite has no triangles" 0.0 ts.rate_undirected;
   Alcotest.(check bool) "but wedges exist" true (ts.wedges > 0.0)
 
-let test_stats_sampled () =
-  let ds = Lazy.force Fixtures.small_snb in
-  let exact = Triangle_stats.build ds.graph in
-  let sampled = Triangle_stats.build ~max_wedges:5_000 ds.graph in
-  Alcotest.(check bool) "sampled is flagged" true (not sampled.exact || exact.exact);
-  (* a sampled rate should land in the same ballpark as the exact one *)
-  if exact.exact && not sampled.exact then
-    Alcotest.(check bool)
-      (Printf.sprintf "sampled %.4f vs exact %.4f" sampled.rate_directed
-         exact.rate_directed)
-      true
-      (Float.abs (sampled.rate_directed -. exact.rate_directed)
-      < Float.max 0.05 (0.5 *. exact.rate_directed))
+(* Every field's bits, so a check compares the census exactly. *)
+let census_bits (ts : Triangle_stats.t) =
+  Printf.sprintf "wedges %h, directed %h, undirected %h" ts.wedges
+    ts.rate_directed ts.rate_undirected
+
+(* Random graphs with self-loops, parallel relationships, both directions
+   between a pair and isolated nodes: the census equals the pairwise oracle
+   bit for bit. *)
+let prop_census_matches_oracle =
+  QCheck.Test.make ~name:"triangles: census == pairwise oracle" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g =
+        Test_properties.random_graph ~rich:(seed mod 2 = 0)
+          (Lpp_util.Rng.create (seed + 1))
+      in
+      let got = census_bits (Triangle_stats.build g)
+      and want = census_bits (Triangle_oracle.build g) in
+      got = want || QCheck.Test.fail_reportf "census %s, oracle %s" got want)
+
+(* The generated data sets at seed 42: the census equals the oracle at the
+   smoke and default tiers, and the default tier's figures are pinned. *)
+let test_census_generated () =
+  List.iter
+    (fun (name, wedges, rate_directed) ->
+      List.iter
+        (fun tier ->
+          let g = (Option.get (Lpp_datasets.Scale.build tier ~name ~seed:42)).graph in
+          let what = name ^ " " ^ Lpp_datasets.Scale.to_string tier in
+          let ts = Triangle_stats.build g in
+          Alcotest.(check string) what
+            (census_bits (Triangle_oracle.build g))
+            (census_bits ts);
+          if tier = Lpp_datasets.Scale.Default then
+            Alcotest.(check string) (what ^ " figures")
+              (census_bits
+                 { wedges; rate_directed; rate_undirected = 2.0 *. rate_directed })
+              (census_bits ts))
+        [ Lpp_datasets.Scale.Smoke; Default ])
+    [
+      ("snb", 1_429_582.0, 0x1.a4beb5157e531p-8);
+      ("cineasts", 282_799.0, 0x1.21e84e6c260b9p-9);
+      ("dbpedia", 797_103.0, 0x1.4e7633e831b16p-11);
+    ]
+
+(* One hub with out-relationships to k leaves, the leaves chained
+   l(i) -> l(i+1). The hub's k(k - 1)/2 wedges dwarf the rest: 3 for each
+   inner leaf, 1 for each end. Each path relationship closes one wedge (its
+   common neighbour is the hub) and each hub relationship one per path
+   neighbour of its leaf, so 3k - 3 closings in all. *)
+let test_hub_census () =
+  let k = 100_000 in
+  let b = Lpp_pgraph.Graph_builder.create () in
+  let node () = Lpp_pgraph.Graph_builder.add_node b ~labels:[] ~props:[] in
+  let rel src dst =
+    ignore (Lpp_pgraph.Graph_builder.add_rel b ~src ~dst ~rel_type:"e" ~props:[])
+  in
+  let hub = node () in
+  let leaves = Array.init k (fun _ -> node ()) in
+  Array.iter (rel hub) leaves;
+  for i = 0 to k - 2 do
+    rel leaves.(i) leaves.(i + 1)
+  done;
+  let ts = Triangle_stats.build (Lpp_pgraph.Graph_builder.freeze b) in
+  let wedges = (k * (k - 1) / 2) + (3 * (k - 2)) + 2 (* 5,000,249,996 *) in
+  let rate = float_of_int ((3 * k) - 3) /. float_of_int wedges in
+  Alcotest.(check string) "census"
+    (census_bits
+       { wedges = float_of_int wedges; rate_directed = rate /. 2.0;
+         rate_undirected = rate })
+    (census_bits ts)
 
 let test_planner_records_cycle_len () =
   let alg = Planner.plan (Lazy.force triangle_pattern) in
@@ -129,17 +186,14 @@ let test_triangle_config_matches_alhd_on_acyclic () =
     (Lpp_core.Estimator.estimate_pattern Lpp_core.Config.a_lhd ds.catalog p)
     (Lpp_core.Estimator.estimate_pattern Lpp_core.Config.a_lhdt ds.catalog p)
 
-let test_triangle_memory () =
-  let g, _ = Fixtures.triangle () in
-  Alcotest.(check bool) "tiny footprint" true
-    (Triangle_stats.memory_bytes (Triangle_stats.build g) <= 64)
-
 let suite =
   [
     Alcotest.test_case "triangles: exact census" `Quick test_stats_on_triangle_graph;
     Alcotest.test_case "triangles: triangle-free" `Quick
       test_stats_on_triangle_free_graph;
-    Alcotest.test_case "triangles: sampling" `Quick test_stats_sampled;
+    QCheck_alcotest.to_alcotest prop_census_matches_oracle;
+    Alcotest.test_case "triangles: data sets == oracle" `Slow test_census_generated;
+    Alcotest.test_case "triangles: hub" `Quick test_hub_census;
     Alcotest.test_case "triangles: planner 3-cycle" `Quick test_planner_records_cycle_len;
     Alcotest.test_case "triangles: planner 4-cycle" `Quick
       test_planner_records_square_cycle;
@@ -150,5 +204,4 @@ let suite =
       test_triangle_merge_reasonable_on_snb;
     Alcotest.test_case "triangles: inert on acyclic" `Quick
       test_triangle_config_matches_alhd_on_acyclic;
-    Alcotest.test_case "triangles: memory" `Quick test_triangle_memory;
   ]
