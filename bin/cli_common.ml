@@ -35,6 +35,17 @@ let exit_if_errors errors = if errors > 0 then Stdlib.exit 1
 let conv ~docv parse to_string =
   Arg.conv' ~docv (parse, fun ppf v -> Format.pp_print_string ppf (to_string v))
 
+(* An integer from [lo] to [hi] (default max_int). *)
+let int_conv ?(hi = max_int) ~lo () =
+  conv ~docv:"N"
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when lo <= n && n <= hi -> Ok n
+      | _ when hi = max_int ->
+          Error (Printf.sprintf "%S is not an integer of at least %d" s lo)
+      | _ -> Error (Printf.sprintf "%S is not an integer from %d to %d" s lo hi))
+    string_of_int
+
 let generators = [ "snb"; "cineasts"; "dbpedia" ]
 
 (* A generator name (any case) or the path of a saved graph file. *)

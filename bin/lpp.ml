@@ -724,14 +724,14 @@ let cmd_serve =
     end
   in
   let workers =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (C.int_conv ~lo:1 ())) None
          & info [ "workers"; "w" ] ~docv:"N"
              ~doc:"Serving domains, each reading, answering and writing the \
                    connections it accepts (default: recommended domain \
                    count - 1)")
   in
   let max_line =
-    Arg.(value & opt int (64 * 1024)
+    Arg.(value & opt (C.int_conv ~lo:1 ()) (64 * 1024)
          & info [ "max-line" ] ~docv:"BYTES" ~doc:"Reject request lines longer than this")
   in
   let check =
@@ -752,7 +752,7 @@ let cmd_serve =
                    ephemeral port)")
   in
   let flight =
-    Arg.(value & opt int 256
+    Arg.(value & opt (C.int_conv ~lo:0 ()) 256
          & info [ "flight" ] ~docv:"N"
              ~doc:"Flight-recorder capacity: keep the last N requests fully \
                    materialized (0 disables)")
@@ -787,12 +787,13 @@ let cmd_serve =
   (* Sizes a long-lived server's memory (DESIGN.md §16). Cached estimates
      are bit-identical to computed ones, so it never changes an answer. *)
   let cache_mb =
-    Arg.(value & opt int 64
+    Arg.(value & opt (C.int_conv ~lo:0 ~hi:(max_int lsr 20) ()) 64
          & info [ "cache-mb" ] ~docv:"MB"
-             ~doc:"Shared estimate-cache (L2) budget in MiB. Each worker \
-                   keeps its per-configuration L1 cache; 0 only leaves the \
-                   L2 empty. Cached estimates are bit-identical to computed \
-                   ones")
+             ~doc:"Shared estimate-cache (L2) budget in MiB: an entry that \
+                   would take the L2 past it empties the L2 first. Each \
+                   worker keeps its per-configuration L1 cache; 0 only \
+                   leaves the L2 empty. Cached estimates are bit-identical \
+                   to computed ones")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -9,9 +9,10 @@ open Lpp_stats
    Two levels. The front (t) is per-session/per-domain and open-addressed:
    the hit path canonicalizes into a reusable scratch, probes a few slots and
    compares keys in place — no allocation, no locks. Behind it an optional
-   shared L2 (one per server) is sharded and mutex-guarded, with
-   Mem_size-accounted entries evicted by a clock ("second chance") sweep so
-   total memory stays under a configured budget.
+   shared L2 (one per server) is one table under one mutex, its entries
+   Mem_size-accounted and bounded by a byte budget the way serve's parse
+   memo is: when the next entry would pass the budget, the table is emptied
+   first.
 
    Correctness: a hit returns the exact float stored by the computing miss.
    A front serves one immutable catalog, so its L1 needs no catalog key;
@@ -24,185 +25,63 @@ open Lpp_stats
 (* Shared L2                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type l2_entry = {
-  e_key : string;  (* epoch ^ "\x00" ^ config tag ^ "\x00" ^ canonical key *)
-  e_value : float;
-  e_bytes : int;
-  mutable e_ref : bool;  (* clock "second chance" bit *)
-}
-
-type shard = {
+type l2 = {
   mu : Mutex.t;
-  index : (string, int) Hashtbl.t;  (* entry key -> slot *)
-  mutable slots : l2_entry option array;
-  mutable free : int list;  (* slots emptied by eviction or reclamation *)
-  mutable fresh : int;  (* slots from this index on were never used *)
-  mutable hand : int;  (* clock position *)
+  (* epoch ^ "\x00" ^ config tag ^ "\x00" ^ canonical key -> estimate *)
+  table : (string, float) Hashtbl.t;
+  budget : int;
+  (* guarded by [mu] like the table *)
   mutable bytes : int;  (* accounted bytes of live entries *)
-  mutable live : int;
-  (* stats, guarded by [mu] like the data *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable inserts : int;
+  mutable evictions : int;  (* entries dropped by resets *)
 }
 
-type l2 = { shards : shard array; budget : int; shard_budget : int }
-
-let default_shards = 8
-
-let create_l2 ?(shards = default_shards) ~budget_bytes () =
-  let shards = max 1 shards in
+let create_l2 ~budget_bytes () =
   {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            mu = Mutex.create ();
-            index = Hashtbl.create 64;
-            slots = Array.make 64 None;
-            free = [];
-            fresh = 0;
-            hand = 0;
-            bytes = 0;
-            live = 0;
-            hits = 0;
-            misses = 0;
-            evictions = 0;
-            inserts = 0;
-          });
+    mu = Mutex.create ();
+    table = Hashtbl.create 64;
     budget = max 0 budget_bytes;
-    shard_budget = max 1 (max 0 budget_bytes / shards);
+    bytes = 0;
+    evictions = 0;
   }
 
-(* key + boxed float + ref bit + record/slot/index overhead *)
+(* The key string, its bucket (a word of the bucket array and a four-word
+   cell: header, key, value, next) and the boxed float (header, payload). *)
 let entry_bytes key =
-  Mem_size.table_entry
-    ~key_bytes:(Mem_size.string_bytes key)
-    ~value_bytes:Mem_size.float_entry
-  + (6 * Mem_size.word)
+  Mem_size.string_bytes key + (6 * Mem_size.word) + Mem_size.float_entry
 
-let shard_of l2 key =
-  l2.shards.(Hashtbl.hash key mod Array.length l2.shards)
-
-let drop_slot sh i e =
-  Hashtbl.remove sh.index e.e_key;
-  sh.slots.(i) <- None;
-  sh.free <- i :: sh.free;
-  sh.bytes <- sh.bytes - e.e_bytes;
-  sh.live <- sh.live - 1
-
-let l2_find l2 key =
-  let sh = shard_of l2 key in
-  Sync.with_lock sh.mu (fun () ->
-      match Option.bind (Hashtbl.find_opt sh.index key) (Array.get sh.slots) with
-      | Some e ->
-          e.e_ref <- true;
-          sh.hits <- sh.hits + 1;
-          Some e.e_value
-      | None ->
-          sh.misses <- sh.misses + 1;
-          None)
-
-(* Evict clock-wise until [need] more bytes fit the shard budget. The hand
-   gives every entry one "second chance": a set ref bit is cleared on the
-   first pass and the entry is reclaimed when the hand comes around again
-   without an intervening hit. *)
-let make_room sh ~shard_budget ~need =
-  let n = Array.length sh.slots in
-  let spins = ref (2 * n) in
-  while sh.bytes + need > shard_budget && sh.live > 0 && !spins > 0 do
-    decr spins;
-    let i = sh.hand in
-    sh.hand <- (if i + 1 >= n then 0 else i + 1);
-    match sh.slots.(i) with
-    | None -> ()
-    | Some e ->
-        if e.e_ref then e.e_ref <- false
-        else begin
-          drop_slot sh i e;
-          sh.evictions <- sh.evictions + 1
-        end
-  done
-
-(* Reuse an emptied slot, else take the next never-used one, doubling the
-   array only when every slot is live: no insert scans the array. *)
-let free_slot sh =
-  match sh.free with
-  | i :: rest ->
-      sh.free <- rest;
-      i
-  | [] ->
-      let n = Array.length sh.slots in
-      if sh.fresh = n then begin
-        let slots = Array.make (2 * n) None in
-        Array.blit sh.slots 0 slots 0 n;
-        sh.slots <- slots
-      end;
-      let i = sh.fresh in
-      sh.fresh <- i + 1;
-      i
+let l2_find l2 key = Sync.with_lock l2.mu (fun () -> Hashtbl.find_opt l2.table key)
 
 let l2_insert l2 key value =
-  let sh = shard_of l2 key in
   let bytes = entry_bytes key in
-  if bytes <= l2.shard_budget then
-    Sync.with_lock sh.mu (fun () ->
-        (* a racing domain may have inserted the same key between our lookup
-           and this insert; replace — the values are bit-identical anyway *)
-        (match Hashtbl.find_opt sh.index key with
-        | Some i -> (
-            match sh.slots.(i) with
-            | Some e -> drop_slot sh i e
-            | None -> Hashtbl.remove sh.index key)
-        | None -> ());
-        make_room sh ~shard_budget:l2.shard_budget ~need:bytes;
-        if sh.bytes + bytes <= l2.shard_budget then begin
-          let i = free_slot sh in
-          sh.slots.(i) <-
-            Some
-              { e_key = key; e_value = value; e_bytes = bytes; e_ref = false };
-          Hashtbl.replace sh.index key i;
-          sh.bytes <- sh.bytes + bytes;
-          sh.live <- sh.live + 1;
-          sh.inserts <- sh.inserts + 1
+  if bytes <= l2.budget then
+    Sync.with_lock l2.mu (fun () ->
+        (* a racing domain may have stored the key since our lookup, with
+           the same bits: keep its entry *)
+        if not (Hashtbl.mem l2.table key) then begin
+          if l2.bytes + bytes > l2.budget then begin
+            l2.evictions <- l2.evictions + Hashtbl.length l2.table;
+            Hashtbl.reset l2.table;
+            l2.bytes <- 0
+          end;
+          Hashtbl.add l2.table key value;
+          l2.bytes <- l2.bytes + bytes
         end)
 
 type l2_stats = {
-  l2_hits : int;
-  l2_misses : int;
   l2_evictions : int;
-  l2_inserts : int;
   l2_entries : int;
   l2_bytes : int;
   l2_budget : int;
-  l2_slots : int;
 }
 
 let l2_stats l2 =
-  Array.fold_left
-    (fun acc sh ->
-      Sync.with_lock sh.mu (fun () ->
-          {
-            acc with
-            l2_hits = acc.l2_hits + sh.hits;
-            l2_misses = acc.l2_misses + sh.misses;
-            l2_evictions = acc.l2_evictions + sh.evictions;
-            l2_inserts = acc.l2_inserts + sh.inserts;
-            l2_entries = acc.l2_entries + sh.live;
-            l2_bytes = acc.l2_bytes + sh.bytes;
-            l2_slots = acc.l2_slots + Array.length sh.slots;
-          }))
-    {
-      l2_hits = 0;
-      l2_misses = 0;
-      l2_evictions = 0;
-      l2_inserts = 0;
-      l2_entries = 0;
-      l2_bytes = 0;
-      l2_budget = l2.budget;
-      l2_slots = 0;
-    }
-    l2.shards
+  Sync.with_lock l2.mu (fun () ->
+      {
+        l2_evictions = l2.evictions;
+        l2_entries = Hashtbl.length l2.table;
+        l2_bytes = l2.bytes;
+        l2_budget = l2.budget;
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Per-session front (L1)                                              *)

@@ -4,9 +4,9 @@
     Two levels. {!t} is the per-session/per-domain front — open-addressed,
     with an allocation-free, lock-free hit path — and an optional shared
     {!l2} behind it lets many domains (e.g. serve workers) reuse each other's
-    estimates. The L2 is sharded and mutex-guarded, its memory is
-    [Mem_size]-accounted and bounded by a byte budget with clock
-    (second-chance) eviction.
+    estimates. The L2 is one table under one mutex; its memory is
+    [Mem_size]-accounted and bounded by a byte budget: when the next entry
+    would take it past the budget, the table is emptied first.
 
     Correctness guarantees, pinned by [test_cache]:
     - a hit returns the exact float bits a miss computed ({!estimate} is
@@ -22,22 +22,16 @@
 type l2
 (** A shared cache safe for concurrent use from any number of domains. *)
 
-val create_l2 : ?shards:int -> budget_bytes:int -> unit -> l2
-(** [shards] (default 8) bounds lock contention; the byte budget is split
-    evenly across shards. Entries larger than a shard's budget are simply
-    not cached. *)
+val create_l2 : budget_bytes:int -> unit -> l2
+(** An empty L2 holding at most [budget_bytes] accounted bytes (a negative
+    budget is 0). An entry larger than the budget is not cached; one that
+    would take the held bytes past it first empties the table. *)
 
 type l2_stats = {
-  l2_hits : int;
-  l2_misses : int;
-  l2_evictions : int;
-  l2_inserts : int;
+  l2_evictions : int;  (** entries dropped by emptying the table *)
   l2_entries : int;
   l2_bytes : int;  (** accounted bytes currently held — never > budget *)
   l2_budget : int;
-  l2_slots : int;
-      (** entry slots allocated across shards; grows only when every slot
-          of a shard is live *)
 }
 
 val l2_stats : l2 -> l2_stats

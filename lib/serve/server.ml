@@ -138,8 +138,8 @@ let qerr_hist st =
     ~buckets:(fun w -> w.qerr_buckets)
 
 (* Estimate-cache totals: request-level counters summed over the workers'
-   single-writer records (lock-free momentary view), shard-level
-   eviction/occupancy from the L2 under its shard locks. *)
+   single-writer records (lock-free momentary view); eviction and occupancy
+   come from the L2 under its lock. *)
 let cache_totals st =
   Array.fold_left
     (fun (h, s, m, b) w ->

@@ -27,11 +27,11 @@
     listeners unwatched until the worker's next 50 ms tick; either way the
     worker keeps serving.
 
-    The only cross-domain mutability is the sharded estimate-cache L2
-    ({!Lpp_core.Est_cache}), the flight recorder, the request sequence and
-    the stopping flag. Workers parse against the graph's vocabulary
-    read-only ({!Lpp_pattern.Parse.parse}), so the graph needs no lock; see
-    DESIGN.md §12 and §16 for the invariants. *)
+    The only cross-domain mutability is the estimate-cache L2
+    ({!Lpp_core.Est_cache}, one table under one lock), the flight recorder,
+    the request sequence and the stopping flag. Workers parse against the
+    graph's vocabulary read-only ({!Lpp_pattern.Parse.parse}), so the graph
+    needs no lock; see DESIGN.md §12 and §16 for the invariants. *)
 
 type addr =
   | Unix_socket of string  (** filesystem path; unlinked on shutdown *)

@@ -9,7 +9,8 @@
    - each catalog snapshot has its own epoch, so fronts over different
      catalogs — or over a Builder's successive snapshots — sharing one L2
      never answer with each other's estimates;
-   - the shared L2 never exceeds its byte budget and evicts under pressure;
+   - the shared L2 never exceeds its byte budget: an entry that would pass
+     it first empties the table;
    - many domains hammering one shared L2 stay correct and within budget. *)
 
 open Lpp_pattern
@@ -406,16 +407,16 @@ let distinct_patterns g n =
           Pattern.node_spec () ]
         [ Pattern.rel_spec ~types:[ "u" ] ~src:0 ~dst:1 () ])
 
+let estimate_all cache ps =
+  List.iter (fun p -> ignore (Lpp_core.Est_cache.estimate_pattern cache p)) ps
+
 let test_l2_eviction_respects_budget () =
   let g = small_graph () in
   let catalog = Lpp_stats.Catalog.build g in
   let budget = 4096 in
-  let l2 = Lpp_core.Est_cache.create_l2 ~shards:1 ~budget_bytes:budget () in
+  let l2 = Lpp_core.Est_cache.create_l2 ~budget_bytes:budget () in
   let cache = Lpp_core.Est_cache.create ~l2 Lpp_core.Config.a_lhd catalog in
   let patterns = distinct_patterns g 400 in
-  let estimate_all cache ps =
-    List.iter (fun p -> ignore (Lpp_core.Est_cache.estimate_pattern cache p)) ps
-  in
   estimate_all cache (List.filteri (fun i _ -> i < 200) patterns);
   let s = Lpp_core.Est_cache.l2_stats l2 in
   Alcotest.(check bool) "bytes within budget" true
@@ -427,35 +428,67 @@ let test_l2_eviction_respects_budget () =
   (* 200 distinct small entries cannot all fit 4 KiB *)
   Alcotest.(check bool) "capacity actually bounded" true
     (s.Lpp_core.Est_cache.l2_entries < 200);
-  (* evicted slots are reused: more inserts than slots ever existed, and
-     200 more inserts leave the slot array as it was *)
-  Alcotest.(check bool) "slots reused" true
-    (s.Lpp_core.Est_cache.l2_inserts > s.Lpp_core.Est_cache.l2_slots);
   estimate_all cache (List.filteri (fun i _ -> i >= 200) patterns);
   let s' = Lpp_core.Est_cache.l2_stats l2 in
-  Alcotest.(check int) "slot array does not grow" s.Lpp_core.Est_cache.l2_slots
-    s'.Lpp_core.Est_cache.l2_slots;
-  Alcotest.(check bool) "more inserts" true
-    (s'.Lpp_core.Est_cache.l2_inserts > s.Lpp_core.Est_cache.l2_inserts);
-  Alcotest.(check bool) "live entries fit the slots" true
-    (s'.Lpp_core.Est_cache.l2_entries <= s'.Lpp_core.Est_cache.l2_slots);
+  Alcotest.(check bool) "more evictions" true
+    (s'.Lpp_core.Est_cache.l2_evictions > s.Lpp_core.Est_cache.l2_evictions);
   Alcotest.(check bool) "bytes still within budget" true
     (s'.Lpp_core.Est_cache.l2_bytes <= s'.Lpp_core.Est_cache.l2_budget);
-  (* with room for everything the array grows, and every entry stays
-     reachable through a fresh front *)
-  let roomy = Lpp_core.Est_cache.create_l2 ~shards:1 ~budget_bytes:(1 lsl 20) () in
+  (* with room for everything, every entry stays reachable through a fresh
+     front *)
+  let roomy = Lpp_core.Est_cache.create_l2 ~budget_bytes:(1 lsl 20) () in
   let front () = Lpp_core.Est_cache.create ~l2:roomy Lpp_core.Config.a_lhd catalog in
   estimate_all (front ()) patterns;
-  estimate_all (front ()) patterns;
+  let second = front () in
+  estimate_all second patterns;
   let r = Lpp_core.Est_cache.l2_stats roomy in
   Alcotest.(check int) "all entries live" 400 r.Lpp_core.Est_cache.l2_entries;
-  Alcotest.(check int) "grown to fit" 512 r.Lpp_core.Est_cache.l2_slots;
-  Alcotest.(check int) "all reachable" 400 r.Lpp_core.Est_cache.l2_hits
+  Alcotest.(check int) "all reachable" 400
+    (Lpp_core.Est_cache.counters second).Lpp_core.Est_cache.c_shared_hits
+
+(* The L2's bound: an entry that would take the held bytes past the budget
+   first empties the table, so the L2 then holds that entry alone. *)
+let test_l2_reset_rule () =
+  let g = small_graph () in
+  let catalog = Lpp_stats.Catalog.build g in
+  let k = 3 in
+  let patterns = distinct_patterns g (k + 1) in
+  let older = List.filteri (fun i _ -> i < k) patterns in
+  let newest = List.nth patterns k in
+  let front l2 = Lpp_core.Est_cache.create ~l2 Lpp_core.Config.a_lhd catalog in
+  (* a budget that holds exactly the first k entries *)
+  let sizing = Lpp_core.Est_cache.create_l2 ~budget_bytes:(1 lsl 20) () in
+  estimate_all (front sizing) older;
+  let budget = (Lpp_core.Est_cache.l2_stats sizing).Lpp_core.Est_cache.l2_bytes in
+  let l2 = Lpp_core.Est_cache.create_l2 ~budget_bytes:budget () in
+  let cache = front l2 in
+  estimate_all cache older;
+  let s = Lpp_core.Est_cache.l2_stats l2 in
+  Alcotest.(check int) "k entries fill the budget" k
+    s.Lpp_core.Est_cache.l2_entries;
+  Alcotest.(check int) "nothing evicted yet" 0
+    s.Lpp_core.Est_cache.l2_evictions;
+  estimate_all cache [ newest ];
+  let s = Lpp_core.Est_cache.l2_stats l2 in
+  Alcotest.(check int) "the newest entry alone" 1
+    s.Lpp_core.Est_cache.l2_entries;
+  Alcotest.(check int) "the k older entries evicted" k
+    s.Lpp_core.Est_cache.l2_evictions;
+  Alcotest.(check bool) "bytes within budget" true
+    (s.Lpp_core.Est_cache.l2_bytes <= s.Lpp_core.Est_cache.l2_budget);
+  let fresh = front l2 in
+  let c = Lpp_core.Est_cache.counters fresh in
+  estimate_all fresh [ newest ];
+  Alcotest.(check int) "the newest pattern hits the L2" 1
+    c.Lpp_core.Est_cache.c_shared_hits;
+  estimate_all fresh [ List.hd older ];
+  Alcotest.(check int) "the oldest pattern misses" 1
+    c.Lpp_core.Est_cache.c_misses
 
 let test_oversized_entries_not_cached () =
   let g = small_graph () in
   let catalog = Lpp_stats.Catalog.build g in
-  let l2 = Lpp_core.Est_cache.create_l2 ~shards:1 ~budget_bytes:32 () in
+  let l2 = Lpp_core.Est_cache.create_l2 ~budget_bytes:32 () in
   let cache = Lpp_core.Est_cache.create ~l2 Lpp_core.Config.a_lhd catalog in
   let p = List.hd (distinct_patterns g 1) in
   let a = Lpp_core.Est_cache.estimate_pattern cache p in
@@ -475,7 +508,7 @@ let test_concurrent_hammer () =
   let reference = Lpp_core.Estimator.make Lpp_core.Config.a_lhd catalog in
   let expect = Array.map (Lpp_core.Estimator.session_estimate reference) algs in
   let budget = 8 * 1024 in
-  let l2 = Lpp_core.Est_cache.create_l2 ~shards:4 ~budget_bytes:budget () in
+  let l2 = Lpp_core.Est_cache.create_l2 ~budget_bytes:budget () in
   let ndomains = 4 in
   let failures = Atomic.make 0 in
   let domains =
@@ -516,6 +549,8 @@ let suite =
       test_shared_l2_keeps_catalogs_apart;
     Alcotest.test_case "L2 eviction respects budget" `Quick
       test_l2_eviction_respects_budget;
+    Alcotest.test_case "L2 reset keeps the newest entry alone" `Quick
+      test_l2_reset_rule;
     Alcotest.test_case "oversized entries are not cached" `Quick
       test_oversized_entries_not_cached;
     Alcotest.test_case "concurrent domains over one L2" `Quick

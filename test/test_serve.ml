@@ -235,6 +235,44 @@ let test_concurrent_clients () =
         ws
   | _ -> Alcotest.fail "stats.workers missing"
 
+(* Why serve has an L2: one worker answers from what another computed. A
+   pings, so its worker holds it; B then goes to the other worker, the one
+   holding the fewest connections. *)
+let test_l2_across_workers () =
+  with_server ~workers:2 @@ fun ~graph ~catalog ~addr ~server:_ ->
+  let text = List.hd patterns in
+  let expect =
+    List.hd (direct_estimates Lpp_core.Config.a_lhd graph catalog [ text ])
+  in
+  let a = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close a) @@ fun () ->
+  Alcotest.(check bool) "A pongs" true
+    (Json.member "pong" (Client.request a {|{"op":"ping"}|})
+    = Some (Json.Bool true));
+  let estimate client who =
+    match Client.estimate client text with
+    | Ok est -> check_bits who expect est
+    | Error msg -> Alcotest.failf "%s: %s" who msg
+  in
+  estimate a "A";
+  let b = Client.connect addr in
+  Fun.protect ~finally:(fun () -> Client.close b) @@ fun () ->
+  estimate b "B";
+  let stats =
+    Option.get (Json.member "stats" (Client.request b {|{"op":"stats"}|}))
+  in
+  let cache = Option.get (Json.member "cache" stats) in
+  let count key = Option.value (Json.member_int key cache) ~default:(-1) in
+  Alcotest.(check int) "one computed estimate" 1 (count "misses");
+  Alcotest.(check int) "one L2 hit" 1 (count "l2_hits");
+  match Json.member "workers" stats with
+  | Some (Json.List ws) ->
+      Alcotest.(check (list int)) "one served estimate per worker" [ 1; 1 ]
+        (List.map
+           (fun w -> Option.value (Json.member_int "served" w) ~default:0)
+           ws)
+  | _ -> Alcotest.fail "stats.workers missing"
+
 let test_malformed_and_oversized () =
   with_server ~max_line:128 @@ fun ~graph:_ ~catalog:_ ~addr ~server ->
   let client = Client.connect addr in
@@ -1083,6 +1121,8 @@ let suite =
     Alcotest.test_case "wire: a slow reader's requests wait in the socket"
       `Quick test_slow_reader_bounded;
     Alcotest.test_case "wire: connection flood" `Quick test_connection_flood;
+    Alcotest.test_case "wire: one worker reuses another's estimate" `Quick
+      test_l2_across_workers;
     Alcotest.test_case "wire: unknown config names not retained" `Quick
       test_unknown_configs_bounded;
     Alcotest.test_case "wire: unknown names not retained" `Quick
